@@ -1,10 +1,17 @@
-"""Batch assignment engine: speedup gate and equivalence proof.
+"""Batch assignment engine: speedup gates and equivalence proof.
 
 The vectorized :meth:`TriangleInequalityAssigner.assign_many` must beat a
-scalar ``assign()`` loop by at least 10x on the reference workload
-(10k points x 100 seeds) while returning bit-identical assignments and
-identical computed/pruned totals under identically seeded RNGs — both
-facts are asserted here and recorded in
+scalar ``assign()`` loop at two shapes of the reference workload (100
+seeds, d=2) while returning bit-identical assignments, identical
+computed/pruned totals and the same RNG end state under identically
+seeded RNGs:
+
+* **bulk** — one 10k-point call, gated at >= 10x;
+* **micro-batch** — 40 consecutive 64-point calls, the shape the service
+  feeds the maintainers, gated at >= 3x the scalar loop over the same
+  points.
+
+Both facts are asserted here and recorded in
 ``benchmarks/results/BENCH_assignment_batch.json`` so the engine's perf
 trajectory and its equivalence guarantee stay visible across PRs.
 
@@ -28,6 +35,9 @@ NUM_SEEDS = 100
 BATCH_ROUNDS = 5
 SCALAR_ROUNDS = 2
 SPEEDUP_GATE = 10.0
+MICRO_POINTS = 64
+MICRO_CALLS = 40
+MICRO_GATE = 3.0
 
 
 def make_workload(num_points, num_seeds, dim=2, seed=0):
@@ -70,8 +80,41 @@ def _batch_arm(seeds, points):
     return time.perf_counter() - started, result, assigner
 
 
+def _micro_arm(seeds, points):
+    # Consecutive MICRO_POINTS-point calls on one assigner, as a shard
+    # applies its micro-batches.
+    assigner = _make_assigner(seeds)
+    started = time.perf_counter()
+    result = np.concatenate(
+        [
+            assigner.assign_many(points[start : start + MICRO_POINTS])
+            for start in range(0, len(points), MICRO_POINTS)
+        ]
+    )
+    return time.perf_counter() - started, result, assigner
+
+
+def _best_of(arm, rounds, seeds, points):
+    best = float("inf")
+    for _ in range(rounds):
+        elapsed, result, assigner = arm(seeds, points)
+        best = min(best, elapsed)
+    return best, result, assigner
+
+
+def _assert_equivalent(batch_result, batch, scalar_result, scalar):
+    # Equivalence first: a fast kernel that drifts is worthless.
+    assert batch_result.tolist() == scalar_result.tolist()
+    assert batch.assign_computed == scalar.assign_computed
+    assert batch.assign_pruned == scalar.assign_pruned
+    assert batch._rng.bit_generator.state == scalar._rng.bit_generator.state
+
+
 def test_batch_engine_speedup_gate(benchmark):
-    """assign_many >= 10x faster than the scalar loop, bit-identically."""
+    """assign_many beats the scalar loop at both shapes, bit-identically.
+
+    Bulk calls must be >= 10x faster, consecutive 64-point calls >= 3x.
+    """
     points, seeds = make_workload(
         num_points=NUM_POINTS, num_seeds=NUM_SEEDS, dim=2, seed=0
     )
@@ -79,22 +122,34 @@ def test_batch_engine_speedup_gate(benchmark):
     # Warm-up (allocators, numpy dispatch) before either arm is timed.
     _batch_arm(seeds, points[:256])
 
-    scalar_time = float("inf")
-    for _ in range(SCALAR_ROUNDS):
-        elapsed, scalar_result, scalar_assigner = _scalar_arm(seeds, points)
-        scalar_time = min(scalar_time, elapsed)
-
-    batch_time = float("inf")
-    for _ in range(BATCH_ROUNDS):
-        elapsed, batch_result, batch_assigner = _batch_arm(seeds, points)
-        batch_time = min(batch_time, elapsed)
-
-    # Equivalence first: a fast kernel that drifts is worthless.
-    assert batch_result.tolist() == scalar_result.tolist()
-    assert batch_assigner.assign_computed == scalar_assigner.assign_computed
-    assert batch_assigner.assign_pruned == scalar_assigner.assign_pruned
-
+    scalar_time, scalar_result, scalar_assigner = _best_of(
+        _scalar_arm, SCALAR_ROUNDS, seeds, points
+    )
+    batch_time, batch_result, batch_assigner = _best_of(
+        _batch_arm, BATCH_ROUNDS, seeds, points
+    )
+    _assert_equivalent(
+        batch_result, batch_assigner, scalar_result, scalar_assigner
+    )
     speedup = scalar_time / batch_time
+
+    # Micro-batch arm: a fixed shuffle mixes the blobs as a live stream
+    # does, so every call sees points from all over the seed set.
+    order = np.random.default_rng(1).permutation(len(points))
+    micro_points = points[order[: MICRO_CALLS * MICRO_POINTS]]
+    micro_scalar_time, micro_scalar_result, micro_scalar_assigner = (
+        _best_of(_scalar_arm, SCALAR_ROUNDS, seeds, micro_points)
+    )
+    micro_time, micro_result, micro_assigner = _best_of(
+        _micro_arm, BATCH_ROUNDS, seeds, micro_points
+    )
+    _assert_equivalent(
+        micro_result,
+        micro_assigner,
+        micro_scalar_result,
+        micro_scalar_assigner,
+    )
+    micro_speedup = micro_scalar_time / micro_time
 
     # Register with pytest-benchmark so the run lands in the CI JSON
     # artifact next to the other assignment numbers.
@@ -120,6 +175,22 @@ def test_batch_engine_speedup_gate(benchmark):
             "pruned_distances": batch_assigner.assign_pruned,
             "pruned_fraction": batch_assigner.pruned_fraction,
         },
+        "micro_batch": {
+            "points_per_call": MICRO_POINTS,
+            "calls": MICRO_CALLS,
+            "scalar_seconds": micro_scalar_time,
+            "batch_seconds": micro_time,
+            "batch_ms_per_call": micro_time / MICRO_CALLS * 1e3,
+            "speedup": micro_speedup,
+            "speedup_gate": MICRO_GATE,
+            "equivalence": {
+                "indices_identical": True,
+                "rng_state_identical": True,
+                "computed_distances": micro_assigner.assign_computed,
+                "pruned_distances": micro_assigner.assign_pruned,
+                "pruned_fraction": micro_assigner.pruned_fraction,
+            },
+        },
     }
     write_bench_result("assignment_batch", document)
 
@@ -127,4 +198,10 @@ def test_batch_engine_speedup_gate(benchmark):
         f"batch engine speedup {speedup:.1f}x below the "
         f"{SPEEDUP_GATE:.0f}x gate (scalar {scalar_time:.3f}s, "
         f"batch {batch_time:.3f}s)"
+    )
+    assert micro_speedup >= MICRO_GATE, (
+        f"{MICRO_POINTS}-point calls only {micro_speedup:.1f}x the scalar "
+        f"loop, below the {MICRO_GATE:.0f}x gate (scalar "
+        f"{micro_scalar_time:.3f}s, batch {micro_time:.3f}s over "
+        f"{MICRO_CALLS} calls)"
     )

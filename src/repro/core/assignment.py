@@ -13,8 +13,10 @@ computing ``dist(p, s_B2)``.
 verbatim (candidate set, random probing, pruning against the current
 candidate), on top of a precomputed seed-to-seed distance matrix. Its
 :meth:`~TriangleInequalityAssigner.assign_many` is a *blockwise batch
-engine*: whole blocks of points run the Figure 2 loop in lockstep through
-vectorised numpy kernels, returning bit-identical assignments — and
+engine*: row tiles of at most ``_TI_TILE_ELEMENTS`` row×seed elements
+draw their points' probing permutations in one call each and run the
+Figure 2 loop in lockstep, one probe per row per round at a fixed number
+of numpy calls per round. It returns bit-identical assignments — and
 identical computed/pruned totals — to the scalar :meth:`assign` loop under
 the same RNG (see the class docstring for how that equivalence is kept).
 
@@ -66,11 +68,11 @@ __all__ = [
     "make_assigner",
 ]
 
-#: Floor for the adaptively sized lockstep blocks of
-#: :meth:`TriangleInequalityAssigner.assign_many`. Bigger blocks mean
-#: fewer lockstep rounds (round cost is dominated by the rows still
-#: alive, not the block width), so the engine prefers the largest block
-#: the element budget below allows.
+#: Floor for the adaptively sized blocks of
+#: :meth:`TriangleInequalityAssigner.assign_many`. A block is the unit
+#: of RNG drawing, accounting and (with ``workers >= 1``) parallel work;
+#: ``workers >= 1`` results are a function of this partition, so it is
+#: fixed here independently of the lockstep tiles below.
 DEFAULT_BLOCK_SIZE = 1024
 
 #: Target float64 element count of the temporary ``(rows, B, d)``
@@ -78,10 +80,15 @@ DEFAULT_BLOCK_SIZE = 1024
 #: (4M elements = 32 MiB).
 _NAIVE_BLOCK_ELEMENTS = 1 << 22
 
-#: Element budget for the triangle-inequality engine's per-block
-#: ``(rows, B)`` workspaces (probing permutations + membership masks):
-#: 4M int64 elements = 32 MiB of permutation rows.
+#: Row×seed element count of one triangle-inequality block: the
+#: adaptive partition is ``max(DEFAULT_BLOCK_SIZE, this // B)`` rows.
 _TI_BLOCK_ELEMENTS = 1 << 22
+
+#: Row×seed element budget of one lockstep tile inside a block. Every
+#: ``(rows, B)`` array of the kernel (permutations, live mask, Lemma 1
+#: gather: 2 MiB of int64 or float64 each) is tile-sized, so memory is
+#: bounded without touching the block partition.
+_TI_TILE_ELEMENTS = 1 << 18
 
 
 class Assigner:
@@ -255,18 +262,20 @@ class TriangleInequalityAssigner(Assigner):
     discarded without a distance computation.
 
     **Batch engine.** :meth:`assign_many` runs the same Figure 2 loop over
-    blocks of points in lockstep: per block it draws each point's random
-    probing permutation from the shared RNG (one Fisher–Yates draw per
-    point, in point order — exactly the stream the scalar loop consumes,
-    so scalar and batch calls interleave reproducibly), then alternates a
-    vectorised Lemma-1 prune pass (a row-compare against the cached
-    seed-to-seed matrix applied to a by-value candidate membership mask)
-    with a vectorised probe pass (one exact distance per surviving point)
-    until every point's candidate set is exhausted. Preallocated
-    per-block workspaces are reused across blocks and calls. Assignments
-    are bit-identical to the scalar loop and the computed/pruned totals —
-    accumulated per block, recorded once per block — match the scalar
-    accounting exactly (see :meth:`_assign_block` for why).
+    blocks of points in lockstep, tile by tile: per tile it draws each
+    point's random probing permutation from the shared RNG (one
+    Fisher–Yates draw per point, in point order — exactly the stream the
+    scalar loop consumes, so scalar and batch calls interleave
+    reproducibly), then alternates a vectorised Lemma 1 prune (a gather
+    from the cached seed-to-seed matrix, compared and ANDed into a
+    live-slot mask kept in permutation order) with a vectorised probe
+    (each row's rightmost live slot, one exact distance per row) until
+    every point's candidate set is exhausted. Every round costs a fixed
+    number of numpy calls.
+    Assignments are bit-identical to the scalar loop and the
+    computed/pruned totals — accumulated per block, recorded once per
+    block — match the scalar accounting exactly (see
+    :meth:`_assign_tile` for why).
 
     **Setup accounting contract.** :attr:`setup_computed` *always* reports
     the ``B·(B-1)/2`` cost of the seed matrix, in both ``count_setup``
@@ -309,13 +318,12 @@ class TriangleInequalityAssigner(Assigner):
         count_setup: whether the seed-matrix construction cost is also
             recorded into ``counter`` (it always shows in
             :attr:`setup_computed`).
-        block_size: points processed per lockstep block by
-            :meth:`assign_many`; ``None`` (the default) sizes blocks
-            adaptively from a fixed workspace element budget. The
-            blocking never changes results with ``workers=0`` — only
-            workspace size and per-block overhead. With ``workers >= 1``
-            results are a pure function of the partition (still
-            independent of worker count).
+        block_size: points processed per block by :meth:`assign_many`;
+            ``None`` (the default) sizes blocks adaptively from a fixed
+            permutation element budget. The blocking never changes
+            results with ``workers=0`` — only memory and per-block
+            overhead. With ``workers >= 1`` results are a pure function
+            of the partition (still independent of worker count).
         use_seed_index: build a spatial candidate index and let the
             batch engine skip provably hopeless probes (see the class
             docstring). Off by default — the plain kernel is the
@@ -355,9 +363,6 @@ class TriangleInequalityAssigner(Assigner):
         self._seed_index: SeedIndex | None = None
         self._workers = int(workers)
         self._assign_index_pruned = 0
-        self._ws_cand: np.ndarray | None = None
-        self._ws_active: np.ndarray | None = None
-        self._ws_cursor: np.ndarray | None = None
         b = self._locations.shape[0]
         self._setup_computed = b * (b - 1) // 2
         if count_setup:
@@ -534,21 +539,6 @@ class TriangleInequalityAssigner(Assigner):
         self._assign_pruned += int(pruned)
         self._assign_index_pruned += int(index_pruned)
 
-    def _workspace(
-        self, rows: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Preallocated (permutations, membership, cursor) workspaces."""
-        if self._ws_cand is None or self._ws_cand.shape[0] < rows:
-            num = self._locations.shape[0]
-            self._ws_cand = np.empty((rows, num), dtype=np.int64)
-            self._ws_active = np.empty((rows, num), dtype=bool)
-            self._ws_cursor = np.empty(rows, dtype=np.int64)
-        return (
-            self._ws_cand[:rows],
-            self._ws_active[:rows],
-            self._ws_cursor[:rows],
-        )
-
     def _assign_block(self, points: np.ndarray) -> np.ndarray:
         """Serial per-block wrapper: main RNG, immediate accounting."""
         member, gate = self._index_candidates(points)
@@ -592,50 +582,13 @@ class TriangleInequalityAssigner(Assigner):
     ) -> tuple[np.ndarray, int, int, int]:
         """Figure 2 in lockstep over one block of points.
 
-        Candidate bookkeeping is *by seed value*: each point carries a
-        boolean membership mask over seeds plus a cursor into its private
-        probing permutation. Because a pruned candidate never returns, a
-        seed is still in the scalar loop's candidate list exactly when it
-        has passed every Lemma 1 test fired for that point so far —
-        membership is a pure conjunction of the tests, independent of the
-        order they fired in. A prune pass over the improved rows is
-        therefore one row-select from the seed matrix, one compare and
-        one masked AND — no index gathers and no list compaction. The
-        probe reproduces the scalar loop's pop of the compacted list's
-        tail: the surviving seed at the highest permutation position,
-        found by stepping each cursor leftwards past removed values (each
-        removed value is stepped past at most once per point, so the scan
-        costs amortised O(B) per point).
-
-        Accounting matches the scalar loop pass for pass: a prune pass
-        counts exactly the members it clears, and probed seeds leave the
-        mask at probe time (as the scalar loop pops them from its list)
-        so no later pass can recount them. One algebraic shortcut keeps
-        the rounds cheap: a prune pass whose ``(current, minDist)`` did
-        not change since the previous pass is a provable no-op (every
-        member already survived the identical Lemma 1 test), so only rows
-        whose probe just *improved* minDist re-enter the prune pass.
-        Assignments, accounting and RNG consumption are untouched by the
-        skip.
-
-        **Spatial collapse (``member``/``gate`` given).** The moment a
-        row's ``minDist`` drops to ``<= gate``, every one of its
-        still-active non-member seeds is removed in one masked AND and
-        tallied as index-pruned. Each removed seed is provably inert:
-        its exact distance is ``>= gate >= minDist``, so its probe could
-        not improve the row under the strict ``<`` update, and a probe
-        that does not improve ``minDist`` changes nothing else — not
-        the probing order of the other candidates (permutations are
-        pre-drawn for the whole block), not the Lemma-1 dynamics (only
-        improvements re-enter the prune pass), not the RNG. Removing it
-        early therefore leaves assignments and the RNG stream
-        bit-identical to the plain kernel while skipping the probe's
-        distance *and* its share of cursor stepping and prune-pass
-        work — which is why the collapse outruns a probe-by-probe skip.
-        Accounting is conserved: per point ``computed + lemma_pruned +
-        index_pruned`` still sums to ``B``, and the computed count is
-        ``<=`` the plain kernel's (every collapsed seed would have cost
-        either a computed probe or a Lemma-1 prune there).
+        Runs :meth:`_assign_tile` over consecutive row tiles of at most
+        ``_TI_TILE_ELEMENTS`` row×seed elements. Tiles draw their
+        permutations in point order and nothing else consumes ``rng``,
+        so the stream is the scalar loop's whatever the tile size.
+        Tiling bounds every ``(rows, B)`` array without changing any
+        result; the block partition itself (which ``workers >= 1``
+        results depend on) is the caller's.
 
         Returns:
             ``(indices, computed, lemma_pruned, index_pruned)`` — the
@@ -645,34 +598,97 @@ class TriangleInequalityAssigner(Assigner):
             worker against copy-on-write state.
         """
         rows = points.shape[0]
+        indices = np.empty(rows, dtype=np.int64)
+        computed = pruned = index_pruned = 0
+        tile = max(1, _TI_TILE_ELEMENTS // self._locations.shape[0])
+        for start in range(0, rows, tile):
+            rows_in = slice(start, start + tile)
+            current, tile_computed, tile_pruned, tile_index = (
+                self._assign_tile(
+                    points[rows_in],
+                    rng,
+                    None if member is None else member[rows_in],
+                    None if gate is None else gate[rows_in],
+                )
+            )
+            indices[rows_in] = current
+            computed += tile_computed
+            pruned += tile_pruned
+            index_pruned += tile_index
+        return indices, computed, pruned, index_pruned
+
+    def _assign_tile(
+        self,
+        points: np.ndarray,
+        rng: np.random.Generator,
+        member: np.ndarray | None,
+        gate: np.ndarray | None,
+    ) -> tuple[np.ndarray, int, int, int]:
+        """The lockstep rounds of Figure 2 over one tile of rows.
+
+        ``live[r, k]`` says whether slot ``k`` of row ``r``'s permutation
+        ``cand[r]`` is still in the scalar loop's candidate list. The
+        scalar loop compacts that list in permutation order and pops its
+        tail, so its next probe is the row's *rightmost live slot*. Each
+        round therefore costs a fixed number of numpy calls, whatever
+        the gaps between live slots: ``any`` retires rows with no
+        candidate left, ``argmax`` over the reversed rows finds the
+        probe, one exact distance per surviving row updates
+        ``(current, minDist)``. The number of rounds is the largest
+        probe count in the tile.
+
+        The Lemma 1 prune runs on the rows whose probe just *improved*
+        ``minDist`` (plus every row once, after the first probe): the
+        seed-matrix row of ``current`` gathered in permutation order,
+        compared against ``2 · minDist`` and ANDed into ``live``. A row
+        whose ``(current, minDist)`` did not change would repeat a test
+        every live candidate already passed, so skipping it changes
+        nothing. A cleared slot never returns, so each prune counts
+        exactly the live candidates it clears, and a probed slot leaves
+        ``live`` at probe time — accounting matches the scalar loop pass
+        for pass.
+
+        **Spatial collapse (``member``/``gate`` given).** The moment a
+        row's ``minDist`` drops to ``<= gate``, every one of its live
+        non-member slots is cleared in one masked AND and tallied as
+        index-pruned. Each cleared seed is provably inert: its exact
+        distance is ``>= gate >= minDist``, so its probe could not
+        improve the row under the strict ``<`` update, and a probe that
+        does not improve ``minDist`` changes nothing else — not the
+        probing order of the other candidates (the permutations are
+        drawn up front), not the Lemma 1 dynamics (only improvements
+        re-enter the prune), not the RNG. Assignments and the RNG stream
+        stay bit-identical to the plain kernel. Accounting is conserved:
+        per point ``computed + lemma_pruned + index_pruned`` still sums
+        to ``B``, and the computed count is ``<=`` the plain kernel's
+        (every cleared seed would have cost a computed probe or a
+        Lemma 1 prune there).
+        """
+        rows = points.shape[0]
         num = self._locations.shape[0]
+        last = num - 1
         locations = self._locations
         seed_dists = self._seed_dists
-        cand, active, cursor = self._workspace(rows)
 
-        # Per-point probing permutations, drawn one Fisher–Yates at a time
-        # in point order so the RNG stream is bit-identical to a scalar
-        # assign() loop over the same points. ``Generator.permutation(n)``
-        # is exactly ``arange(n)`` + ``shuffle`` — shuffling prefilled
-        # rows in place consumes the identical draw sequence while
-        # skipping one allocation and copy per point.
-        cand[:, :] = np.arange(num)
-        for i in range(rows):
-            rng.shuffle(cand[i])
+        # One probing permutation per point, in point order.
+        # ``Generator.permutation(n)`` is ``arange(n)`` + ``shuffle``, and
+        # ``permuted(axis=1)`` shuffles row after row with the same draws
+        # ``shuffle`` makes: one call yields the scalar loop's stream.
+        cand = np.empty((rows, num), dtype=np.int64)
+        cand[:] = np.arange(num)
+        rng.permuted(cand, axis=1, out=cand)
 
         # "select and remove a random seed s_i": the scalar loop pops the
         # permutation's last element first.
-        row_iota = np.arange(rows)
-        current = cand[:, num - 1].copy()
+        current = cand[:, last].copy()
         min_dist = row_norms(locations[current] - points)
         computed = rows
         pruned = 0
         index_pruned = 0
 
-        active[:, :] = True
-        active[row_iota, current] = False
-        cursor[:] = num - 2
-        alive = row_iota
+        live = np.ones((rows, num), dtype=bool)
+        live[:, last] = False
+        alive = np.arange(rows)
         to_prune = alive
         # Rows that have not yet collapsed to their spatial candidate
         # set; None when no index is in play.
@@ -682,54 +698,40 @@ class TriangleInequalityAssigner(Assigner):
             if to_prune.size:
                 if uncollapsed is not None:
                     # Spatial collapse: rows whose minDist just reached
-                    # the gate drop every active non-member at once
-                    # (each is provably non-improving; see above).
+                    # the gate keep only their index members.
                     gated = to_prune[
                         uncollapsed[to_prune]
                         & (min_dist[to_prune] <= gate[to_prune])
                     ]
                     if gated.size:
-                        mem = member[gated]
-                        act = active[gated]
-                        index_pruned += int(
-                            np.count_nonzero(act & ~mem)
-                        )
-                        active[gated] = act & mem
+                        keep = member[gated[:, None], cand[gated]]
+                        lv = live[gated]
+                        index_pruned += int(np.count_nonzero(lv & ~keep))
+                        live[gated] = lv & keep
                         uncollapsed[gated] = False
-                # Lemma 1 by value: members failing the current test leave
-                # the mask; already-removed seeds stay removed (AND is
-                # monotone) and are never recounted.
+                # Lemma 1 in permutation order: slot k survives while
+                # dist(s_cand[k], s_c) < 2 · minDist.
                 keep = (
-                    seed_dists[current[to_prune]]
+                    seed_dists[current[to_prune, None], cand[to_prune]]
                     < 2.0 * min_dist[to_prune, None]
                 )
-                act = active[to_prune]
-                pruned += int(np.count_nonzero(act & ~keep))
-                active[to_prune] = act & keep
+                lv = live[to_prune]
+                pruned += int(np.count_nonzero(lv & ~keep))
+                live[to_prune] = lv & keep
 
-            # Advance each live cursor to its row's rightmost surviving
-            # candidate; rows whose cursor runs off the left edge are done
-            # (their scalar loop would see an empty candidate list).
-            pending = alive
-            while pending.size:
-                pos = cursor[pending]
-                in_range = pos >= 0
-                live = pending[in_range]
-                lpos = pos[in_range]
-                ok = active[live, cand[live, lpos]]
-                stuck = live[~ok]
-                cursor[stuck] -= 1
-                pending = stuck
-            alive = alive[cursor[alive] >= 0]
+            # Rows with no live slot left are done (their scalar loop
+            # would see an empty candidate list).
+            lv = live[alive]
+            has = lv.any(axis=1)
+            alive = alive[has]
             if alive.size == 0:
                 break
 
-            # Probe each survivor's tail candidate (the same uniformly
-            # random probe the scalar loop pops).
-            pos = cursor[alive]
+            # Probe each survivor's rightmost live slot — the tail the
+            # scalar loop pops.
+            pos = last - np.argmax(lv[has, ::-1], axis=1)
             probes = cand[alive, pos]
-            active[alive, probes] = False
-            cursor[alive] = pos - 1
+            live[alive, pos] = False
             dists = row_norms(locations[probes] - points[alive])
             computed += alive.size
             better = dists < min_dist[alive]
@@ -738,7 +740,7 @@ class TriangleInequalityAssigner(Assigner):
             min_dist[improved] = dists[better]
             to_prune = improved
 
-        return current.copy(), int(computed), int(pruned), index_pruned
+        return current, int(computed), int(pruned), index_pruned
 
 
 class AssignerCache:

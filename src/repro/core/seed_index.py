@@ -70,15 +70,30 @@ __all__ = ["SeedIndex", "default_candidate_count", "kdtree_available"]
 #: direction (fewer skips, never a wrong one).
 _GATE_SAFETY = 1.0 - 1e-9
 
-try:  # scipy is optional; the grid backend needs only numpy.
-    from scipy.spatial import cKDTree as _cKDTree
-except ImportError:  # pragma: no cover - exercised where scipy absent
-    _cKDTree = None
+_UNRESOLVED = object()
+
+#: ``scipy.spatial.cKDTree``, or ``None`` when scipy is absent. Resolved
+#: on first use by :func:`_kdtree_class` rather than at import: scipy is
+#: optional, only ``backend="kdtree"`` needs it, and importing
+#: ``scipy.spatial`` costs about as much as the rest of ``repro``.
+_cKDTree = _UNRESOLVED
+
+
+def _kdtree_class():
+    """The KD-tree class, importing scipy on the first call."""
+    global _cKDTree
+    if _cKDTree is _UNRESOLVED:
+        try:  # scipy is optional; the grid backend needs only numpy.
+            from scipy.spatial import cKDTree
+        except ImportError:  # pragma: no cover - exercised where scipy absent
+            cKDTree = None
+        _cKDTree = cKDTree
+    return _cKDTree
 
 
 def kdtree_available() -> bool:
     """Whether the scipy KD-tree backend can be used in this process."""
-    return _cKDTree is not None
+    return _kdtree_class() is not None
 
 
 def default_candidate_count(num_seeds: int) -> int:
@@ -151,7 +166,7 @@ class SeedIndex:
                     "SeedIndex backend 'kdtree' requires scipy; install "
                     "the 'spatial' extra or use backend='grid'"
                 )
-            self._tree = _cKDTree(seeds)
+            self._tree = _kdtree_class()(seeds)
         elif backend == "grid":
             self._tree = None
             self._build_grid()

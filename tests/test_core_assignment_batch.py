@@ -13,13 +13,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AssignerCache,
     BubbleSet,
     TriangleInequalityAssigner,
 )
+from repro.core.assignment import DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS
 from repro.geometry import DistanceCounter
+
+# A batch that the adaptive partition, max(DEFAULT_BLOCK_SIZE,
+# _TI_BLOCK_ELEMENTS // B) rows per block, cuts into two blocks; each
+# block spans several lockstep tiles.
+BOUNDARY_SEEDS = 1024
+BOUNDARY_POINTS = (
+    max(DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS // BOUNDARY_SEEDS) + 6
+)
 
 
 def _paired_assigners(seeds, seed=0, **kwargs):
@@ -56,7 +67,8 @@ class TestBatchScalarEquivalence:
             (50, 25, 3, 10.0),  # generic
             (200, 40, 2, 0.3),  # dense overlap: little pruning
             (128, 16, 8, 50.0),  # well-separated: heavy pruning
-            (1030, 10, 2, 10.0),  # crosses the default block boundary
+            # crosses the default block boundary
+            (BOUNDARY_POINTS, BOUNDARY_SEEDS, 2, 10.0),
         ],
     )
     def test_property_bit_identical(self, num_points, num_seeds, dim, scale):
@@ -74,6 +86,55 @@ class TestBatchScalarEquivalence:
         assert batch.counter.computed == scalar.counter.computed
         assert batch.counter.pruned == scalar.counter.pruned
         # Same RNG stream position: further draws stay in lockstep.
+        assert (
+            batch._rng.bit_generator.state == scalar._rng.bit_generator.state
+        )
+
+    @given(
+        num_seeds=st.integers(min_value=2, max_value=40),
+        distinct=st.integers(min_value=1, max_value=39),
+        dim=st.integers(min_value=1, max_value=4),
+        num_points=st.integers(min_value=1, max_value=80),
+        block_size=st.one_of(
+            st.none(), st.integers(min_value=1, max_value=64)
+        ),
+        data_seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_ties_bit_identical(
+        self, num_seeds, distinct, dim, num_points, block_size, data_seed
+    ):
+        # Duplicated seeds on a small integer grid, points on seeds and
+        # at midpoints between two seeds: distances tie exactly, and the
+        # Lemma 1 test meets its boundary dist(s_j, s_c) == 2 · minDist.
+        rng = np.random.default_rng(data_seed)
+        distinct = min(distinct, num_seeds - 1)
+        base = rng.integers(-3, 4, size=(distinct, dim)).astype(np.float64)
+        owners = np.concatenate(
+            [
+                np.arange(distinct),
+                rng.integers(0, distinct, size=num_seeds - distinct),
+            ]
+        )
+        seeds = base[rng.permutation(owners)]
+        first = seeds[rng.integers(0, num_seeds, size=num_points)]
+        second = seeds[rng.integers(0, num_seeds, size=num_points)]
+        on_seed = rng.random(num_points) < 0.5
+        points = np.where(on_seed[:, None], first, (first + second) / 2.0)
+
+        scalar, batch = _paired_assigners(
+            seeds, seed=data_seed, block_size=block_size
+        )
+        expected = _scalar_loop(scalar, points)
+        actual = batch.assign_many(points)
+
+        assert actual.tolist() == expected.tolist()
+        assert batch.assign_computed == scalar.assign_computed
+        assert batch.assign_pruned == scalar.assign_pruned
         assert (
             batch._rng.bit_generator.state == scalar._rng.bit_generator.state
         )

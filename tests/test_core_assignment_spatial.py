@@ -31,10 +31,19 @@ from repro import (
     UpdateBatch,
 )
 from repro.core import AssignerCache, BubbleSet, TriangleInequalityAssigner
+from repro.core.assignment import DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS
 from repro.core.seed_index import kdtree_available
 from repro.geometry import DistanceCounter
 
 BACKENDS = ["grid"] + (["kdtree"] if kdtree_available() else [])
+
+# A batch that the adaptive partition, max(DEFAULT_BLOCK_SIZE,
+# _TI_BLOCK_ELEMENTS // B) rows per block, cuts into two blocks; each
+# block spans several lockstep tiles.
+BOUNDARY_SEEDS = 1024
+BOUNDARY_POINTS = (
+    max(DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS // BOUNDARY_SEEDS) + 6
+)
 
 
 def _workload(num_points, num_seeds, dim, seed=0, scale=10.0):
@@ -87,7 +96,8 @@ class TestSpatialParity:
             (200, 40, 2, 0.3),  # dense overlap: little pruning
             (128, 16, 8, 50.0),  # well-separated: heavy pruning
             (96, 24, 128, 10.0),  # high dimension
-            (1030, 10, 2, 10.0),  # crosses the default block boundary
+            # crosses the default block boundary
+            (BOUNDARY_POINTS, BOUNDARY_SEEDS, 2, 10.0),
         ],
     )
     def test_bit_identical_to_batch(
