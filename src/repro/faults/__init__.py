@@ -23,7 +23,13 @@ generation — never a traceback, never silent corruption. Failure modes
 and failpoint names are catalogued in ``docs/ROBUSTNESS.md``.
 """
 
-from .io import FaultyFile, IO_DOMAINS, fsync, maybe_wrap
+from .io import (
+    FaultyFile,
+    IO_DOMAINS,
+    fsync,
+    fsync_directory,
+    maybe_wrap,
+)
 from .registry import (
     CRASH_EXIT_CODE,
     ENV_KEY,
@@ -50,6 +56,7 @@ __all__ = [
     "declare_failpoint",
     "failpoint",
     "fsync",
+    "fsync_directory",
     "install_from_env",
     "is_transient",
     "known_failpoints",

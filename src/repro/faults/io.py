@@ -10,6 +10,9 @@ where ``domain`` is ``wal``, ``snapshot``, or ``manifest`` — the three
 durable artifacts of :mod:`repro.persistence`. fsync goes through
 :func:`fsync` under ``io.<domain>.fsync`` (it takes a file descriptor,
 not a file object, so it cannot live on the proxy alone).
+:func:`fsync_directory` makes a rename durable; it has no failpoint of
+its own, because each rename is already followed by a ``*.replaced``
+crash failpoint.
 
 Fault kinds interpreted here:
 
@@ -35,7 +38,13 @@ from typing import IO, Callable
 
 from .registry import FAILPOINTS, FailpointRegistry, FaultSpec
 
-__all__ = ["FaultyFile", "IO_DOMAINS", "fsync", "maybe_wrap"]
+__all__ = [
+    "FaultyFile",
+    "IO_DOMAINS",
+    "fsync",
+    "fsync_directory",
+    "maybe_wrap",
+]
 
 #: Domains the persistence layer routes through this module.
 IO_DOMAINS = ("wal", "snapshot", "manifest")
@@ -160,3 +169,13 @@ def fsync(
         if spec is not None:
             spec.execute()
     os.fsync(fileno)
+
+
+def fsync_directory(directory: str | os.PathLike) -> None:
+    """fsync ``directory`` so a rename just made inside it survives a
+    power loss (the new directory entry, not only the file's bytes)."""
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

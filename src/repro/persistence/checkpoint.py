@@ -42,7 +42,13 @@ import re
 import time
 
 from ..exceptions import PersistenceError, SnapshotError
-from ..faults import FAILPOINTS, RetryPolicy, declare_failpoint, maybe_wrap
+from ..faults import (
+    FAILPOINTS,
+    RetryPolicy,
+    declare_failpoint,
+    fsync_directory,
+    maybe_wrap,
+)
 from ..observability import Observability
 from ..observability.spans import maybe_span
 from .snapshot import read_snapshot, write_snapshot
@@ -209,6 +215,8 @@ class CheckpointManager:
                 os.fsync(raw.fileno())
         FAILPOINTS.fire(_FP_MANIFEST_TMP)
         os.replace(tmp, self.manifest_path)
+        if self._fsync:
+            fsync_directory(self._dir)
 
     def read_manifest(self) -> dict:
         """Load the manifest written at initialization.

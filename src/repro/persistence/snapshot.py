@@ -1,18 +1,25 @@
 """Versioned snapshot files for summarizer state.
 
-A snapshot is one compressed ``.npz`` archive holding a
+A snapshot is one plain (uncompressed) ``.npz`` archive holding a
 :class:`~repro.persistence.state.SummarizerState`: every numeric array is
 stored as-is (raw sufficient statistics included — see ``state.py`` on why
 they are never recomputed) and the scalar/structured remainder travels as
-one JSON document under the ``meta_json`` key.
+one JSON document under the ``meta_json`` key. The archive is not
+deflated: compression cost several times the CPU of the plain write for
+a file about 2.5 times smaller (``docs/PERFORMANCE.md``, "Checkpoint
+cost") and bought no integrity, since every zip member carries a CRC-32
+either way. Compressed snapshots written by earlier versions still load:
+``np.load`` reads stored and deflated members alike.
 
 Writes are **atomic**: the archive is written to a temporary sibling,
-flushed to disk, then ``os.replace``d over the final name. A crash mid-write
+flushed to disk, then ``os.replace``d over the final name, and the
+directory is fsynced so the rename itself is durable. A crash mid-write
 leaves at most a stale ``*.tmp`` file, never a half-written snapshot under
 the real name — which is what lets recovery treat "the newest snapshot that
 loads" as "the newest snapshot that was fully written".
 
-Reads validate the format version and re-wrap every decoding failure in
+Reads validate the format version and re-wrap every decoding failure —
+including a zip member whose CRC-32 no longer matches its bytes — in
 :class:`~repro.exceptions.SnapshotError` so recovery can fall back to an
 older snapshot instead of crashing on a damaged file.
 """
@@ -26,7 +33,13 @@ import pathlib
 import numpy as np
 
 from ..exceptions import SnapshotError
-from ..faults import FAILPOINTS, RetryPolicy, declare_failpoint, maybe_wrap
+from ..faults import (
+    FAILPOINTS,
+    RetryPolicy,
+    declare_failpoint,
+    fsync_directory,
+    maybe_wrap,
+)
 from ..faults import fsync as faulty_fsync
 from .state import SummarizerState, config_from_dict, config_to_dict
 
@@ -75,7 +88,7 @@ def write_snapshot(
     def write_tmp() -> None:
         with open(tmp, "wb") as raw:
             handle = maybe_wrap(raw, "snapshot")
-            np.savez_compressed(
+            np.savez(
                 handle,
                 meta_json=np.frombuffer(
                     json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -110,12 +123,7 @@ def write_snapshot(
     os.replace(tmp, path)
     FAILPOINTS.fire(_FP_REPLACED)
     if fsync:
-        # Persist the rename itself (the directory entry).
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        fsync_directory(path.parent)
     return path
 
 
@@ -131,6 +139,14 @@ def read_snapshot(path: str | pathlib.Path) -> SummarizerState:
         with open(path, "rb") as raw, np.load(
             maybe_wrap(raw, "snapshot"), allow_pickle=False
         ) as archive:
+            # numpy stops reading a member at the end of the shape its
+            # header declares, so a flipped shape digit would skip that
+            # member's CRC-32. Check every member in full first.
+            damaged = archive.zip.testzip()
+            if damaged is not None:
+                raise SnapshotError(
+                    f"{path}: CRC-32 mismatch in member {damaged}"
+                )
             meta = json.loads(
                 bytes(archive["meta_json"].tobytes()).decode("utf-8")
             )
@@ -140,12 +156,6 @@ def read_snapshot(path: str | pathlib.Path) -> SummarizerState:
                     f"{path}: unsupported snapshot version {version} "
                     f"(this build reads version {SNAPSHOT_VERSION})"
                 )
-            rng_state = meta["rng_state"]
-            if rng_state is not None:
-                # JSON round-trips the PCG64 state ints losslessly
-                # (arbitrary-precision), but the generator expects them
-                # as plain ints, which json already provides.
-                rng_state = _normalize_rng_state(rng_state)
             return SummarizerState(
                 dim=int(meta["dim"]),
                 window_size=int(meta["window_size"]),
@@ -169,24 +179,12 @@ def read_snapshot(path: str | pathlib.Path) -> SummarizerState:
                 member_ids=archive["member_ids"],
                 retired=tuple(int(i) for i in meta["retired"]),
                 max_adjust=int(meta["max_adjust"]),
-                rng_state=rng_state,
+                # JSON round-trips the PCG64 state's 128-bit ints
+                # losslessly, as the plain ints the generator expects.
+                rng_state=meta["rng_state"],
             )
     except SnapshotError:
         raise
     except Exception as exc:  # zipfile errors, KeyError, json errors, ...
         raise SnapshotError(f"unreadable snapshot {path}: {exc}") from exc
 
-
-def _normalize_rng_state(state: dict) -> dict:
-    """Recursively coerce JSON-decoded RNG state back to native ints."""
-    result: dict = {}
-    for key, value in state.items():
-        if isinstance(value, dict):
-            result[key] = _normalize_rng_state(value)
-        elif isinstance(value, bool):
-            result[key] = value
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            result[key] = int(value) if isinstance(value, int) else value
-        else:
-            result[key] = value
-    return result

@@ -54,6 +54,15 @@ Failure semantics on write (:meth:`WriteAheadLog.append`):
   position — back to the last good offset before raising, so the log
   never accumulates a half-written record from a *surviving* process.
 
+Compaction (:meth:`WriteAheadLog.compact`) reads every record through
+the same CRC and hash-chain checks as replay — so it raises on damaged
+bytes instead of re-chaining them — and copies the kept records'
+headers and payloads verbatim into a temporary file. It never decodes
+or re-encodes a batch; only the v2 chain digests are recomputed, from
+the genesis link. The file is then ``os.replace``d over the log and,
+when fsync is on, the directory is fsynced so later appends land in a
+file the directory durably names.
+
 Fault injection: the write/read/fsync paths run through
 :mod:`repro.faults` (``io.wal.*`` faults plus the ``wal.*`` failpoints
 declared below). With nothing armed, the hooks are a falsy check each.
@@ -74,7 +83,13 @@ import numpy as np
 
 from ..database import UpdateBatch
 from ..exceptions import WalCorruptionError
-from ..faults import FAILPOINTS, RetryPolicy, declare_failpoint, maybe_wrap
+from ..faults import (
+    FAILPOINTS,
+    RetryPolicy,
+    declare_failpoint,
+    fsync_directory,
+    maybe_wrap,
+)
 from ..faults import fsync as faulty_fsync
 from ..observability import Observability
 
@@ -143,6 +158,15 @@ def _next_chain(previous: bytes, seq: int, payload: bytes) -> bytes:
     return hashlib.sha256(
         previous + struct.pack("<QI", int(seq), len(payload)) + payload
     ).digest()
+
+
+def _record_header(seq: int, payload: bytes) -> bytes:
+    """The packed ``(seq, length, crc32)`` header of one record."""
+    return _HEADER.pack(
+        seq,
+        len(payload),
+        zlib.crc32(struct.pack("<QI", seq, len(payload)) + payload),
+    )
 
 
 @dataclass(frozen=True)
@@ -314,7 +338,7 @@ class WriteAheadLog:
             raise WalCorruptionError(
                 f"{self._path} is not a WAL file (magic {magic!r})"
             )
-        # v2 chain head; computed lazily by replay()/_chain_tip() for
+        # v2 chain head; computed lazily by _scan()/_chain_tip() for
         # pre-existing files so plain opens stay O(1).
         self._chain: bytes | None = _genesis_chain() if created else None
         self._handle.seek(0, os.SEEK_END)
@@ -340,9 +364,9 @@ class WriteAheadLog:
     def _chain_tip(self) -> bytes:
         """Current chain head, scanning the file on first use (v2 only)."""
         if self._chain is None:
-            # replay() walks every record from the genesis link, repairs
+            # _scan() walks every record from the genesis link, repairs
             # a torn tail, and leaves self._chain at the verified head.
-            self.replay()
+            self._scan()
             assert self._chain is not None
         return self._chain
 
@@ -358,11 +382,7 @@ class WriteAheadLog:
         offset, so a failed append leaves the log exactly as it was.
         """
         payload = encode_batch(batch)
-        header = _HEADER.pack(
-            int(seq),
-            len(payload),
-            zlib.crc32(struct.pack("<QI", int(seq), len(payload)) + payload),
-        )
+        header = _record_header(int(seq), payload)
         chain = b""
         if self._version == 2:
             chain = _next_chain(self._chain_tip(), int(seq), payload)
@@ -444,12 +464,18 @@ class WriteAheadLog:
         Checkpoint truncation keeps the tail since the *oldest retained*
         snapshot (not just the newest), so that recovery can fall back to
         an older snapshot — and still replay forward — when the newest is
-        corrupted at rest. The rewrite goes through a temporary file and
-        an ``os.replace`` so a crash mid-compaction leaves the previous
-        log intact. Returns the number of records dropped.
+        corrupted at rest. Every record is read back through the same
+        CRC and hash-chain checks as :meth:`replay`, so damaged bytes are
+        never re-chained; the kept payloads are then copied verbatim
+        (never decoded or re-encoded), and only the chain digests are
+        recomputed, restarting at the genesis link. The rewrite goes
+        through a temporary file and an ``os.replace`` (followed by a
+        directory fsync when fsync is on), so a crash mid-compaction
+        leaves the previous log intact. Returns the number of records
+        dropped.
         """
-        records = self.replay()
-        keep = [r for r in records if r.seq >= min_seq]
+        records = self._scan()
+        keep = [record for record in records if record[0] >= min_seq]
         tmp = self._path.with_name(self._path.name + ".tmp")
         magic = _MAGIC_V2 if self._version == 2 else _MAGIC_V1
         rewritten_chain = _genesis_chain()
@@ -460,20 +486,11 @@ class WriteAheadLog:
             with open(tmp, "wb") as raw:
                 handle = maybe_wrap(raw, "wal")
                 handle.write(magic)
-                for record in keep:
-                    payload = encode_batch(record.batch)
-                    header = _HEADER.pack(
-                        record.seq,
-                        len(payload),
-                        zlib.crc32(
-                            struct.pack("<QI", record.seq, len(payload))
-                            + payload
-                        ),
-                    )
-                    handle.write(header)
+                for seq, payload in keep:
+                    handle.write(_record_header(seq, payload))
                     if self._version == 2:
                         rewritten_chain = _next_chain(
-                            rewritten_chain, record.seq, payload
+                            rewritten_chain, seq, payload
                         )
                         handle.write(rewritten_chain)
                     handle.write(payload)
@@ -496,6 +513,10 @@ class WriteAheadLog:
         self._handle.close()
         os.replace(tmp, self._path)
         FAILPOINTS.fire(_FP_COMPACT_REPLACED)
+        if self._fsync:
+            # Appends from here on go to the new inode: the directory
+            # must name it before they are acknowledged.
+            fsync_directory(self._path.parent)
         self._handle = open(self._path, "r+b")
         self._handle.seek(0, os.SEEK_END)
         if self._version == 2:
@@ -532,9 +553,23 @@ class WriteAheadLog:
                 carries an impossible header, or (v2) disagrees with the
                 recomputed hash chain — the log cannot be trusted.
         """
+        return [
+            WalRecord(seq=seq, batch=decode_batch(payload))
+            for seq, payload in self._scan()
+        ]
+
+    def _scan(self) -> list[tuple[int, bytes]]:
+        """Every intact record as ``(seq, payload)``, undecoded.
+
+        The record loop behind :meth:`replay` and :meth:`compact`:
+        checks each record's CRC and (v2) hash-chain link, repairs a torn
+        tail in place, leaves the chain head at the last verified record
+        and raises :class:`~repro.exceptions.WalCorruptionError` exactly
+        as documented on :meth:`replay`.
+        """
         self._handle.seek(len(_MAGIC_V2))
         handle = maybe_wrap(self._handle, "wal")
-        records: list[WalRecord] = []
+        records: list[tuple[int, bytes]] = []
         good_end = len(_MAGIC_V2)
         chain = _genesis_chain()
         while True:
@@ -591,7 +626,7 @@ class WriteAheadLog:
                         "does not match its chained digests and cannot "
                         "be replayed safely"
                     )
-            records.append(WalRecord(seq=int(seq), batch=decode_batch(payload)))
+            records.append((int(seq), payload))
             good_end = self._handle.tell()
         if self._version == 2:
             self._chain = chain

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,27 @@ def _clean_failpoints():
     yield
     FAILPOINTS.clear()
     FAILPOINTS.enable()
+
+
+@pytest.fixture
+def fsync_trace(monkeypatch) -> list[str]:
+    """Record ``os.fsync`` (of a file or a directory) and ``os.replace``
+    calls in order, as ``fsync_file`` / ``fsync_dir`` / ``replace``."""
+    events: list[str] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        events.append("fsync_dir" if is_dir else "fsync_file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
 
 
 @pytest.fixture

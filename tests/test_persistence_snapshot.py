@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro import (
+    DurableSummarizer,
     PersistenceError,
     SlidingWindowSummarizer,
     SnapshotError,
@@ -110,6 +113,128 @@ class TestStateRoundTrip:
             assert a.stats.square_sum == b.stats.square_sum
 
 
+ARRAY_KEYS = (
+    "store_ids",
+    "store_points",
+    "store_labels",
+    "store_owners",
+    "seeds",
+    "ns",
+    "linear_sums",
+    "square_sums",
+    "member_offsets",
+    "member_ids",
+)
+
+
+class TestSnapshotFormat:
+    def test_bit_flips_in_array_data_raise(self, tmp_path, running_stream):
+        state = running_stream.capture_state()
+        path = write_snapshot(tmp_path / "snap.npz", state, fsync=False)
+        original = path.read_bytes()
+        offsets = []
+        for key in ARRAY_KEYS:
+            raw = getattr(state, key).tobytes()
+            start = original.find(raw)
+            # Stored, not deflated: each array's bytes sit in the file
+            # verbatim.
+            assert start >= 0, key
+            offsets.extend(range(start, start + len(raw)))
+        # 40 offsets spread over every array's data, first to last byte.
+        picks = np.linspace(0, len(offsets) - 1, 40).astype(int)
+        for offset in np.asarray(offsets)[picks]:
+            damaged = bytearray(original)
+            damaged[offset] ^= 0x10
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(SnapshotError):
+                read_snapshot(path)
+        path.write_bytes(original)
+        read_snapshot(path)
+
+    def test_bit_flip_in_a_shape_raises(self, tmp_path, running_stream):
+        """A shape digit flipped to a smaller valid shape: numpy would
+        read fewer bytes and never reach the member's CRC-32."""
+        state = running_stream.capture_state()
+        path = write_snapshot(tmp_path / "snap.npz", state, fsync=False)
+        data = bytearray(path.read_bytes())
+        shape = f"'shape': {state.store_points.shape}".encode()
+        at = data.index(shape) + len(shape) - 2  # the last dimension, 3
+        assert data[at : at + 1] == b"3"
+        data[at] ^= 0x01  # '3' -> '2'
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="CRC-32"):
+            read_snapshot(path)
+
+    def test_compressed_snapshot_from_earlier_versions_recovers(
+        self, tmp_path, rng
+    ):
+        """Earlier versions wrote ``np.savez_compressed`` with the same
+        keys; those snapshots still load and recover bit for bit."""
+        state_dir = tmp_path / "state"
+        stream = DurableSummarizer(
+            state_dir,
+            dim=2,
+            window_size=800,
+            points_per_bubble=40,
+            seed=7,
+            checkpoint_every=4,
+            fsync=False,
+        )
+        for _ in range(10):
+            stream.append(rng.normal(size=(120, 2)))
+        stream.checkpoints.close()  # crash: no goodbye checkpoint
+        snapshots = sorted(state_dir.glob("snapshot-*.npz"))
+        assert len(snapshots) == 2
+        for snapshot in snapshots:
+            with np.load(snapshot) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            np.savez_compressed(snapshot, **arrays)
+            with zipfile.ZipFile(snapshot) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {
+                    zipfile.ZIP_DEFLATED
+                }
+            loaded = read_snapshot(snapshot)
+            assert np.array_equal(loaded.square_sums, arrays["square_sums"])
+
+        recovered = DurableSummarizer.recover(state_dir, fsync=False)
+        try:
+            assert recovered.batches_applied == 10
+            ids = stream.store.ids()
+            assert np.array_equal(ids, recovered.store.ids())
+            for accessor in ("points_of", "owners_of", "labels_of"):
+                assert np.array_equal(
+                    getattr(stream.store, accessor)(ids),
+                    getattr(recovered.store, accessor)(ids),
+                )
+            assert len(stream.summary) == len(recovered.summary)
+            for a, b in zip(stream.summary, recovered.summary):
+                assert a.n == b.n
+                assert np.array_equal(a.seed, b.seed)
+                assert np.array_equal(
+                    np.asarray(a.stats.linear_sum),
+                    np.asarray(b.stats.linear_sum),
+                )
+                assert a.stats.square_sum == b.stats.square_sum
+                assert a.members == b.members
+            assert (
+                recovered.maintainer.rng_state == stream.maintainer.rng_state
+            )
+        finally:
+            recovered.close(checkpoint=False)
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_rename_is_followed_by_directory_fsync(
+        self, tmp_path, running_stream, fsync_trace, fsync
+    ):
+        write_snapshot(
+            tmp_path / "snap.npz", running_stream.capture_state(), fsync
+        )
+        if fsync:
+            assert fsync_trace == ["fsync_file", "replace", "fsync_dir"]
+        else:
+            assert fsync_trace == ["replace"]
+
+
 class TestSnapshotErrors:
     def test_truncated_file_raises_snapshot_error(
         self, tmp_path, running_stream
@@ -210,6 +335,19 @@ class TestCheckpointManager:
             CheckpointManager(tmp_path, interval=0)
         with pytest.raises(PersistenceError):
             CheckpointManager(tmp_path, keep=0)
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_manifest_rename_is_followed_by_directory_fsync(
+        self, tmp_path, fsync_trace, fsync
+    ):
+        manager = CheckpointManager(tmp_path, fsync=fsync)
+        fsync_trace.clear()
+        manager.write_manifest({"dim": 2})
+        if fsync:
+            assert fsync_trace == ["fsync_file", "replace", "fsync_dir"]
+        else:
+            assert fsync_trace == ["replace"]
+        manager.close()
 
     def test_manifest_round_trip(self, tmp_path):
         manager = CheckpointManager(tmp_path, fsync=False)

@@ -1,4 +1,5 @@
-"""Hash-chained WAL integrity: v2 format, verify_chain, v1 backcompat."""
+"""Hash-chained WAL integrity: v2 format, verify_chain, compaction, v1
+backcompat."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro import UpdateBatch, WalCorruptionError
 from repro.persistence import WriteAheadLog, encode_batch, verify_chain
+from repro.persistence import wal as wal_module
 
 MAGIC_V1 = b"RPROWAL1"
 MAGIC_V2 = b"RPROWAL2"
@@ -30,6 +32,22 @@ def write_log(path, rng, count=3):
         for seq in range(count):
             wal.append(seq, make_batch(rng))
     return path
+
+
+def split_records(data):
+    """``(header, chain, payload)`` byte strings of every v2 record."""
+    records = []
+    offset = len(MAGIC_V2)
+    while offset < len(data):
+        header = data[offset : offset + HEADER.size]
+        _, length, _ = HEADER.unpack(header)
+        offset += HEADER.size
+        chain = data[offset : offset + CHAIN_LEN]
+        offset += CHAIN_LEN
+        records.append((header, chain, data[offset : offset + length]))
+        offset += length
+    assert offset == len(data)
+    return records
 
 
 def write_v1_log(path, rng, count=3):
@@ -112,6 +130,64 @@ class TestV2Format:
             wal.append(4, make_batch(rng))
         report = verify_chain(path)
         assert report.ok and report.records == 3
+
+
+class TestCompaction:
+    def test_kept_records_are_copied_byte_for_byte(
+        self, tmp_path, rng, monkeypatch
+    ):
+        path = write_log(tmp_path / "wal.log", rng, count=5)
+        before = split_records(path.read_bytes())
+
+        def forbidden(*args):
+            raise AssertionError("compaction must not touch the codec")
+
+        monkeypatch.setattr(wal_module, "decode_batch", forbidden)
+        monkeypatch.setattr(wal_module, "encode_batch", forbidden)
+        with WriteAheadLog(path, fsync=False) as wal:
+            assert wal.compact(min_seq=2) == 2
+        monkeypatch.undo()
+        after = split_records(path.read_bytes())
+        assert [(h, p) for h, _, p in after] == [
+            (h, p) for h, _, p in before[2:]
+        ]
+        # Only the 32-byte chain fields change: they restart at genesis.
+        assert all(
+            new != old for (_, new, _), (_, old, _) in zip(after, before[2:])
+        )
+        report = verify_chain(path)
+        assert report.ok and report.records == 3 and not report.torn_tail
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append(5, make_batch(rng))
+        report = verify_chain(path)
+        assert report.ok and report.records == 4 and not report.torn_tail
+
+    def test_damaged_record_is_never_rechained(self, tmp_path, rng):
+        path = write_log(tmp_path / "wal.log", rng, count=3)
+        data = bytearray(path.read_bytes())
+        # One payload bit of record 1, a complete record before the tail.
+        _, _, payload0 = split_records(bytes(data))[0]
+        record1 = len(MAGIC_V2) + HEADER.size + CHAIN_LEN + len(payload0)
+        data[record1 + HEADER.size + CHAIN_LEN + 20] ^= 0x04
+        path.write_bytes(bytes(data))
+        with WriteAheadLog(path, fsync=False) as wal:
+            with pytest.raises(WalCorruptionError, match="seq 1"):
+                wal.compact(min_seq=1)
+        assert path.read_bytes() == bytes(data)
+        assert not (tmp_path / "wal.log.tmp").exists()
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_directory_fsynced_after_replace(
+        self, tmp_path, rng, fsync_trace, fsync
+    ):
+        path = write_log(tmp_path / "wal.log", rng, count=3)
+        with WriteAheadLog(path, fsync=fsync) as wal:
+            fsync_trace.clear()
+            wal.compact(min_seq=1)
+        if fsync:
+            assert fsync_trace == ["fsync_file", "replace", "fsync_dir"]
+        else:
+            assert fsync_trace == ["replace"]
 
 
 class TestVerifyChain:
