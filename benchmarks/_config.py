@@ -6,29 +6,7 @@ Kept out of ``conftest.py`` so benchmark modules can import them plainly
 
 from __future__ import annotations
 
-import os
-
 from repro.experiments import ExperimentConfig
-
-#: Scale tiers for the spatial-assignment benchmark: the CI scale-smoke
-#: leg runs ``smoke`` per push; the nightly scale workflow runs ``full``
-#: (the ROADMAP's 1M x 1000 target). Select with ``REPRO_BENCH_SCALE``.
-SPATIAL_TIERS: dict[str, tuple[int, int]] = {
-    "smoke": (100_000, 300),
-    "full": (1_000_000, 1_000),
-}
-
-
-def spatial_tier() -> tuple[str, int, int]:
-    """The selected ``(tier, points, seeds)`` for the spatial bench."""
-    tier = os.environ.get("REPRO_BENCH_SCALE", "smoke")
-    if tier not in SPATIAL_TIERS:
-        raise ValueError(
-            f"REPRO_BENCH_SCALE must be one of {sorted(SPATIAL_TIERS)}, "
-            f"got {tier!r}"
-        )
-    points, seeds = SPATIAL_TIERS[tier]
-    return tier, points, seeds
 
 #: Shared benchmark-scale configuration (smaller than the CLI defaults;
 #: see DESIGN.md on size-stable ratios).

@@ -8,11 +8,10 @@ Scale constants live in :mod:`_config`.
 
 BLAS/OpenMP thread pools are pinned to one thread *before numpy loads*
 (conftest imports run ahead of the benchmark modules): the bench gates
-compare single-stream kernels and, with ``assign_workers > 0``, fork
-worker processes — an unpinned BLAS would oversubscribe the cores and
-the gates would measure scheduler noise instead of the kernels. The CI
-bench legs set the same variables at the job level as a belt-and-braces
-for any earlier numpy import.
+compare single-stream kernels, and an unpinned BLAS would add thread
+scheduling noise to what the gates measure. The CI bench legs set the
+same variables at the job level as a belt-and-braces for any earlier
+numpy import.
 """
 
 from __future__ import annotations

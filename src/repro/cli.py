@@ -111,7 +111,6 @@ from .experiments import (
     run_table1,
 )
 from .clustering import IncrementalClusterer, render_tree
-from .core import MaintenanceConfig
 from .exceptions import PersistenceError, ReproError, SnapshotError
 from .experiments.table1 import TABLE1_DATASETS
 from .faults import install_from_env
@@ -245,14 +244,6 @@ def _run_summarize(args: argparse.Namespace) -> None:
             dim=2,
             window_size=args.window,
             points_per_bubble=args.points_per_bubble,
-            # Same config the summarizer would default to, plus the
-            # assignment-engine options; it is persisted in snapshots,
-            # so --resume runs keep whatever mode they started with.
-            config=MaintenanceConfig(
-                seed=args.seed,
-                use_seed_index=args.seed_index,
-                assign_workers=args.assign_workers,
-            ),
             seed=args.seed,
             checkpoint_every=args.checkpoint_every,
             fsync=fsync,
@@ -514,8 +505,6 @@ def _run_serve(args: argparse.Namespace) -> None:
         batch_points=args.batch_points,
         backpressure=args.backpressure,
         workers=args.workers,
-        use_seed_index=args.seed_index,
-        assign_workers=args.assign_workers,
         trace=args.trace,
     )
     if args.resume:
@@ -977,26 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-pts", type=int, default=25, metavar="N",
         help="OPTICS MinPts for 'cluster', in summarized points "
         "(default 25)",
-    )
-    engine = parser.add_argument_group(
-        "assignment engine",
-        "batch-assignment acceleration (summarize, serve); applies to "
-        "fresh state — resumed runs keep the mode recorded in their "
-        "snapshots",
-    )
-    engine.add_argument(
-        "--seed-index", action="store_true",
-        help="layer a spatial seed index (scipy KD-tree, or a pure-"
-        "numpy grid when scipy is absent) under the Lemma 1 pruning; "
-        "assignments stay bit-identical and the computed-distance "
-        "count only shrinks",
-    )
-    engine.add_argument(
-        "--assign-workers", type=int, default=0, metavar="N",
-        help="worker processes for batch assignment (0 = serial bit-"
-        "reproducible reference; N >= 1 switches to per-block RNG "
-        "substreams whose results do not depend on N). Distinct from "
-        "--workers, which sizes the service flusher thread pool",
     )
     observability = parser.add_argument_group(
         "observability", "metric and trace outputs (summarize, stats)"

@@ -7,9 +7,8 @@ Public surface:
 * :class:`BubbleBuilder` + :class:`BubbleConfig` — static construction
   with triangle-inequality-pruned assignment (Section 3).
 * :class:`NaiveAssigner` / :class:`TriangleInequalityAssigner` — the
-  Figure 2 assignment algorithms.
-* :class:`SeedIndex` — spatial candidate generation (KD-tree/grid)
-  layered under the triangle-inequality batch kernel.
+  Figure 2 assignment algorithms; the latter's batch path is one
+  lockstep tile loop, bit-identical to its scalar loop.
 * :class:`BetaQuality` / :class:`ExtentQuality` and
   :class:`QualityReport` — compression-quality classification
   (Definitions 2–3).
@@ -48,7 +47,6 @@ from .quality import (
     classify_values,
 )
 from .rebuild import CompleteRebuildMaintainer
-from .seed_index import SeedIndex, default_candidate_count
 from .split_merge import merge_bubble, rebuild_pair, split_bubble
 from .validate import (
     BAD_POINT_POLICIES,
@@ -84,12 +82,10 @@ __all__ = [
     "QualityReport",
     "RejectedPoint",
     "ScreenedChunk",
-    "SeedIndex",
     "SplitStrategy",
     "TriangleInequalityAssigner",
     "chebyshev_k",
     "classify_values",
-    "default_candidate_count",
     "make_assigner",
     "merge_bubble",
     "rebuild_pair",

@@ -236,8 +236,6 @@ class AdaptiveMaintainer(IncrementalMaintainer):
             exclude=exclude - {emptiest},
             assigner_cache=self._assigner_cache,
             obs=self._obs,
-            use_seed_index=self._config.use_seed_index,
-            workers=self._config.assign_workers,
         )
         self._retired.add(emptiest)
         if self._obs is not None:

@@ -12,13 +12,13 @@ computing ``dist(p, s_B2)``.
 :class:`TriangleInequalityAssigner` implements the pseudocode of Figure 2
 verbatim (candidate set, random probing, pruning against the current
 candidate), on top of a precomputed seed-to-seed distance matrix. Its
-:meth:`~TriangleInequalityAssigner.assign_many` is a *blockwise batch
-engine*: row tiles of at most ``_TI_TILE_ELEMENTS`` row×seed elements
-draw their points' probing permutations in one call each and run the
-Figure 2 loop in lockstep, one probe per row per round at a fixed number
-of numpy calls per round. It returns bit-identical assignments — and
-identical computed/pruned totals — to the scalar :meth:`assign` loop under
-the same RNG (see the class docstring for how that equivalence is kept).
+:meth:`~TriangleInequalityAssigner.assign_many` is the one batch path:
+row tiles of at most ``_TI_TILE_ELEMENTS`` row×seed elements draw their
+points' probing permutations in one call each and run the Figure 2 loop
+in lockstep, one probe per row per round at a fixed number of numpy
+calls per round. It returns bit-identical assignments — and identical
+computed/pruned totals — to the scalar :meth:`assign` loop under the
+same RNG (see the class docstring for how that equivalence is kept).
 
 :class:`NaiveAssigner` is the unpruned baseline that compares against every
 seed; the complete-rebuild experiments of Figure 11 use it.
@@ -34,19 +34,6 @@ overhead while still acknowledging it.
 matrix) across consecutive batch assignments, invalidating only when the
 :class:`~repro.core.bubble_set.BubbleSet` actually mutates; the maintainers
 use it so a quiet summary never pays the seed matrix twice.
-
-Two optional layers sit under/around the batch engine:
-
-* ``use_seed_index=True`` builds a :class:`~repro.core.seed_index.SeedIndex`
-  over the seeds (lazily, on the first batch) and lets the lockstep loop
-  *skip* the exact distance to probes the index proves cannot win —
-  assignments, RNG stream and total accounting stay bit-identical to the
-  plain batch kernel, with skipped probes moving from *computed* into
-  *pruned* (sub-total in :attr:`assign_index_pruned`).
-* ``workers=N`` with ``N >= 1`` runs the lockstep blocks on a forked
-  worker pool under per-block RNG substreams (see
-  :mod:`repro.core.parallel`); ``workers=0`` remains the serial,
-  main-RNG, bit-reproducible reference path.
 """
 
 from __future__ import annotations
@@ -57,8 +44,6 @@ from ..geometry import DistanceCounter, pairwise
 from ..geometry.distance import row_norms
 from ..observability.spans import maybe_span
 from ..types import Point, PointMatrix
-from .parallel import run_blocks
-from .seed_index import SeedIndex
 
 __all__ = [
     "Assigner",
@@ -68,26 +53,16 @@ __all__ = [
     "make_assigner",
 ]
 
-#: Floor for the adaptively sized blocks of
-#: :meth:`TriangleInequalityAssigner.assign_many`. A block is the unit
-#: of RNG drawing, accounting and (with ``workers >= 1``) parallel work;
-#: ``workers >= 1`` results are a function of this partition, so it is
-#: fixed here independently of the lockstep tiles below.
-DEFAULT_BLOCK_SIZE = 1024
-
 #: Target float64 element count of the temporary ``(rows, B, d)``
 #: difference tensor built by :meth:`NaiveAssigner.assign_many` per block
 #: (4M elements = 32 MiB).
 _NAIVE_BLOCK_ELEMENTS = 1 << 22
 
-#: Row×seed element count of one triangle-inequality block: the
-#: adaptive partition is ``max(DEFAULT_BLOCK_SIZE, this // B)`` rows.
-_TI_BLOCK_ELEMENTS = 1 << 22
-
-#: Row×seed element budget of one lockstep tile inside a block. Every
-#: ``(rows, B)`` array of the kernel (permutations, live mask, Lemma 1
-#: gather: 2 MiB of int64 or float64 each) is tile-sized, so memory is
-#: bounded without touching the block partition.
+#: Row×seed element budget of one lockstep tile of
+#: :meth:`TriangleInequalityAssigner.assign_many`. Every ``(rows, B)``
+#: array of the kernel (permutations, live mask, Lemma 1 gather: 2 MiB
+#: of int64 or float64 each) is tile-sized, so memory stays bounded
+#: whatever the batch size; results do not depend on it.
 _TI_TILE_ELEMENTS = 1 << 18
 
 
@@ -101,10 +76,10 @@ class Assigner:
             representative matrix).
         counter: shared :class:`DistanceCounter`; a private one is created
             when omitted.
-        obs: observability handle; batch kernels run each block under an
-            ``assign_block`` span when span tracing is enabled. Mutable
-            (:attr:`obs`) so a cached assigner can follow its owner's
-            handle without invalidating the cache.
+        obs: observability handle; batch kernels run each block or tile
+            under an ``assign_block`` span when span tracing is enabled.
+            Mutable (:attr:`obs`) so a cached assigner can follow its
+            owner's handle without invalidating the cache.
     """
 
     def __init__(
@@ -261,20 +236,20 @@ class TriangleInequalityAssigner(Assigner):
     ``dist(s_j, s_c) >= 2 · minDist`` cannot be closer than ``s_c`` and is
     discarded without a distance computation.
 
-    **Batch engine.** :meth:`assign_many` runs the same Figure 2 loop over
-    blocks of points in lockstep, tile by tile: per tile it draws each
+    **Batch engine.** :meth:`assign_many` runs the same Figure 2 loop
+    over the points in lockstep, tile by tile: per tile it draws each
     point's random probing permutation from the shared RNG (one
     Fisher–Yates draw per point, in point order — exactly the stream the
     scalar loop consumes, so scalar and batch calls interleave
-    reproducibly), then alternates a vectorised Lemma 1 prune (a gather
-    from the cached seed-to-seed matrix, compared and ANDed into a
-    live-slot mask kept in permutation order) with a vectorised probe
-    (each row's rightmost live slot, one exact distance per row) until
-    every point's candidate set is exhausted. Every round costs a fixed
-    number of numpy calls.
+    reproducibly, whatever the tile size), then alternates a vectorised
+    Lemma 1 prune (a gather from the cached seed-to-seed matrix,
+    compared and ANDed into a live-slot mask kept in permutation order)
+    with a vectorised probe (each row's rightmost live slot, one exact
+    distance per row) until every point's candidate set is exhausted.
+    Every round costs a fixed number of numpy calls.
     Assignments are bit-identical to the scalar loop and the
-    computed/pruned totals — accumulated per block, recorded once per
-    block — match the scalar accounting exactly (see
+    computed/pruned totals — accumulated per tile, recorded once per
+    call — match the scalar accounting exactly (see
     :meth:`_assign_tile` for why).
 
     **Setup accounting contract.** :attr:`setup_computed` *always* reports
@@ -284,32 +259,6 @@ class TriangleInequalityAssigner(Assigner):
     attribute and counter agreeing when ``count_setup=True`` and on the
     counter staying at zero (pre-assignment) when ``count_setup=False``.
 
-    **Spatial skip layer.** With ``use_seed_index=True`` the engine
-    builds a :class:`~repro.core.seed_index.SeedIndex` on the first
-    batch and asks it, per block, for each point's candidate mask and a
-    gate radius ``g`` bounding every non-candidate's distance from
-    below. A probe is skipped — no exact distance — exactly when it is
-    a non-candidate *and* the row's ``minDist <= g``: the skipped
-    distance is ``>= g >= minDist`` and the update rule is a strict
-    ``<``, so the probe could not have changed ``current``, ``minDist``
-    or any later Lemma-1 test. Probing order (hence the RNG stream),
-    assignments and tie-breaks are therefore bit-identical to the plain
-    batch kernel; each skip converts one *computed* distance into a
-    *pruned* one, so total accounting is conserved and the computed
-    count is provably ``<=`` the plain kernel's on every input. The
-    scalar :meth:`assign` never consults the index — it stays the
-    pure Figure 2 reference the batch engine is tested against.
-
-    **Parallel blocks.** With ``workers >= 1``, :meth:`assign_many`
-    draws one 64-bit entropy value from the main RNG (a single draw per
-    call, regardless of size) and runs its lockstep blocks as
-    independent tasks under per-block substreams — results are a pure
-    function of the block partition and that draw, so every
-    ``workers >= 1`` value produces identical output and worker count
-    only changes wall-clock (see :mod:`repro.core.parallel`).
-    ``workers=0`` is the serial reference: blocks consume the main RNG
-    in point order, bit-identical to the scalar loop.
-
     Args:
         locations: ``(B, d)`` seed matrix.
         counter: shared distance counter.
@@ -318,22 +267,6 @@ class TriangleInequalityAssigner(Assigner):
         count_setup: whether the seed-matrix construction cost is also
             recorded into ``counter`` (it always shows in
             :attr:`setup_computed`).
-        block_size: points processed per block by :meth:`assign_many`;
-            ``None`` (the default) sizes blocks adaptively from a fixed
-            permutation element budget. The blocking never changes
-            results with ``workers=0`` — only memory and per-block
-            overhead. With ``workers >= 1`` results are a pure function
-            of the partition (still independent of worker count).
-        use_seed_index: build a spatial candidate index and let the
-            batch engine skip provably hopeless probes (see the class
-            docstring). Off by default — the plain kernel is the
-            scalar-parity reference.
-        index_k: candidate-set size for the seed index; ``None`` uses
-            :func:`~repro.core.seed_index.default_candidate_count`.
-        index_backend: ``"auto"`` / ``"kdtree"`` / ``"grid"`` — see
-            :class:`~repro.core.seed_index.SeedIndex`.
-        workers: worker-pool size for :meth:`assign_many`; ``0`` (the
-            default) is the serial bit-reproducible reference path.
     """
 
     def __init__(
@@ -342,27 +275,11 @@ class TriangleInequalityAssigner(Assigner):
         counter: DistanceCounter | None = None,
         rng: np.random.Generator | None = None,
         count_setup: bool = True,
-        block_size: int | None = None,
         obs=None,
-        use_seed_index: bool = False,
-        index_k: int | None = None,
-        index_backend: str = "auto",
-        workers: int = 0,
     ) -> None:
         super().__init__(locations, counter, obs=obs)
-        if block_size is not None and block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self._rng = rng if rng is not None else np.random.default_rng()
         self._seed_dists = pairwise(self._locations)
-        self._block_size = None if block_size is None else int(block_size)
-        self._use_seed_index = bool(use_seed_index)
-        self._index_k = None if index_k is None else int(index_k)
-        self._index_backend = str(index_backend)
-        self._seed_index: SeedIndex | None = None
-        self._workers = int(workers)
-        self._assign_index_pruned = 0
         b = self._locations.shape[0]
         self._setup_computed = b * (b - 1) // 2
         if count_setup:
@@ -376,26 +293,6 @@ class TriangleInequalityAssigner(Assigner):
         ``count_setup=False`` kept the cost out of the shared counter.
         """
         return self._setup_computed
-
-    @property
-    def workers(self) -> int:
-        """Worker-pool size used by :meth:`assign_many` (0 = serial)."""
-        return self._workers
-
-    @property
-    def assign_index_pruned(self) -> int:
-        """Probes skipped by the spatial index (subset of pruned).
-
-        Every skip is also counted in :attr:`assign_pruned` — the index
-        converts computed distances into pruned ones without changing
-        the computed + pruned total.
-        """
-        return self._assign_index_pruned
-
-    @property
-    def seed_index(self) -> SeedIndex | None:
-        """The lazily built spatial index, or ``None`` before first use."""
-        return self._seed_index
 
     def assign(self, point: Point) -> int:
         locations = self._locations
@@ -445,8 +342,7 @@ class TriangleInequalityAssigner(Assigner):
         num_points = points.shape[0]
         result = np.empty(num_points, dtype=np.int64)
         if num_points == 0:
-            # No RNG draw in either mode: empty batches are invisible
-            # to both the main stream and the substream contract.
+            # No RNG draw: empty batches are invisible to the stream.
             return result
         num = self._locations.shape[0]
         if num == 1:
@@ -456,174 +352,33 @@ class TriangleInequalityAssigner(Assigner):
             self._assign_computed += num_points
             result[:] = 0
             return result
-        if self._use_seed_index and self._seed_index is None:
-            self._seed_index = SeedIndex(
-                self._locations,
-                k=self._index_k,
-                backend=self._index_backend,
-            )
-        block = self._block_size
-        if block is None:
-            block = max(DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS // num)
-        if self._workers >= 1:
-            return self._assign_many_parallel(points, result, block)
-        for start in range(0, num_points, block):
-            chunk = points[start : start + block]
+        # Tiles draw their permutations in point order and nothing else
+        # consumes the RNG, so the stream is the scalar loop's whatever
+        # the tile size: tiling bounds memory without changing a result.
+        tile = max(1, _TI_TILE_ELEMENTS // num)
+        computed = pruned = 0
+        for start in range(0, num_points, tile):
+            chunk = points[start : start + tile]
             with maybe_span(
                 self.obs, "assign_block", points=chunk.shape[0]
             ):
-                result[start : start + chunk.shape[0]] = self._assign_block(
-                    chunk
+                current, tile_computed, tile_pruned = self._assign_tile(
+                    chunk, self._rng
                 )
-        return result
-
-    def _assign_many_parallel(
-        self, points: np.ndarray, result: np.ndarray, block: int
-    ) -> np.ndarray:
-        """Run the lockstep blocks as parallel tasks and merge in order.
-
-        One 64-bit entropy draw from the main RNG per call — never more,
-        never fewer — keeps the main stream's advance independent of
-        input size, block partition and worker count; each block then
-        runs under its :func:`~repro.core.parallel.block_rng` substream.
-        Children cannot touch the parent's counters, so the per-block
-        (computed, pruned, index-pruned) tallies travel back with the
-        indices and are recorded here once, in block order.
-        """
-        num_points = points.shape[0]
-        blocks = [
-            (start, min(start + block, num_points))
-            for start in range(0, num_points, block)
-        ]
-        entropy = int(
-            self._rng.integers(0, 2**64, dtype=np.uint64)
-        )
-        with maybe_span(
-            self.obs,
-            "assign_parallel",
-            points=num_points,
-            workers=self._workers,
-            blocks=len(blocks),
-        ):
-            outputs = run_blocks(
-                self._assign_block_task,
-                points,
-                blocks,
-                entropy,
-                self._workers,
-            )
-        computed = 0
-        lemma_pruned = 0
-        index_pruned = 0
-        for (start, stop), out in zip(blocks, outputs):
-            indices, block_computed, block_lemma, block_index = out
-            result[start:stop] = indices
-            computed += block_computed
-            lemma_pruned += block_lemma
-            index_pruned += block_index
-        self._record_block(computed, lemma_pruned, index_pruned)
-        return result
-
-    def _record_block(
-        self, computed: int, lemma_pruned: int, index_pruned: int
-    ) -> None:
-        """Fold one block's tallies into the counter and attributes.
-
-        Index skips count as pruned — same conservation law as Lemma 1:
-        ``computed + pruned`` per point always sums to ``B``.
-        """
-        pruned = lemma_pruned + index_pruned
-        self._counter.record_computed(int(computed))
-        self._counter.record_pruned(int(pruned))
-        self._assign_computed += int(computed)
-        self._assign_pruned += int(pruned)
-        self._assign_index_pruned += int(index_pruned)
-
-    def _assign_block(self, points: np.ndarray) -> np.ndarray:
-        """Serial per-block wrapper: main RNG, immediate accounting."""
-        member, gate = self._index_candidates(points)
-        indices, computed, lemma_pruned, index_pruned = (
-            self._assign_block_core(
-                points, self._rng, member, gate
-            )
-        )
-        # Block-granular accounting: totals identical to per-point
-        # scalar recording, at two counter calls per block instead of 2m.
-        self._record_block(computed, lemma_pruned, index_pruned)
-        return indices
-
-    def _assign_block_task(
-        self, points: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, int, int, int]:
-        """Pure per-block task for the parallel runner.
-
-        Runs in a forked child (or inline under ``workers=1``): derives
-        the block's candidates, runs the lockstep core under the given
-        substream and returns the tallies instead of recording them —
-        the parent owns the shared counter.
-        """
-        member, gate = self._index_candidates(points)
-        return self._assign_block_core(points, rng, member, gate)
-
-    def _index_candidates(
-        self, points: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-block (membership, gate) from the seed index, if any."""
-        if self._seed_index is None:
-            return None, None
-        return self._seed_index.candidates(points)
-
-    def _assign_block_core(
-        self,
-        points: np.ndarray,
-        rng: np.random.Generator,
-        member: np.ndarray | None = None,
-        gate: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, int, int, int]:
-        """Figure 2 in lockstep over one block of points.
-
-        Runs :meth:`_assign_tile` over consecutive row tiles of at most
-        ``_TI_TILE_ELEMENTS`` row×seed elements. Tiles draw their
-        permutations in point order and nothing else consumes ``rng``,
-        so the stream is the scalar loop's whatever the tile size.
-        Tiling bounds every ``(rows, B)`` array without changing any
-        result; the block partition itself (which ``workers >= 1``
-        results depend on) is the caller's.
-
-        Returns:
-            ``(indices, computed, lemma_pruned, index_pruned)`` — the
-            block's assignments plus its accounting tallies. The caller
-            records them (serial: immediately; parallel: merged in the
-            parent), keeping this core pure enough to run in a forked
-            worker against copy-on-write state.
-        """
-        rows = points.shape[0]
-        indices = np.empty(rows, dtype=np.int64)
-        computed = pruned = index_pruned = 0
-        tile = max(1, _TI_TILE_ELEMENTS // self._locations.shape[0])
-        for start in range(0, rows, tile):
-            rows_in = slice(start, start + tile)
-            current, tile_computed, tile_pruned, tile_index = (
-                self._assign_tile(
-                    points[rows_in],
-                    rng,
-                    None if member is None else member[rows_in],
-                    None if gate is None else gate[rows_in],
-                )
-            )
-            indices[rows_in] = current
+            result[start : start + chunk.shape[0]] = current
             computed += tile_computed
             pruned += tile_pruned
-            index_pruned += tile_index
-        return indices, computed, pruned, index_pruned
+        # Call-granular accounting: totals identical to per-point scalar
+        # recording, at two counter calls per call instead of 2m.
+        self._counter.record_computed(computed)
+        self._counter.record_pruned(pruned)
+        self._assign_computed += computed
+        self._assign_pruned += pruned
+        return result
 
     def _assign_tile(
-        self,
-        points: np.ndarray,
-        rng: np.random.Generator,
-        member: np.ndarray | None,
-        gate: np.ndarray | None,
-    ) -> tuple[np.ndarray, int, int, int]:
+        self, points: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, int, int]:
         """The lockstep rounds of Figure 2 over one tile of rows.
 
         ``live[r, k]`` says whether slot ``k`` of row ``r``'s permutation
@@ -648,21 +403,9 @@ class TriangleInequalityAssigner(Assigner):
         ``live`` at probe time — accounting matches the scalar loop pass
         for pass.
 
-        **Spatial collapse (``member``/``gate`` given).** The moment a
-        row's ``minDist`` drops to ``<= gate``, every one of its live
-        non-member slots is cleared in one masked AND and tallied as
-        index-pruned. Each cleared seed is provably inert: its exact
-        distance is ``>= gate >= minDist``, so its probe could not
-        improve the row under the strict ``<`` update, and a probe that
-        does not improve ``minDist`` changes nothing else — not the
-        probing order of the other candidates (the permutations are
-        drawn up front), not the Lemma 1 dynamics (only improvements
-        re-enter the prune), not the RNG. Assignments and the RNG stream
-        stay bit-identical to the plain kernel. Accounting is conserved:
-        per point ``computed + lemma_pruned + index_pruned`` still sums
-        to ``B``, and the computed count is ``<=`` the plain kernel's
-        (every cleared seed would have cost a computed probe or a
-        Lemma 1 prune there).
+        Returns:
+            ``(indices, computed, pruned)`` — the tile's assignments and
+            its accounting tallies, which the caller records.
         """
         rows = points.shape[0]
         num = self._locations.shape[0]
@@ -684,31 +427,14 @@ class TriangleInequalityAssigner(Assigner):
         min_dist = row_norms(locations[current] - points)
         computed = rows
         pruned = 0
-        index_pruned = 0
 
         live = np.ones((rows, num), dtype=bool)
         live[:, last] = False
         alive = np.arange(rows)
         to_prune = alive
-        # Rows that have not yet collapsed to their spatial candidate
-        # set; None when no index is in play.
-        uncollapsed = None if member is None else np.ones(rows, dtype=bool)
 
         while True:
             if to_prune.size:
-                if uncollapsed is not None:
-                    # Spatial collapse: rows whose minDist just reached
-                    # the gate keep only their index members.
-                    gated = to_prune[
-                        uncollapsed[to_prune]
-                        & (min_dist[to_prune] <= gate[to_prune])
-                    ]
-                    if gated.size:
-                        keep = member[gated[:, None], cand[gated]]
-                        lv = live[gated]
-                        index_pruned += int(np.count_nonzero(lv & ~keep))
-                        live[gated] = lv & keep
-                        uncollapsed[gated] = False
                 # Lemma 1 in permutation order: slot k survives while
                 # dist(s_cand[k], s_c) < 2 · minDist.
                 keep = (
@@ -740,7 +466,7 @@ class TriangleInequalityAssigner(Assigner):
             min_dist[improved] = dists[better]
             to_prune = improved
 
-        return current, int(computed), int(pruned), index_pruned
+        return current, int(computed), int(pruned)
 
 
 class AssignerCache:
@@ -751,9 +477,10 @@ class AssignerCache:
     an unchanged summary (or run several redistribution steps against the
     same candidate set) should not pay it repeatedly. The cache keys on
     the :attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>`
-    mutation counter plus the candidate id subset and the pruning flag, so
-    any mutation of any bubble — absorb, release, reseed, clear, restore —
-    invalidates it.
+    mutation counter plus the candidate id subset and the pruning flag,
+    ``(version, active_ids, use_triangle_inequality)``, so any mutation
+    of any bubble — absorb, release, reseed, clear, restore — invalidates
+    it.
 
     The shared ``counter`` and ``rng`` are captured at construction of the
     cached assigner; callers must pass the same objects on every ``get``
@@ -783,8 +510,6 @@ class AssignerCache:
         rng: np.random.Generator | None = None,
         active_ids: np.ndarray | list | None = None,
         obs=None,
-        use_seed_index: bool = False,
-        workers: int = 0,
     ) -> Assigner:
         """The cached assigner, rebuilt only when the bubble set changed.
 
@@ -797,15 +522,9 @@ class AssignerCache:
                 adaptive maintainer's non-retired bubbles, or a merge's
                 everything-but-the-donor set); ``None`` means all bubbles.
             obs: observability handle stamped onto the assigner (hit or
-                miss) so block spans follow the caller; deliberately NOT
+                miss) so its spans follow the caller; deliberately NOT
                 part of the cache key — instrumentation must never change
                 cache behaviour.
-            use_seed_index, workers: as for :func:`make_assigner`; part
-                of the cache key, so flipping either rebuilds the
-                assigner. A cache hit also reuses the assigner's lazily
-                built :class:`~repro.core.seed_index.SeedIndex` — this
-                is how the index stays keyed on ``bubbles.version``
-                without its own invalidation machinery.
         """
         key = (
             bubbles.version,
@@ -813,8 +532,6 @@ class AssignerCache:
             if active_ids is None
             else tuple(int(i) for i in active_ids),
             bool(use_triangle_inequality),
-            bool(use_seed_index),
-            int(workers),
         )
         if self._assigner is not None and key == self._key:
             self.hits += 1
@@ -829,8 +546,6 @@ class AssignerCache:
             use_triangle_inequality=use_triangle_inequality,
             rng=rng,
             obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
         )
         self._key = key
         self.misses += 1
@@ -843,23 +558,13 @@ def make_assigner(
     use_triangle_inequality: bool = True,
     rng: np.random.Generator | None = None,
     obs=None,
-    use_seed_index: bool = False,
-    workers: int = 0,
 ) -> Assigner:
     """Factory selecting the pruning or naive assigner.
 
     Single-location sets short-circuit to the naive assigner — with one
-    seed there is nothing to prune (``use_seed_index`` and ``workers``
-    are meaningless there and are ignored).
+    seed there is nothing to prune.
     """
     locations = np.asarray(locations, dtype=np.float64)
     if use_triangle_inequality and locations.shape[0] > 1:
-        return TriangleInequalityAssigner(
-            locations,
-            counter,
-            rng,
-            obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
-        )
+        return TriangleInequalityAssigner(locations, counter, rng, obs=obs)
     return NaiveAssigner(locations, counter, obs=obs)

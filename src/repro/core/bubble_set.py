@@ -33,12 +33,10 @@ class BubbleSet:
     mutation of any member bubble (absorb/release/reseed/clear/restore)
     and by :meth:`add_bubble`. Batch consumers — most importantly the
     :class:`~repro.core.assignment.AssignerCache` — key on it to reuse
-    derived state (representative matrices, seed-to-seed distance
-    matrices, and the optional spatial
-    :class:`~repro.core.seed_index.SeedIndex` hanging off the cached
-    assigner) for exactly as long as it is actually valid: any mutation
-    bumps the version, which invalidates the cached assigner and with
-    it every derived index, all rebuilt lazily on next use.
+    derived state (representative matrices and the cached assigner's
+    seed-to-seed distance matrix) for exactly as long as it is actually
+    valid: any mutation bumps the version, which invalidates the cached
+    assigner and its seed matrix, rebuilt lazily on next use.
     """
 
     def __init__(self, dim: int) -> None:

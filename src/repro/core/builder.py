@@ -112,8 +112,6 @@ class BubbleBuilder:
             counter=self._counter,
             use_triangle_inequality=self._config.use_triangle_inequality,
             rng=self._rng,
-            use_seed_index=self._config.use_seed_index,
-            workers=self._config.assign_workers,
         )
         assignment = self._timed_assign(assigner, points)
         self._last_pruned_fraction = assigner.pruned_fraction

@@ -94,31 +94,16 @@ class BubbleConfig:
         use_triangle_inequality: whether point-to-seed assignment uses the
             Lemma 1 pruning (Figure 2) or the naive full scan.
         seed: RNG seed for the random seed-point sampling.
-        use_seed_index: layer a spatial candidate index (KD-tree/grid)
-            under the Lemma 1 pruning so the batch engine can skip
-            provably hopeless probes. Assignments stay bit-identical;
-            computed distance counts only shrink. Off by default — the
-            plain kernel is the reference the parity tests pin down.
-        assign_workers: worker-pool size for batch assignment; ``0``
-            (the default) is the serial bit-reproducible reference,
-            ``>= 1`` switches to the documented per-block substream
-            contract (results independent of the worker count).
     """
 
     num_bubbles: int
     use_triangle_inequality: bool = True
     seed: int | None = None
-    use_seed_index: bool = False
-    assign_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.num_bubbles < 1:
             raise InvalidConfigError(
                 f"num_bubbles must be >= 1, got {self.num_bubbles}"
-            )
-        if self.assign_workers < 0:
-            raise InvalidConfigError(
-                f"assign_workers must be >= 0, got {self.assign_workers}"
             )
 
 
@@ -140,12 +125,6 @@ class MaintenanceConfig:
             the Lemma 1 pruning.
         seed: RNG seed for the random choices inside merge/split (new seed
             selection from an over-filled bubble's points).
-        use_seed_index: as for :class:`BubbleConfig` — spatial candidate
-            skipping under Lemma 1 for every batch assignment the
-            maintainer runs (insertion, merge redistribution). Off by
-            default.
-        assign_workers: as for :class:`BubbleConfig` — batch-assignment
-            worker-pool size; ``0`` keeps the serial reference path.
     """
 
     probability: float = 0.9
@@ -154,8 +133,6 @@ class MaintenanceConfig:
     split_strategy: SplitStrategy = SplitStrategy.FARTHEST
     use_triangle_inequality: bool = True
     seed: int | None = None
-    use_seed_index: bool = False
-    assign_workers: int = 0
 
     def __post_init__(self) -> None:
         # Validates the probability range as a side effect.
@@ -163,10 +140,6 @@ class MaintenanceConfig:
         if self.rebuild_rounds < 1:
             raise InvalidConfigError(
                 f"rebuild_rounds must be >= 1, got {self.rebuild_rounds}"
-            )
-        if self.assign_workers < 0:
-            raise InvalidConfigError(
-                f"assign_workers must be >= 0, got {self.assign_workers}"
             )
 
     @property

@@ -561,8 +561,6 @@ class IncrementalMaintainer:
             rng=self._rng,
             active_ids=active_ids,
             obs=self._obs,
-            use_seed_index=self._config.use_seed_index,
-            workers=self._config.assign_workers,
         )
         if self._obs is not None:
             if self._assigner_cache.hits > hits:
@@ -623,8 +621,6 @@ class IncrementalMaintainer:
                 merge_exclude=self._merge_exclude(),
                 assigner_cache=self._assigner_cache,
                 obs=self._obs,
-                use_seed_index=self._config.use_seed_index,
-                workers=self._config.assign_workers,
             )
             rebuilt.extend((over_id, donor_id))
             if self._obs is not None:

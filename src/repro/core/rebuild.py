@@ -62,22 +62,13 @@ class CompleteRebuildMaintainer:
 
     @staticmethod
     def default_config(
-        num_bubbles: int,
-        seed: int | None = None,
-        assign_workers: int = 0,
+        num_bubbles: int, seed: int | None = None
     ) -> BubbleConfig:
-        """The paper's Figure 11 baseline: full rebuild without pruning.
-
-        ``assign_workers`` is carried on the config for callers that
-        re-enable pruning on top of this baseline; the naive full-scan
-        assigner itself runs single-process (worker pools and the seed
-        index are features of the triangle-inequality batch engine).
-        """
+        """The paper's Figure 11 baseline: full rebuild without pruning."""
         return BubbleConfig(
             num_bubbles=num_bubbles,
             use_triangle_inequality=False,
             seed=seed,
-            assign_workers=assign_workers,
         )
 
     @property

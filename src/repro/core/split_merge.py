@@ -70,8 +70,6 @@ def merge_bubble(
     exclude: frozenset[BubbleId] = frozenset(),
     assigner_cache: AssignerCache | None = None,
     obs=None,
-    use_seed_index: bool = False,
-    workers: int = 0,
 ) -> int:
     """Empty the donor bubble, reassigning its points to other bubbles.
 
@@ -86,10 +84,6 @@ def merge_bubble(
             long as the bubble set and candidate ids stay unchanged.
         obs: observability handle; the merge runs under a
             ``merge_bubble`` span when span tracing is enabled.
-        use_seed_index, workers: assignment-engine options (see
-            :func:`~repro.core.assignment.make_assigner`); callers pass
-            the same values here as on their insertion path so the
-            shared cache key stays stable across both.
     """
     donor = bubbles[donor_id]
     if donor.is_empty():
@@ -108,8 +102,6 @@ def merge_bubble(
             exclude,
             assigner_cache,
             obs,
-            use_seed_index,
-            workers,
         )
 
 
@@ -123,8 +115,6 @@ def _merge_bubble_inner(
     exclude: frozenset[BubbleId],
     assigner_cache: AssignerCache | None,
     obs,
-    use_seed_index: bool = False,
-    workers: int = 0,
 ) -> int:
     donor = bubbles[donor_id]
     member_ids = donor.member_ids()
@@ -150,8 +140,6 @@ def _merge_bubble_inner(
             rng=rng,
             active_ids=other_ids,
             obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
         )
     else:
         assigner = make_assigner(
@@ -160,8 +148,6 @@ def _merge_bubble_inner(
             use_triangle_inequality=use_triangle_inequality,
             rng=rng,
             obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
         )
     assignment = other_ids[assigner.assign_many(points)]
 
@@ -267,8 +253,6 @@ def rebuild_pair(
     merge_exclude: frozenset[BubbleId] = frozenset(),
     assigner_cache: AssignerCache | None = None,
     obs=None,
-    use_seed_index: bool = False,
-    workers: int = 0,
 ) -> RebuildOutcome:
     """One synchronized merge + split: the unit of Figure 6.
 
@@ -292,8 +276,6 @@ def rebuild_pair(
             exclude=merge_exclude,
             assigner_cache=assigner_cache,
             obs=obs,
-            use_seed_index=use_seed_index,
-            workers=workers,
         )
         donor_n, over_n = split_bubble(
             bubbles,

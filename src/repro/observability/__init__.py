@@ -69,6 +69,7 @@ from .registry import (
     MetricsRegistry,
     MetricsSnapshot,
     Timer,
+    bucket_quantile,
     get_registry,
 )
 from .spans import NULL_SPAN, Span, SpanTracer, maybe_span
@@ -113,6 +114,7 @@ __all__ = [
     "TraceEvent",
     "TraceSet",
     "WindowSample",
+    "bucket_quantile",
     "collect_health",
     "critical_path",
     "escape_help",

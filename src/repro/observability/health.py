@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .registry import MetricsSnapshot
+from .registry import MetricsSnapshot, bucket_quantile
 from .spans import SPAN_SECONDS_METRIC
 
 __all__ = [
@@ -205,27 +205,13 @@ def _span_section(snapshot: MetricsSnapshot) -> list[dict]:
                 "count": sample.count,
                 "total_seconds": sample.sum,
                 "mean_seconds": sample.sum / sample.count,
-                "p95_seconds": _approx_quantile(sample, 0.95),
+                "p95_seconds": bucket_quantile(
+                    sample.bounds, sample.bucket_counts, 0.95
+                ),
             }
         )
     rows.sort(key=lambda row: row["total_seconds"], reverse=True)
     return rows
-
-
-def _approx_quantile(sample, q: float) -> float | None:
-    """Upper bucket bound covering quantile ``q`` (``None`` ⇒ +Inf bucket).
-
-    Fixed-bucket histograms only support bound-granular quantiles; the
-    report states the guarantee ("p95 ≤ bound") rather than inventing
-    precision the data does not carry.
-    """
-    target = q * sample.count
-    cumulative = 0
-    for bound, count in zip(sample.bounds, sample.bucket_counts):
-        cumulative += count
-        if cumulative >= target:
-            return bound
-    return None  # quantile falls in the +Inf bucket
 
 
 def _event_section(snapshot: MetricsSnapshot) -> dict:

@@ -46,6 +46,7 @@ __all__ = [
     "MetricsSnapshot",
     "MetricSample",
     "get_registry",
+    "bucket_quantile",
     "DEFAULT_TIME_BUCKETS",
 ]
 
@@ -73,6 +74,32 @@ DEFAULT_TIME_BUCKETS: tuple[float, ...] = (
 )
 
 LabelPairs = tuple[tuple[str, str], ...]
+
+
+def bucket_quantile(
+    bounds: tuple[float, ...], counts, q: float
+) -> float | None:
+    """Upper bucket bound covering quantile ``q`` of a bucketed histogram.
+
+    ``counts`` are per-bucket (non-cumulative), ``+Inf`` bucket last, as
+    :meth:`Histogram.bucket_counts` and :attr:`MetricSample.bucket_counts`
+    hold them; counts summed bucket by bucket over several histograms
+    with the same bounds give the quantile of their union. Fixed buckets
+    only support bound-granular quantiles: the result guarantees
+    ``quantile <= bound`` rather than inventing precision the data does
+    not carry. ``None`` means there are no observations or the quantile
+    falls in the ``+Inf`` bucket.
+    """
+    total = sum(counts)
+    if not total:
+        return None
+    target = q * total
+    cumulative = 0
+    for bound, count in zip(bounds, counts):
+        cumulative += count
+        if cumulative >= target:
+            return float(bound)
+    return None
 
 
 def _freeze_labels(labels: dict[str, str] | None) -> LabelPairs:

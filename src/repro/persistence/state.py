@@ -43,17 +43,15 @@ def config_to_dict(config: MaintenanceConfig) -> dict:
         "split_strategy": config.split_strategy.value,
         "use_triangle_inequality": config.use_triangle_inequality,
         "seed": config.seed,
-        "use_seed_index": config.use_seed_index,
-        "assign_workers": config.assign_workers,
     }
 
 
 def config_from_dict(data: dict) -> MaintenanceConfig:
     """Inverse of :func:`config_to_dict`.
 
-    The assignment-engine fields default when absent so snapshots
-    written before they existed keep recovering (to the behaviour they
-    were recorded with: serial, no spatial index).
+    Keys this version no longer reads are ignored: snapshots written
+    with the assignment-engine options of earlier versions recover on
+    the single serial assignment path (see docs/PERSISTENCE.md).
     """
     return MaintenanceConfig(
         probability=float(data["probability"]),
@@ -62,8 +60,6 @@ def config_from_dict(data: dict) -> MaintenanceConfig:
         split_strategy=SplitStrategy(data["split_strategy"]),
         use_triangle_inequality=bool(data["use_triangle_inequality"]),
         seed=None if data["seed"] is None else int(data["seed"]),
-        use_seed_index=bool(data.get("use_seed_index", False)),
-        assign_workers=int(data.get("assign_workers", 0)),
     )
 
 

@@ -67,7 +67,6 @@ from .shard import (
     BACKPRESSURE_POLICIES,
     SHARD_STATES,
     Shard,
-    histogram_quantile,
 )
 from .supervisor import BREAKER_STATES, CircuitBreaker, ShardSupervisor
 
@@ -93,7 +92,6 @@ __all__ = [
     "deadletter_path",
     "encode_event",
     "generate_events",
-    "histogram_quantile",
     "parse_event",
     "read_dead_letters",
     "read_events",

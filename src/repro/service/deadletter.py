@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..exceptions import EventError, ServiceError
-from ..faults import FAILPOINTS, declare_failpoint
+from ..faults import FAILPOINTS, declare_failpoint, fsync_directory
 from .events import PointEvent, event_document, event_from_document
 
 __all__ = [
@@ -252,4 +252,6 @@ def replay_dead_letters(
         if fsync:
             os.fsync(handle.fileno())
     os.replace(tmp, path)
+    if fsync:
+        fsync_directory(path.parent)
     return ReplayReport(replayed=replayed, requeued=len(kept))

@@ -52,12 +52,12 @@ from ..exceptions import (
     PersistenceError,
     ServiceError,
 )
-from ..core import MaintenanceConfig
-from ..faults import FAILPOINTS, declare_failpoint
+from ..faults import FAILPOINTS, declare_failpoint, fsync_directory
 from ..observability import (
     EventTracer,
     Observability,
     SpanTracer,
+    bucket_quantile,
     collect_health,
 )
 from ..streaming import DurableSummarizer
@@ -92,18 +92,9 @@ class FleetConfig:
 
     The first block (``dim`` … ``on_bad_point``) is durable — persisted
     in ``fleet.json`` and applied to every shard's summarizer. The
-    second block (``queue_points`` … ``assign_workers``) is runtime-only
-    service tuning: it shapes queues and threading, never the durable
-    history, so it may change freely between runs of the same fleet.
-
-    ``use_seed_index`` / ``assign_workers`` configure the assignment
-    engine of shards *created* by this fleet run (the shard's
-    summarizer persists them in its own snapshots, so a later
-    ``recover`` replays each shard with the mode it was built with).
-    ``assign_workers`` defaults to 0 — forking assignment workers from
-    under a multithreaded flusher pool is an explicit opt-in; the
-    spatial index is thread-neutral but stays off for parity with the
-    single-process default.
+    second block (``queue_points`` … ``trace``) is runtime-only service
+    tuning: it shapes queues and threading, never the durable history,
+    so it may change freely between runs of the same fleet.
     """
 
     dim: int = 2
@@ -118,8 +109,6 @@ class FleetConfig:
     batch_points: int = 64
     backpressure: str = "block"
     workers: int = 4
-    use_seed_index: bool = False
-    assign_workers: int = 0
     #: Runtime-only: write each shard's span events to
     #: ``tenants/<tenant>/trace.jsonl`` and stamp fleet trace ids onto
     #: every micro-batch, enabling cross-shard trace queries
@@ -131,10 +120,6 @@ class FleetConfig:
         if self.workers < 0:
             raise InvalidConfigError(
                 f"workers must be >= 0, got {self.workers}"
-            )
-        if self.assign_workers < 0:
-            raise InvalidConfigError(
-                f"assign_workers must be >= 0, got {self.assign_workers}"
             )
         if self.backpressure not in BACKPRESSURE_POLICIES:
             raise InvalidConfigError(
@@ -333,8 +318,14 @@ class FleetManager:
         }
         payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
         tmp = self._root / "fleet.json.tmp"
-        tmp.write_text(payload, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+            handle.flush()
+            if self._config.fsync:
+                os.fsync(handle.fileno())
         os.replace(tmp, self._root / "fleet.json")
+        if self._config.fsync:
+            fsync_directory(self._root)
 
     @staticmethod
     def read_fleet_manifest(root: str | pathlib.Path) -> dict:
@@ -481,14 +472,6 @@ class FleetManager:
             dim=config.dim,
             window_size=config.window_size,
             points_per_bubble=config.points_per_bubble,
-            # The per-tenant seed plus the fleet's assignment-engine
-            # options; persisted by the shard's own snapshots, so a
-            # recovered shard replays with the mode it was built with.
-            config=MaintenanceConfig(
-                seed=shard_seed,
-                use_seed_index=config.use_seed_index,
-                assign_workers=config.assign_workers,
-            ),
             seed=shard_seed,
             checkpoint_every=config.checkpoint_every,
             fsync=config.fsync,
@@ -957,26 +940,14 @@ class FleetManager:
     @staticmethod
     def _merged_ingest_p95(shards) -> float | None:
         """p95 over the union of all shards' ingest histograms."""
-        bounds: tuple[float, ...] | None = None
-        counts: list[int] = []
-        total = 0
-        for shard in shards:
-            histogram = shard._h_ingest
-            if bounds is None:
-                bounds = histogram.bounds
-                counts = [0] * (len(bounds) + 1)
-            for i, count in enumerate(histogram.bucket_counts()):
-                counts[i] += count
-            total += histogram.count
-        if not total or bounds is None:
+        histograms = [shard._h_ingest for shard in shards]
+        if not histograms:
             return None
-        target = 0.95 * total
-        cumulative = 0
-        for bound, count in zip(bounds, counts):
-            cumulative += count
-            if cumulative >= target:
-                return float(bound)
-        return None
+        counts = [
+            sum(bucket)
+            for bucket in zip(*(h.bucket_counts() for h in histograms))
+        ]
+        return bucket_quantile(histograms[0].bounds, counts, 0.95)
 
     def fleet_health(self) -> dict:
         """Rollup plus one full per-shard health document per tenant."""

@@ -49,7 +49,7 @@ import numpy as np
 from ..clustering.incremental import ClusterFit, IncrementalClusterer
 from ..exceptions import InvalidConfigError, ServiceError
 from ..faults import FAILPOINTS, declare_failpoint
-from ..observability import NULL_SPAN, Observability
+from ..observability import NULL_SPAN, Observability, bucket_quantile
 from ..streaming import DurableSummarizer
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "BATCH_POINTS_BUCKETS",
     "SHARD_STATES",
     "Shard",
-    "histogram_quantile",
 ]
 
 # Fired between dequeuing a micro-batch and handing it to the durable
@@ -74,24 +73,6 @@ SHARD_STATES = ("running", "draining", "stopped", "failed")
 
 #: Bucket bounds for the micro-batch size histogram (points per append).
 BATCH_POINTS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-
-def histogram_quantile(histogram, q: float) -> float | None:
-    """Upper bucket bound covering quantile ``q`` of a live histogram.
-
-    Fixed-bucket histograms only support bound-granular quantiles; the
-    returned value guarantees ``quantile <= bound``. ``None`` means the
-    quantile falls in the ``+Inf`` bucket (or no observations exist).
-    """
-    if histogram.count == 0:
-        return None
-    target = q * histogram.count
-    cumulative = 0
-    for bound, count in zip(histogram.bounds, histogram.bucket_counts()):
-        cumulative += count
-        if cumulative >= target:
-            return float(bound)
-    return None
 
 
 class Shard:
@@ -281,7 +262,10 @@ class Shard:
 
     def ingest_p95_seconds(self) -> float | None:
         """p95 arrival→applied latency bound (bucket-granular)."""
-        return histogram_quantile(self._h_ingest, 0.95)
+        histogram = self._h_ingest
+        return bucket_quantile(
+            histogram.bounds, histogram.bucket_counts(), 0.95
+        )
 
     # ------------------------------------------------------------------
     # Clustering

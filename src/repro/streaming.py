@@ -461,16 +461,8 @@ class SlidingWindowSummarizer:
         num_bubbles = max(
             2, self._store.size // self._points_per_bubble
         )
-        # The bootstrap build honours the maintenance config's
-        # assignment-engine options (spatial index, worker pool) so an
-        # opted-in summarizer is accelerated from its very first scan.
         builder = BubbleBuilder(
-            BubbleConfig(
-                num_bubbles=num_bubbles,
-                seed=self._seed,
-                use_seed_index=self._config.use_seed_index,
-                assign_workers=self._config.assign_workers,
-            ),
+            BubbleConfig(num_bubbles=num_bubbles, seed=self._seed),
             counter=self._counter,
         )
         before = self._counter.snapshot()

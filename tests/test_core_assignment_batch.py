@@ -20,34 +20,31 @@ from repro.core import (
     AssignerCache,
     BubbleSet,
     TriangleInequalityAssigner,
+    assignment,
 )
-from repro.core.assignment import DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS
 from repro.geometry import DistanceCounter
 
-# A batch that the adaptive partition, max(DEFAULT_BLOCK_SIZE,
-# _TI_BLOCK_ELEMENTS // B) rows per block, cuts into two blocks; each
-# block spans several lockstep tiles.
+# A batch that the lockstep tiles, _TI_TILE_ELEMENTS // B rows each,
+# cut into sixteen full tiles and a short last one.
 BOUNDARY_SEEDS = 1024
 BOUNDARY_POINTS = (
-    max(DEFAULT_BLOCK_SIZE, _TI_BLOCK_ELEMENTS // BOUNDARY_SEEDS) + 6
+    16 * (assignment._TI_TILE_ELEMENTS // BOUNDARY_SEEDS) + 6
 )
 
 
-def _paired_assigners(seeds, seed=0, **kwargs):
+def _paired_assigners(seeds, seed=0):
     """Two TI assigners over the same seeds with identically seeded RNGs."""
     scalar = TriangleInequalityAssigner(
         seeds,
         DistanceCounter(),
         rng=np.random.default_rng(seed),
         count_setup=False,
-        **kwargs,
     )
     batch = TriangleInequalityAssigner(
         seeds,
         DistanceCounter(),
         rng=np.random.default_rng(seed),
         count_setup=False,
-        **kwargs,
     )
     return scalar, batch
 
@@ -67,7 +64,7 @@ class TestBatchScalarEquivalence:
             (50, 25, 3, 10.0),  # generic
             (200, 40, 2, 0.3),  # dense overlap: little pruning
             (128, 16, 8, 50.0),  # well-separated: heavy pruning
-            # crosses the default block boundary
+            # crosses the default tile boundary
             (BOUNDARY_POINTS, BOUNDARY_SEEDS, 2, 10.0),
         ],
     )
@@ -95,7 +92,7 @@ class TestBatchScalarEquivalence:
         distinct=st.integers(min_value=1, max_value=39),
         dim=st.integers(min_value=1, max_value=4),
         num_points=st.integers(min_value=1, max_value=80),
-        block_size=st.one_of(
+        tile_rows=st.one_of(
             st.none(), st.integers(min_value=1, max_value=64)
         ),
         data_seed=st.integers(min_value=0, max_value=2**31),
@@ -106,7 +103,7 @@ class TestBatchScalarEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_ties_bit_identical(
-        self, num_seeds, distinct, dim, num_points, block_size, data_seed
+        self, num_seeds, distinct, dim, num_points, tile_rows, data_seed
     ):
         # Duplicated seeds on a small integer grid, points on seeds and
         # at midpoints between two seeds: distances tie exactly, and the
@@ -126,11 +123,18 @@ class TestBatchScalarEquivalence:
         on_seed = rng.random(num_points) < 0.5
         points = np.where(on_seed[:, None], first, (first + second) / 2.0)
 
-        scalar, batch = _paired_assigners(
-            seeds, seed=data_seed, block_size=block_size
-        )
+        scalar, batch = _paired_assigners(seeds, seed=data_seed)
         expected = _scalar_loop(scalar, points)
-        actual = batch.assign_many(points)
+        # tile_rows rows per tile (None: the default budget), so a few
+        # points still run as a multi-tile call.
+        elements = (
+            assignment._TI_TILE_ELEMENTS
+            if tile_rows is None
+            else tile_rows * num_seeds
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assignment, "_TI_TILE_ELEMENTS", elements)
+            actual = batch.assign_many(points)
 
         assert actual.tolist() == expected.tolist()
         assert batch.assign_computed == scalar.assign_computed
@@ -160,32 +164,35 @@ class TestBatchScalarEquivalence:
         assert batch.assign_pruned == scalar.assign_pruned
         assert batch.pruned_fraction > 0.3  # pruning actually engaged
 
-    def test_small_block_size_multi_block(self):
-        # A tiny block size forces many blocks; totals and indices must
-        # be independent of the blocking.
+    def test_small_tiles_multi_tile(self, monkeypatch):
+        # Eight-row tiles force many tiles; totals and indices must be
+        # independent of the tiling.
         rng = np.random.default_rng(17)
         seeds = rng.normal(size=(12, 3)) * 4.0
         points = rng.normal(size=(97, 3)) * 4.0
-        scalar, batch = _paired_assigners(seeds, seed=1, block_size=8)
+        scalar, batch = _paired_assigners(seeds, seed=1)
         expected = _scalar_loop(scalar, points)
+        monkeypatch.setattr(assignment, "_TI_TILE_ELEMENTS", 8 * 12)
         actual = batch.assign_many(points)
         assert actual.tolist() == expected.tolist()
         assert batch.assign_computed == scalar.assign_computed
         assert batch.assign_pruned == scalar.assign_pruned
 
-    def test_block_size_does_not_change_results(self):
+    def test_tile_size_does_not_change_results(self, monkeypatch):
         rng = np.random.default_rng(23)
         seeds = rng.normal(size=(20, 2)) * 6.0
         points = rng.normal(size=(150, 2)) * 6.0
-        a, b = _paired_assigners(seeds, seed=2, block_size=1)
-        b2 = TriangleInequalityAssigner(
-            seeds,
-            DistanceCounter(),
-            rng=np.random.default_rng(2),
-            count_setup=False,
-            block_size=1024,
+        a, b = _paired_assigners(seeds, seed=2)
+        # One row per tile against one tile for the whole call.
+        monkeypatch.setattr(assignment, "_TI_TILE_ELEMENTS", 1)
+        one_row = a.assign_many(points)
+        monkeypatch.setattr(assignment, "_TI_TILE_ELEMENTS", 150 * 20)
+        assert one_row.tolist() == b.assign_many(points).tolist()
+        assert a.assign_computed == b.assign_computed
+        assert a.assign_pruned == b.assign_pruned
+        assert (
+            a._rng.bit_generator.state == b._rng.bit_generator.state
         )
-        assert a.assign_many(points).tolist() == b2.assign_many(points).tolist()
 
     def test_empty_batch(self):
         seeds = np.random.default_rng(0).normal(size=(5, 2))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import shutil
 import zipfile
 
 import numpy as np
@@ -221,6 +223,70 @@ class TestSnapshotFormat:
             )
         finally:
             recovered.close(checkpoint=False)
+
+    def test_removed_assignment_keys_are_ignored_on_recovery(
+        self, tmp_path, rng
+    ):
+        """Snapshots and manifests from versions that still had a seed
+        index and assignment workers carry ``use_seed_index`` and
+        ``assign_workers`` in their config; recovery ignores both and
+        ends bit for bit where the same state without them ends."""
+        plain_dir = tmp_path / "plain"
+        stream = DurableSummarizer(
+            plain_dir,
+            dim=2,
+            window_size=800,
+            points_per_bubble=40,
+            seed=7,
+            checkpoint_every=4,
+            fsync=False,
+        )
+        for _ in range(10):
+            stream.append(rng.normal(size=(120, 2)))
+        stream.checkpoints.close()  # crash: the WAL tail is replayed
+        old_dir = tmp_path / "old"
+        shutil.copytree(plain_dir, old_dir)
+        removed = {"use_seed_index": True, "assign_workers": 2}
+        snapshots = sorted(old_dir.glob("snapshot-*.npz"))
+        assert len(snapshots) == 2
+        for snapshot in snapshots:
+            with np.load(snapshot) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            meta = json.loads(arrays["meta_json"].tobytes().decode("utf-8"))
+            meta["config"].update(removed)
+            arrays["meta_json"] = np.frombuffer(
+                json.dumps(meta).encode("utf-8"), dtype=np.uint8
+            )
+            np.savez_compressed(snapshot, **arrays)
+        manifest_path = old_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["config"].update(removed)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        plain = DurableSummarizer.recover(plain_dir, fsync=False)
+        old = DurableSummarizer.recover(old_dir, fsync=False)
+        try:
+            assert old.batches_applied == plain.batches_applied == 10
+            ids = plain.store.ids()
+            assert np.array_equal(ids, old.store.ids())
+            for accessor in ("points_of", "owners_of", "labels_of"):
+                assert np.array_equal(
+                    getattr(plain.store, accessor)(ids),
+                    getattr(old.store, accessor)(ids),
+                )
+            assert len(plain.summary) == len(old.summary)
+            for a, b in zip(plain.summary, old.summary):
+                assert a.n == b.n
+                assert np.array_equal(
+                    np.asarray(a.stats.linear_sum),
+                    np.asarray(b.stats.linear_sum),
+                )
+                assert a.stats.square_sum == b.stats.square_sum
+                assert a.members == b.members
+            assert old.maintainer.rng_state == plain.maintainer.rng_state
+        finally:
+            plain.close(checkpoint=False)
+            old.close(checkpoint=False)
 
     @pytest.mark.parametrize("fsync", [True, False])
     def test_rename_is_followed_by_directory_fsync(

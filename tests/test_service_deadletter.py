@@ -158,6 +158,21 @@ class TestReplay:
         )
         assert report.replayed == 0 and report.drained
 
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_rewrite_fsyncs_file_then_directory(
+        self, tmp_path, fsync_trace, fsync
+    ):
+        path = deadletter_path(tmp_path)
+        append_dead_letters(path, make_letters(3), fsync=False)
+        calls = iter([True, False, True])
+        fsync_trace.clear()
+        replay_dead_letters(path, lambda event: next(calls), fsync=fsync)
+        if fsync:
+            assert fsync_trace == ["fsync_file", "replace", "fsync_dir"]
+        else:
+            assert fsync_trace == ["replace"]
+        assert len(read_dead_letters(path)) == 1
+
 
 class TestFailpoint:
     def test_flush_boundary_fires_after_durability(self, tmp_path):

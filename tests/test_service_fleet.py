@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PersistenceError, ServiceError
+from repro.observability import bucket_quantile
 from repro.service import (
     FleetConfig,
     FleetManager,
@@ -58,6 +59,20 @@ class TestLayout:
         assert manifest["window_size"] == 400
         assert "queue_points" not in manifest  # runtime knobs not durable
         fleet.drain()
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_fleet_manifest_is_durable(self, tmp_path, fsync_trace, fsync):
+        fleet = FleetManager(
+            tmp_path / "fleet", FleetConfig(**{**SYNC, "fsync": fsync})
+        )
+        written = list(fsync_trace)
+        fleet.drain()
+        if fsync:
+            assert written == ["fsync_file", "replace", "fsync_dir"]
+        else:
+            assert written == ["replace"]
+        assert not (tmp_path / "fleet" / "fleet.json.tmp").exists()
+        assert FleetManager.read_fleet_manifest(tmp_path / "fleet")
 
     def test_refuses_existing_fleet(self, tmp_path):
         FleetManager(tmp_path / "f", FleetConfig(**SYNC)).drain()
@@ -140,6 +155,18 @@ class TestRollup:
         assert rollup["schema"] == 1
         assert rollup["fleet"]["tenants"] == 4
         assert rollup["fleet"]["enqueued_points"] == 300
+        # The fleet p95 is the quantile of the shards' summed buckets.
+        histograms = [
+            fleet.shard(tenant)._h_ingest for tenant in fleet.tenants
+        ]
+        merged = [
+            sum(bucket)
+            for bucket in zip(*(h.bucket_counts() for h in histograms))
+        ]
+        assert sum(merged) > 0
+        assert rollup["fleet"]["ingest_p95_seconds"] == bucket_quantile(
+            histograms[0].bounds, merged, 0.95
+        )
         text = render_rollup(fleet.rollup())
         assert "tenant-000" in text
         assert "states" in text

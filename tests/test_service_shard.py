@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidConfigError, ServiceError
-from repro.observability import render_text
-from repro.service import Shard, histogram_quantile
+from repro.observability import bucket_quantile, render_text
+from repro.service import Shard
 from repro.streaming import DurableSummarizer
 
 
@@ -210,6 +210,8 @@ class TestDrainClose:
 
 
 class TestHistogramQuantile:
+    """:func:`bucket_quantile` over a shard's live histograms."""
+
     def test_bound_granular(self, tmp_path):
         shard = make_shard(tmp_path)
         histogram = shard._h_batch  # buckets 1, 2, 4, ...
@@ -217,20 +219,33 @@ class TestHistogramQuantile:
             histogram.observe(1)
         for _ in range(5):
             histogram.observe(3)
-        assert histogram_quantile(histogram, 0.95) == 1.0
-        assert histogram_quantile(histogram, 0.99) == 4.0
+        counts = histogram.bucket_counts()
+        assert bucket_quantile(histogram.bounds, counts, 0.95) == 1.0
+        assert bucket_quantile(histogram.bounds, counts, 0.99) == 4.0
         shard.close(checkpoint=False)
 
     def test_empty_histogram(self, tmp_path):
         shard = make_shard(tmp_path)
-        assert histogram_quantile(shard._h_ingest, 0.95) is None
+        histogram = shard._h_ingest
+        assert (
+            bucket_quantile(
+                histogram.bounds, histogram.bucket_counts(), 0.95
+            )
+            is None
+        )
         assert shard.ingest_p95_seconds() is None
         shard.close(checkpoint=False)
 
     def test_overflow_bucket(self, tmp_path):
         shard = make_shard(tmp_path)
-        shard._h_batch.observe(10_000)  # beyond the top bound
-        assert histogram_quantile(shard._h_batch, 0.95) is None
+        histogram = shard._h_batch
+        histogram.observe(10_000)  # beyond the top bound
+        assert (
+            bucket_quantile(
+                histogram.bounds, histogram.bucket_counts(), 0.95
+            )
+            is None
+        )
         shard.close(checkpoint=False)
 
 
