@@ -85,17 +85,13 @@ def test_warm_repair_beats_cold_walk(benchmark):
     # answer.
     cache = ClusterCache(min_pts=MIN_PTS)
     cache.refresh(bubbles)
-    next_pid = 10_000_000
     warm_best = float("inf")
     warm_times = []
     for _ in range(WARM_ROUNDS):
         ids = rng.choice(NUM_BUBBLES, size=TOUCH_PER_BATCH, replace=False)
         for bid in ids:
             bubble = bubbles[int(bid)]
-            bubble.absorb(
-                next_pid, bubble.rep + rng.normal(0, 0.3, size=DIM)
-            )
-            next_pid += 1
+            bubble.absorb(bubble.rep + rng.normal(0, 0.3, size=DIM))
         started = time.perf_counter()
         state, source = cache.refresh(bubbles)
         elapsed = time.perf_counter() - started

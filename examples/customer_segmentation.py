@@ -52,12 +52,11 @@ def segment_report(maintainer, store) -> tuple[int, float]:
     mapping = majority_bubble_labels(expanded, spans)
 
     ids, _, truth = store.snapshot()
-    position = {int(pid): i for i, pid in enumerate(ids)}
-    predicted = np.full(store.size, -1, dtype=np.int64)
-    for bubble in maintainer.bubbles:
-        label = mapping.get(bubble.bubble_id, -1)
-        for pid in bubble.members:
-            predicted[position[pid]] = label
+    # Each point inherits the segment of the bubble owning it.
+    predicted = np.array(
+        [mapping.get(int(owner), -1) for owner in store.owners_of(ids)],
+        dtype=np.int64,
+    )
     fscore = fscore_from_labels(truth, predicted).overall
     return len(spans), fscore
 

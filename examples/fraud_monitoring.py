@@ -108,7 +108,7 @@ def main() -> None:
     for bubble in maintainer.bubbles:
         if bubble.is_empty():
             continue
-        member_labels = store.labels_of(bubble.member_ids())
+        member_labels = store.labels_of(store.owned_by(bubble.bubble_id))
         if (member_labels == 9).mean() > 0.8:
             fraud_bubbles += 1
             covered += int((member_labels == 9).sum())

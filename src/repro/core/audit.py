@@ -1,14 +1,14 @@
 """Self-healing invariant audits of a maintained summary.
 
 :func:`~repro.core.validate.verify_consistency` *detects* drift between
-the three coupled representations (bubble statistics, bubble membership,
-store ownership); :class:`InvariantAuditor` goes one step further and
-*repairs* it. The repair reuses the summary's own mutation primitives —
-a drifted bubble is rebuilt wholesale through ``clear()`` +
-``absorb_many()`` (the merge/split machinery's path), orphaned points are
-re-homed to their nearest active bubble, and ownership records are
-rewritten to match — so a repaired summary is indistinguishable from one
-that was maintained correctly all along.
+the two coupled representations (the store's owner column and the
+bubbles' statistics); :class:`InvariantAuditor` goes one step further and
+*repairs* it, taking the owner column as the truth. Points the column
+gives to no active bubble are re-homed to their nearest active bubble,
+and every bubble whose statistics disagree with the points the column
+gives it is rebuilt wholesale through ``clear()`` + ``absorb_many()``
+(the merge/split machinery's path) — so a repaired summary is
+indistinguishable from one that was maintained correctly all along.
 
 Intended uses:
 
@@ -35,10 +35,9 @@ import numpy as np
 from ..database import PointStore
 from ..observability import Observability
 from ..observability.spans import maybe_span
-from ..sufficient import SufficientStatistics
 from .bubble_set import BubbleSet
 from .maintenance import IncrementalMaintainer
-from .validate import verify_consistency
+from .validate import ConsistencyReport, _stats_violations, verify_consistency
 
 __all__ = ["AuditReport", "InvariantAuditor"]
 
@@ -75,8 +74,9 @@ class InvariantAuditor:
         bubbles: the summary under audit.
         store: the database it claims to describe.
         maintainer: when given, its retired-bubble set (adaptive
-            maintainers park empty bubbles) is honoured: retired bubbles
-            must stay empty, and no point is re-homed into one.
+            maintainers park empty bubbles) is honoured: a point owned by
+            a retired bubble is a violation, and no point is re-homed
+            into one.
         rel_tol: statistics tolerance, as for ``verify_consistency``.
         obs: observability handle; audit metrics and events land here.
     """
@@ -122,9 +122,7 @@ class InvariantAuditor:
         is again — sound).
         """
         with maybe_span(self._obs, "audit", repair=repair):
-            check = verify_consistency(
-                self._bubbles, self._store, rel_tol=self._rel_tol
-            )
+            check = self._check()
             self._note_check(check.ok, len(check.violations))
             if check.ok:
                 return AuditReport(ok=True)
@@ -134,9 +132,7 @@ class InvariantAuditor:
                 self._obs, "audit_repair", violations=len(check.violations)
             ):
                 repaired, reassigned = self._repair()
-            recheck = verify_consistency(
-                self._bubbles, self._store, rel_tol=self._rel_tol
-            )
+            recheck = self._check()
             self._note_repair(repaired, reassigned, recheck.ok)
             return AuditReport(
                 ok=False,
@@ -146,110 +142,67 @@ class InvariantAuditor:
                 post_repair_ok=recheck.ok,
             )
 
+    def _check(self) -> ConsistencyReport:
+        """:func:`verify_consistency`, plus: retired bubbles own nothing."""
+        check = verify_consistency(
+            self._bubbles, self._store, rel_tol=self._rel_tol
+        )
+        retired = self._retired_ids()
+        if not retired:
+            return check
+        ids = self._store.ids()
+        parked = np.isin(
+            self._store.owners_of(ids), np.fromiter(retired, dtype=np.int64)
+        )
+        if not parked.any():
+            return check
+        violations = check.violations + (
+            f"{int(parked.sum())} alive point(s) owned by retired bubbles "
+            f"(e.g. {ids[parked][:5].tolist()})",
+        )
+        return ConsistencyReport(ok=False, violations=violations)
+
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------
     def _repair(self) -> tuple[list[int], int]:
-        """Rebuild drifted bubbles and rewrite ownership records.
+        """Re-home homeless points, then rebuild drifted bubbles.
 
-        The desired membership is decided per alive point: its single
-        claiming bubble when exactly one active bubble lists it; the
-        store's owner (or the lowest claimant id) when several do; and
-        the nearest active bubble (by representative distance) when none
-        does. Bubbles whose membership or statistics disagree with that
-        assignment are rebuilt from raw coordinates.
+        The owner column is the truth. An alive point whose owner is not
+        an active bubble (unowned, out of range or retired) moves to the
+        nearest active bubble by representative distance. Then every
+        bubble whose statistics disagree with the points the column gives
+        it is rebuilt from their raw coordinates.
         """
         store = self._store
-        alive = [int(i) for i in store.ids()]
         retired = self._retired_ids()
-        active = [
-            b.bubble_id
-            for b in self._bubbles
-            if b.bubble_id not in retired
-        ]
-
-        claims: dict[int, list[int]] = {}
-        for bubble in self._bubbles:
-            for pid in bubble.members:
-                claims.setdefault(int(pid), []).append(bubble.bubble_id)
-
-        desired: dict[int, int] = {}
-        orphans: list[int] = []
-        for pid in alive:
-            claimants = [
-                c for c in claims.get(pid, []) if c not in retired
-            ]
-            if not claimants:
-                orphans.append(pid)
-            elif len(claimants) == 1:
-                desired[pid] = claimants[0]
-            else:
-                owner = store.owner(pid)
-                desired[pid] = (
-                    owner if owner in claimants else min(claimants)
-                )
-        if orphans and active:
-            reps = np.stack([self._bubbles[i].rep for i in active])
-            points = store.points_of(np.asarray(orphans, dtype=np.int64))
+        active = np.asarray(
+            [b.bubble_id for b in self._bubbles if b.bubble_id not in retired],
+            dtype=np.int64,
+        )
+        ids = store.ids()
+        homeless = ids[~np.isin(store.owners_of(ids), active)]
+        moved = 0
+        if homeless.size and active.size:
+            reps = np.stack([self._bubbles[int(i)].rep for i in active])
+            points = store.points_of(homeless)
             sq = ((points[:, None, :] - reps[None, :, :]) ** 2).sum(axis=2)
-            for pid, j in zip(orphans, np.argmin(sq, axis=1)):
-                desired[pid] = active[int(j)]
+            store.set_owners(homeless, active[np.argmin(sq, axis=1)])
+            moved = int(homeless.size)
 
-        wanted: dict[int, list[int]] = {
-            b.bubble_id: [] for b in self._bubbles
-        }
-        for pid, bid in desired.items():
-            wanted[bid].append(pid)
-
+        offsets, members = self._bubbles.member_csr()
+        points = store.points_of(members)
         repaired: list[int] = []
         for bubble in self._bubbles:
-            want = wanted[bubble.bubble_id]
-            if bubble.members == set(want) and self._stats_ok(
-                bubble, want
-            ):
+            b = bubble.bubble_id
+            mine = points[offsets[b] : offsets[b + 1]]
+            if not _stats_violations(bubble, mine, self._rel_tol):
                 continue
             bubble.clear()
-            if want:
-                ids = np.asarray(sorted(want), dtype=np.int64)
-                bubble.absorb_many(ids, store.points_of(ids))
-            repaired.append(bubble.bubble_id)
-
-        changed_ids: list[int] = []
-        changed_owners: list[int] = []
-        for pid in alive:
-            bid = desired.get(pid)
-            if bid is not None and store.owner(pid) != bid:
-                changed_ids.append(pid)
-                changed_owners.append(bid)
-        if changed_ids:
-            store.set_owners(
-                np.asarray(changed_ids, dtype=np.int64),
-                np.asarray(changed_owners, dtype=np.int64),
-            )
-        return repaired, len(changed_ids)
-
-    def _stats_ok(self, bubble, member_ids: list[int]) -> bool:
-        """Whether a bubble's statistics match its (desired) members."""
-        if not member_ids:
-            return bubble.stats.n == 0
-        points = self._store.points_of(
-            np.asarray(sorted(member_ids), dtype=np.int64)
-        )
-        fresh = SufficientStatistics.from_points(points)
-        if bubble.stats.n != fresh.n:
-            return False
-        scale = max(1.0, float(np.abs(points).max()))
-        atol = self._rel_tol * scale * max(fresh.n, 1)
-        if not np.allclose(
-            bubble.stats.linear_sum,
-            fresh.linear_sum,
-            rtol=self._rel_tol,
-            atol=atol,
-        ):
-            return False
-        return abs(bubble.stats.square_sum - fresh.square_sum) <= max(
-            self._rel_tol * abs(fresh.square_sum), atol * scale
-        )
+            if mine.size:
+                bubble.absorb_many(mine)
+            repaired.append(b)
+        return repaired, moved
 
     def _retired_ids(self) -> frozenset[int]:
         if self._maintainer is None:

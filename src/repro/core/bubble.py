@@ -1,4 +1,4 @@
-"""The data bubble: sufficient statistics plus membership.
+"""The data bubble: a seed plus sufficient statistics.
 
 Definition 1 of the paper: a data bubble ``B`` for a point set ``X`` is the
 tuple ``(rep, n, extent, nnDist)``. All of those are derived on demand from
@@ -6,20 +6,19 @@ the additive sufficient statistics ``(n, LS, SS)``
 (:mod:`repro.sufficient`), which is what makes the bubble *incremental*:
 insertions and deletions are O(d) statistic updates.
 
-On top of Definition 1, an incremental bubble needs two more pieces of
+On top of Definition 1, an incremental bubble needs one more piece of
 state that the static formulation of Breunig et al. 2001 could leave
-implicit:
+implicit: a **seed** — the location used when assigning points to
+bubbles. During initial construction it is the sampled database point;
+when a bubble is migrated by the split/merge machinery it is re-seeded
+from a point of the over-filled bubble (Section 4.2).
 
-* a **seed** — the location used when assigning points to bubbles. During
-  initial construction it is the sampled database point; when a bubble is
-  migrated by the split/merge machinery it is re-seeded from a point of the
-  over-filled bubble (Section 4.2).
-* the **member point ids** — which points the bubble currently summarizes.
-  Deletion support requires knowing each point's bubble (tracked in the
-  :class:`~repro.database.PointStore`), and the split operation draws new
-  seeds "from the current points in B" (Figure 6), so the bubble keeps the
-  id set of its members. Coordinates are *not* duplicated here; they stay
-  in the store.
+Which points a bubble summarizes is *not* kept here. Deletion support
+needs each point's bubble, and the split draws new seeds "from the current
+points in B" (Figure 6); both read the owner column of the
+:class:`~repro.database.PointStore`, the single membership record
+(``store.owned_by(bubble_id)`` lists a bubble's points). The callers that
+move points between bubbles update that column alongside the statistics.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from ..exceptions import EmptyBubbleError
 from ..sufficient import SufficientStatistics, extent as _extent, nn_dist
-from ..types import BubbleId, Point, PointId
+from ..types import BubbleId, Point
 
 __all__ = ["DataBubble"]
 
@@ -42,10 +41,11 @@ class DataBubble:
             assignment; copied defensively.
 
     The bubble starts empty; points are added with :meth:`absorb` and
-    removed with :meth:`release`.
+    removed with :meth:`release`. Only their coordinates are passed: the
+    statistics are all a bubble keeps of them.
     """
 
-    __slots__ = ("_id", "_seed", "_stats", "_members", "_on_mutate")
+    __slots__ = ("_id", "_seed", "_stats", "_on_mutate")
 
     def __init__(self, bubble_id: BubbleId, seed: Point) -> None:
         seed = np.asarray(seed, dtype=np.float64)
@@ -54,7 +54,6 @@ class DataBubble:
         self._id = int(bubble_id)
         self._seed = seed.copy()
         self._stats = SufficientStatistics(dim=seed.shape[0])
-        self._members: set[PointId] = set()
         self._on_mutate = None
 
     def _notify(self) -> None:
@@ -153,75 +152,36 @@ class DataBubble:
         return self._stats
 
     # ------------------------------------------------------------------
-    # Membership / incremental updates
+    # Incremental updates
     # ------------------------------------------------------------------
-    @property
-    def members(self) -> frozenset[PointId]:
-        """Ids of the points currently summarized (immutable copy)."""
-        return frozenset(self._members)
-
-    def member_ids(self) -> np.ndarray:
-        """Member ids as a sorted numpy array (for vectorised store lookups)."""
-        return np.fromiter(
-            sorted(self._members), dtype=np.int64, count=len(self._members)
-        )
-
-    def absorb(self, point_id: PointId, point: Point) -> None:
+    def absorb(self, point: Point) -> None:
         """Add one point: ``(n, LS, SS) -> (n+1, LS+p, SS+p·p)``."""
-        if point_id in self._members:
-            raise ValueError(
-                f"point {point_id} is already a member of bubble {self._id}"
-            )
         self._stats.insert(point)
-        self._members.add(point_id)
         self._notify()
 
-    def release(self, point_id: PointId, point: Point) -> None:
-        """Remove one member: ``(n, LS, SS) -> (n-1, LS-p, SS-p·p)``."""
-        if point_id not in self._members:
-            raise ValueError(
-                f"point {point_id} is not a member of bubble {self._id}"
-            )
+    def release(self, point: Point) -> None:
+        """Remove one point: ``(n, LS, SS) -> (n-1, LS-p, SS-p·p)``."""
         self._stats.remove(point)
-        self._members.remove(point_id)
         self._notify()
 
-    def absorb_many(self, point_ids: np.ndarray, points: np.ndarray) -> None:
-        """Vectorised :meth:`absorb` for parallel id/coordinate arrays."""
-        if len(point_ids) != len(points):
-            raise ValueError("point_ids and points must align")
-        new_ids = set(int(i) for i in point_ids)
-        if new_ids & self._members:
-            raise ValueError("absorb_many received an existing member")
-        if len(new_ids) != len(point_ids):
-            raise ValueError("absorb_many received duplicate ids")
+    def absorb_many(self, points: np.ndarray) -> None:
+        """Vectorised :meth:`absorb` of an ``(m, d)`` coordinate matrix."""
         self._stats.insert_many(points)
-        self._members |= new_ids
         self._notify()
 
-    def release_many(self, point_ids: np.ndarray, points: np.ndarray) -> None:
-        """Vectorised :meth:`release` for parallel id/coordinate arrays."""
-        if len(point_ids) != len(points):
-            raise ValueError("point_ids and points must align")
-        leaving = set(int(i) for i in point_ids)
-        if len(leaving) != len(point_ids):
-            raise ValueError("release_many received duplicate ids")
-        if not leaving <= self._members:
-            raise ValueError("release_many received a non-member id")
+    def release_many(self, points: np.ndarray) -> None:
+        """Vectorised :meth:`release` of an ``(m, d)`` coordinate matrix."""
         self._stats.remove_many(points)
-        self._members -= leaving
         self._notify()
 
-    def restore_state(
-        self, stats: SufficientStatistics, member_ids: np.ndarray
-    ) -> None:
-        """Adopt persisted statistics and membership verbatim.
+    def restore_state(self, stats: SufficientStatistics) -> None:
+        """Adopt persisted statistics verbatim.
 
         Used by the persistence layer to rebuild a bubble bit-identically:
         the statistics are installed as-is instead of being re-accumulated
         from coordinates. Only legal on a freshly created (empty) bubble.
         """
-        if not self._stats.is_empty() or self._members:
+        if not self._stats.is_empty():
             raise EmptyBubbleError(
                 f"bubble {self._id} already summarizes points; restore_state "
                 "is only legal on an empty bubble"
@@ -230,29 +190,14 @@ class DataBubble:
             raise ValueError(
                 f"stats dim {stats.dim} does not match bubble dim {self.dim}"
             )
-        members = set(int(i) for i in member_ids)
-        if len(members) != len(member_ids):
-            raise ValueError("restore_state received duplicate member ids")
-        if stats.n != len(members):
-            raise ValueError(
-                f"stats count {stats.n} does not match "
-                f"{len(members)} member ids"
-            )
         self._stats = stats.copy()
-        self._members = members
         self._notify()
 
-    def clear(self) -> list[PointId]:
-        """Empty the bubble, returning the ids it used to summarize.
-
-        Used by the merge step: "the points in B_underfilled are released
-        and are assigned to their next closest data bubble" (Figure 6).
-        """
-        released = sorted(self._members)
-        self._members.clear()
+    def clear(self) -> None:
+        """Empty the bubble (the merge step of Figure 6 releases all of
+        its points at once)."""
         self._stats.clear()
         self._notify()
-        return released
 
     def is_empty(self) -> bool:
         """Whether the bubble currently summarizes no points."""

@@ -6,6 +6,10 @@ bubble-aware OPTICS consumes one. It owns the id space of its bubbles
 (dense indices ``0 .. B-1``) and offers the vectorised views (representative
 matrix, β vector) that the quality machinery and the clustering need.
 
+A set is bound to the :class:`~repro.database.PointStore` it summarizes:
+the store's owner column records which bubble holds each point, and
+:meth:`BubbleSet.member_csr` reads every bubble's points from it at once.
+
 The number of bubbles is fixed over the lifetime of the set — the paper
 maintains "a given number of data bubbles" and recycles under-filled ones
 instead of allocating new ones (Section 4.2); growing/shrinking the set is
@@ -19,15 +23,20 @@ from typing import Iterator
 
 import numpy as np
 
+from ..database import PointStore
 from ..exceptions import DimensionMismatchError
 from ..types import BubbleId
 from .bubble import DataBubble
 
-__all__ = ["BubbleSet"]
+__all__ = ["BubbleSet", "check_members"]
 
 
 class BubbleSet:
     """Container of :class:`DataBubble` objects with dense stable ids.
+
+    Args:
+        store: the database the bubbles summarize; its owner column is
+            the membership record of every bubble in the set.
 
     The set tracks a monotonic :attr:`version` counter, bumped by every
     mutation of any member bubble (absorb/release/reseed/clear/restore)
@@ -39,10 +48,9 @@ class BubbleSet:
     assigner and its seed matrix, rebuilt lazily on next use.
     """
 
-    def __init__(self, dim: int) -> None:
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        self._dim = int(dim)
+    def __init__(self, store: PointStore) -> None:
+        self._store = store
+        self._dim = store.dim
         self._bubbles: list[DataBubble] = []
         self._version = 0
         self._reps_cache: np.ndarray | None = None
@@ -99,6 +107,11 @@ class BubbleSet:
     def dim(self) -> int:
         """Dimensionality of the summarized points."""
         return self._dim
+
+    @property
+    def store(self) -> PointStore:
+        """The database whose owner column records the membership."""
+        return self._store
 
     def __len__(self) -> int:
         return len(self._bubbles)
@@ -192,26 +205,62 @@ class BubbleSet:
         """Ids of bubbles that currently summarize at least one point."""
         return [b.bubble_id for b in self._bubbles if not b.is_empty()]
 
-    def membership_invariant_ok(self, database_size: int) -> bool:
-        """Check that bubble memberships partition the database.
+    def member_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every bubble's points as CSR ``(offsets, ids)`` from the store.
 
-        True iff the member sets are pairwise disjoint and cover exactly
-        ``database_size`` points. Used by tests and by defensive assertions
-        in the maintainers.
+        Bubble ``b`` owns ``ids[offsets[b]:offsets[b + 1]]``, ascending
+        (one stable sort of the ascending alive ids by owner);
+        ``offsets`` has ``B + 1`` entries. Alive points whose owner is
+        not a bubble of this set are left out.
         """
-        seen: set[int] = set()
-        total = 0
-        for bubble in self._bubbles:
-            members = bubble.members
-            total += len(members)
-            before = len(seen)
-            seen |= members
-            if len(seen) != before + len(members):
-                return False
-        return total == database_size
+        num = len(self._bubbles)
+        ids = self._store.ids()
+        owners = self._store.owners_of(ids)
+        owned = (owners >= 0) & (owners < num)
+        ids, owners = ids[owned], owners[owned]
+        offsets = np.zeros(num + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=num), out=offsets[1:])
+        return offsets, ids[np.argsort(owners, kind="stable")]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BubbleSet(dim={self._dim}, bubbles={len(self._bubbles)}, "
             f"points={self.total_points})"
+        )
+
+
+def check_members(
+    bubbles: BubbleSet, offsets: np.ndarray, member_ids: np.ndarray
+) -> None:
+    """Cross-check persisted member arrays against the owner column.
+
+    Snapshot and session files carry each bubble's member ids as CSR
+    arrays. On load they must equal what the store's owner column implies
+    (:meth:`BubbleSet.member_csr`), the column may name only bubbles of
+    the set, and every bubble's ``n`` must equal the number of points it
+    owns.
+
+    Raises:
+        ValueError: on any disagreement.
+    """
+    store = bubbles.store
+    owners = store.owners_of(store.ids())
+    if ((owners < -1) | (owners >= len(bubbles))).any():
+        raise ValueError("the owner column names a nonexistent bubble")
+    want_offsets, want_ids = bubbles.member_csr()
+    if not (
+        np.array_equal(offsets, want_offsets)
+        and np.array_equal(member_ids, want_ids)
+    ):
+        raise ValueError(
+            "the stored member arrays disagree with the store's owner "
+            "column"
+        )
+    owned = np.diff(want_offsets)
+    drifted = np.flatnonzero(bubbles.counts() != owned)
+    if drifted.size:
+        b = int(drifted[0])
+        raise ValueError(
+            f"bubble {b} has n={bubbles[b].n} but owns {int(owned[b])} "
+            "point(s)"
         )

@@ -101,7 +101,7 @@ class BubbleBuilder:
         seed_rows = self._rng.choice(num_points, size=num_bubbles, replace=False)
         seeds = points[seed_rows]
 
-        bubbles = BubbleSet(dim=store.dim)
+        bubbles = BubbleSet(store)
         for seed in seeds:
             bubbles.add_bubble(seed)
 
@@ -121,8 +121,7 @@ class BubbleBuilder:
             mask = assignment == bubble_id
             if not mask.any():
                 continue
-            member_ids = ids[mask]
-            bubbles[bubble_id].absorb_many(member_ids, points[mask])
+            bubbles[bubble_id].absorb_many(points[mask])
         store.set_owners(ids, assignment)
         return bubbles
 

@@ -485,26 +485,17 @@ class IncrementalMaintainer:
 
     def _apply_deletions_inner(self, batch: UpdateBatch) -> None:
         ids = np.asarray(batch.deletions, dtype=np.int64)
-
-        def owner_of(point_id: int) -> int:
-            owner = self._store.owner(point_id)
-            if owner is None:
-                raise UnknownPointError(
-                    f"point {point_id} is not summarized by any bubble; "
-                    "points must be inserted through the maintainer (or "
-                    "assigned by the builder) before they can be deleted"
-                )
-            return owner
-
-        owners = np.fromiter(
-            (owner_of(int(i)) for i in ids),
-            dtype=np.int64,
-            count=ids.size,
-        )
+        owners = self._store.owners_of(ids)
+        if (owners < 0).any():
+            raise UnknownPointError(
+                f"point {int(ids[owners < 0][0])} is not summarized by any "
+                "bubble; points must be inserted through the maintainer (or "
+                "assigned by the builder) before they can be deleted"
+            )
         points = self._store.points_of(ids)
         for owner_id in np.unique(owners):
             mask = owners == owner_id
-            self._bubbles[int(owner_id)].release_many(ids[mask], points[mask])
+            self._bubbles[int(owner_id)].release_many(points[mask])
         self._store.delete(ids)
 
     # ------------------------------------------------------------------
@@ -533,9 +524,7 @@ class IncrementalMaintainer:
             assignment = np.asarray(active, dtype=np.int64)[assignment]
         for bubble_id in np.unique(assignment):
             mask = assignment == bubble_id
-            self._bubbles[int(bubble_id)].absorb_many(
-                new_ids[mask], points[mask]
-            )
+            self._bubbles[int(bubble_id)].absorb_many(points[mask])
         self._store.set_owners(new_ids, assignment)
         # Per-batch fraction from the assigner's counter deltas, not its
         # lifetime totals — the cached assigner may outlive this batch.

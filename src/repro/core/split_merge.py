@@ -15,10 +15,10 @@ points are redistributed between the two new seeds. Triangle-inequality
 pruning is used throughout the point assignments, and all distance
 computations flow into the shared :class:`~repro.geometry.DistanceCounter`.
 
-These functions mutate the :class:`~repro.core.bubble_set.BubbleSet` and
-the :class:`~repro.database.PointStore` in tandem and keep the
-membership/ownership invariant intact (every alive point is owned by
-exactly one bubble).
+These functions mutate the :class:`~repro.core.bubble_set.BubbleSet`'s
+statistics and the :class:`~repro.database.PointStore`'s owner column in
+tandem: the column says which points a bubble holds (it is where "the
+points of B" are read from), the statistics summarize exactly those.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _merge_bubble_inner(
     obs,
 ) -> int:
     donor = bubbles[donor_id]
-    member_ids = donor.member_ids()
+    member_ids = store.owned_by(donor_id)
     points = store.points_of(member_ids)
     donor.clear()
 
@@ -153,7 +153,7 @@ def _merge_bubble_inner(
 
     for target_id in np.unique(assignment):
         mask = assignment == target_id
-        bubbles[int(target_id)].absorb_many(member_ids[mask], points[mask])
+        bubbles[int(target_id)].absorb_many(points[mask])
     store.set_owners(member_ids, assignment)
     return int(member_ids.size)
 
@@ -214,7 +214,7 @@ def split_bubble(
     with maybe_span(
         obs, "split_bubble", over=int(over_id), donor=int(donor_id)
     ):
-        member_ids = over.member_ids()
+        member_ids = store.owned_by(over_id)
         points = store.points_of(member_ids)
         seed_one, seed_two = _select_split_seeds(
             points, strategy, rng, counter
@@ -234,8 +234,8 @@ def split_bubble(
             "ij,ij->i", diff_two, diff_two
         )
 
-        donor.absorb_many(member_ids[to_donor], points[to_donor])
-        over.absorb_many(member_ids[~to_donor], points[~to_donor])
+        donor.absorb_many(points[to_donor])
+        over.absorb_many(points[~to_donor])
         owners = np.where(to_donor, donor_id, over_id)
         store.set_owners(member_ids, owners)
         return int(to_donor.sum()), int(member_ids.size - to_donor.sum())

@@ -1,18 +1,20 @@
 """Deep consistency validation of a summary against its database.
 
-The incremental machinery maintains three coupled representations — the
-store's ownership records, each bubble's member set, and each bubble's
-sufficient statistics — and a bug in any mutation path silently corrupts
-downstream clustering. :func:`verify_consistency` recomputes everything
-from first principles and reports every violation it finds:
+The incremental machinery maintains two coupled representations — the
+store's owner column (which bubble holds each point: the only membership
+record) and each bubble's sufficient statistics — and a bug in any
+mutation path silently corrupts downstream clustering.
+:func:`verify_consistency` recomputes the statistics from first
+principles and reports every violation it finds:
 
-1. **partition** — member sets are pairwise disjoint and cover exactly the
-   alive points;
-2. **ownership** — the store's owner record of every point matches the
-   bubble holding it;
-3. **statistics** — each bubble's ``(n, LS, SS)`` equals a fresh
-   computation over its members' coordinates (within floating point
-   tolerance scaled to the data).
+1. **ownership** — every alive point is owned by an existing bubble;
+2. **statistics** — each bubble's ``(n, LS, SS)`` equals a fresh
+   computation over the coordinates of the alive points it owns (within
+   floating point tolerance scaled to the data).
+
+A point cannot be held by two bubbles: the column has one entry per
+point. A wrong entry shows up as two bubbles' statistics disagreeing
+with the points the column gives them.
 
 The property-based tests run this after arbitrary update interleavings;
 users can call it after a crash recovery or a custom mutation to know the
@@ -35,6 +37,7 @@ import numpy as np
 from ..database import PointStore
 from ..exceptions import InvalidConfigError, InvalidPointError
 from ..sufficient import SufficientStatistics
+from .bubble import DataBubble
 from .bubble_set import BubbleSet
 
 __all__ = [
@@ -193,7 +196,7 @@ def verify_consistency(
     store: PointStore,
     rel_tol: float = 1e-6,
 ) -> ConsistencyReport:
-    """Check partition, ownership and statistics agreement.
+    """Check ownership and statistics agreement.
 
     Args:
         bubbles: the summary under test.
@@ -202,79 +205,56 @@ def verify_consistency(
             by the coordinate magnitudes involved).
     """
     violations: list[str] = []
-    alive = set(int(i) for i in store.ids())
-
-    # 1. Partition: disjoint member sets covering exactly the alive ids.
-    seen: dict[int, int] = {}
-    for bubble in bubbles:
-        for pid in bubble.members:
-            if pid in seen:
-                violations.append(
-                    f"point {pid} is a member of bubbles {seen[pid]} "
-                    f"and {bubble.bubble_id}"
-                )
-            seen[pid] = bubble.bubble_id
-            if pid not in alive:
-                violations.append(
-                    f"bubble {bubble.bubble_id} holds dead point {pid}"
-                )
-    uncovered = alive - seen.keys()
-    if uncovered:
-        sample = sorted(uncovered)[:5]
+    ids = store.ids()
+    owners = store.owners_of(ids)
+    orphaned = (owners < 0) | (owners >= len(bubbles))
+    if orphaned.any():
         violations.append(
-            f"{len(uncovered)} alive point(s) belong to no bubble "
-            f"(e.g. {sample})"
+            f"{int(orphaned.sum())} alive point(s) belong to no bubble "
+            f"(e.g. {ids[orphaned][:5].tolist()})"
         )
-
-    # 2. Ownership agreement.
-    for pid in alive:
-        owner = store.owner(pid)
-        member_of = seen.get(pid)
-        if owner != member_of:
-            violations.append(
-                f"point {pid}: store owner {owner} != member of {member_of}"
-            )
-            if len(violations) > 50:
-                violations.append("... (truncated)")
-                break
-
-    # 3. Statistics agreement.
+    offsets, members = bubbles.member_csr()
+    points = store.points_of(members)
     for bubble in bubbles:
-        if bubble.is_empty():
-            if bubble.stats.n != 0:
-                violations.append(
-                    f"bubble {bubble.bubble_id}: empty members but n="
-                    f"{bubble.stats.n}"
-                )
-            continue
-        member_ids = bubble.member_ids()
-        if not set(int(i) for i in member_ids) <= alive:
-            continue  # already reported above
-        points = store.points_of(member_ids)
-        fresh = SufficientStatistics.from_points(points)
-        scale = max(1.0, float(np.abs(points).max()))
-        if bubble.stats.n != fresh.n:
-            violations.append(
-                f"bubble {bubble.bubble_id}: n={bubble.stats.n} but "
-                f"{fresh.n} members"
+        b = bubble.bubble_id
+        violations.extend(
+            _stats_violations(
+                bubble, points[offsets[b] : offsets[b + 1]], rel_tol
             )
-        if not np.allclose(
-            bubble.stats.linear_sum,
-            fresh.linear_sum,
-            rtol=rel_tol,
-            atol=rel_tol * scale * max(fresh.n, 1),
-        ):
-            violations.append(
-                f"bubble {bubble.bubble_id}: LS drifted from member sum"
-            )
-        atol = rel_tol * scale * scale * max(fresh.n, 1)
-        if abs(bubble.stats.square_sum - fresh.square_sum) > max(
-            rel_tol * abs(fresh.square_sum), atol
-        ):
-            violations.append(
-                f"bubble {bubble.bubble_id}: SS drifted from member sum"
-            )
-
+        )
     return ConsistencyReport(
         ok=not violations, violations=tuple(violations)
     )
+
+
+def _stats_violations(
+    bubble: DataBubble, points: np.ndarray, rel_tol: float
+) -> list[str]:
+    """How ``bubble``'s ``(n, LS, SS)`` disagrees with the ``(m, d)``
+    coordinates of the points it owns (empty when it agrees)."""
+    stats = bubble.stats
+    owned = points.shape[0]
+    if stats.n != owned:
+        return [
+            f"bubble {bubble.bubble_id}: n={stats.n} but it owns {owned} "
+            "alive point(s)"
+        ]
+    if owned == 0:
+        return []
+    fresh = SufficientStatistics.from_points(points)
+    scale = max(1.0, float(np.abs(points).max()))
+    atol = rel_tol * scale * owned
+    found = []
+    if not np.allclose(
+        stats.linear_sum, fresh.linear_sum, rtol=rel_tol, atol=atol
+    ):
+        found.append(
+            f"bubble {bubble.bubble_id}: LS drifted from its points' sum"
+        )
+    if abs(stats.square_sum - fresh.square_sum) > max(
+        rel_tol * abs(fresh.square_sum), atol * scale
+    ):
+        found.append(
+            f"bubble {bubble.bubble_id}: SS drifted from its points' sum"
+        )
+    return found

@@ -12,12 +12,17 @@ that substrate:
 * each point records which **data bubble owns it**, which is what makes
   deletions O(1): the incremental maintainer looks the owner up instead of
   searching all bubbles (Section 4: "the data bubble B where p was
-  previously assigned").
+  previously assigned"). This owner column is the *only* record of
+  membership — a bubble keeps just its seed and ``(n, LS, SS)``, and
+  :meth:`PointStore.owned_by` answers "the points of bubble b" (Figure 6's
+  merge and split) with one mask over the column.
 
 Storage is a set of parallel, capacity-doubling numpy arrays indexed by the
 point id itself, plus an aliveness mask. That keeps bulk snapshots (the
 complete-rebuild baseline re-summarizes the whole database every batch)
-vectorised and cheap.
+vectorised and cheap. Ids are never reused, so the arrays only grow; every
+whole-store scan starts at a *scan floor*, the lowest id that may still be
+alive, instead of at id 0 — a sliding window's dead prefix is never read.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ class PointStore:
         self._alive = np.zeros(self._capacity, dtype=bool)
         self._next_id = 0
         self._size = 0
+        # Every id below the floor is dead, and every dead id below
+        # next_id has owner -1, so scans of [floor, next_id) see it all.
+        self._low = 0
 
     # ------------------------------------------------------------------
     # Reconstruction (persistence support)
@@ -111,16 +119,16 @@ class PointStore:
         store._ensure_capacity(max(resume, 1))
         store._points[ids] = points
         store._labels[ids] = labels
+        store._owners[:resume] = _UNOWNED
         if owners is not None:
             owners = np.asarray(owners, dtype=np.int64)
             if owners.shape != ids.shape:
                 raise ValueError("owners must align with ids")
             store._owners[ids] = owners
-        else:
-            store._owners[ids] = _UNOWNED
         store._alive[ids] = True
         store._next_id = resume
         store._size = int(ids.size)
+        store._low = int(ids[0]) if ids.size else resume
         return store
 
     # ------------------------------------------------------------------
@@ -183,6 +191,11 @@ class PointStore:
         self._alive[ids] = False
         self._owners[ids] = _UNOWNED
         self._size -= ids.size
+        if not self._alive[self._low]:
+            # argmax stops at the first alive id; none left means the
+            # floor moves to next_id.
+            rest = self._alive[self._low : self._next_id]
+            self._low += int(rest.argmax()) if self._size else rest.size
 
     def set_owner(self, point_id: PointId, bubble_id: BubbleId) -> None:
         """Record which bubble currently summarizes ``point_id``."""
@@ -205,7 +218,7 @@ class PointStore:
 
     def clear_owners(self) -> None:
         """Forget every ownership record (used before a complete rebuild)."""
-        self._owners[: self._next_id] = _UNOWNED
+        self._owners[self._low : self._next_id] = _UNOWNED
 
     # ------------------------------------------------------------------
     # Lookup
@@ -260,28 +273,23 @@ class PointStore:
 
     def ids(self) -> np.ndarray:
         """Ids of all alive points, ascending."""
-        return np.flatnonzero(self._alive[: self._next_id]).astype(np.int64)
+        return self._scan(self._alive[self._low : self._next_id])
+
+    def owned_by(self, bubble_id: BubbleId) -> np.ndarray:
+        """Ids of the alive points ``bubble_id`` owns, ascending."""
+        return self._scan(self._owners[self._low : self._next_id] == bubble_id)
 
     def points_of(self, point_ids: Sequence[PointId]) -> np.ndarray:
         """Coordinate matrix for the given alive ids."""
-        ids = np.asarray(point_ids, dtype=np.int64)
-        if ids.size and not self._alive[ids].all():
-            raise UnknownPointError("requested a dead point")
-        return self._points[ids].copy()
+        return self._points[self._alive_ids(point_ids)].copy()
 
     def owners_of(self, point_ids: Sequence[PointId]) -> np.ndarray:
         """Bubble ownership for the given alive ids (``-1`` = unowned)."""
-        ids = np.asarray(point_ids, dtype=np.int64)
-        if ids.size and not self._alive[ids].all():
-            raise UnknownPointError("requested a dead point")
-        return self._owners[ids].copy()
+        return self._owners[self._alive_ids(point_ids)].copy()
 
     def labels_of(self, point_ids: Sequence[PointId]) -> np.ndarray:
         """Ground-truth labels for the given alive ids."""
-        ids = np.asarray(point_ids, dtype=np.int64)
-        if ids.size and not self._alive[ids].all():
-            raise UnknownPointError("requested a dead point")
-        return self._labels[ids].copy()
+        return self._labels[self._alive_ids(point_ids)].copy()
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, points, labels)`` of all alive points in one shot.
@@ -299,17 +307,32 @@ class PointStore:
 
     def ids_with_label(self, label: Label) -> np.ndarray:
         """Alive point ids whose ground-truth label equals ``label``."""
-        mask = self._alive[: self._next_id] & (
-            self._labels[: self._next_id] == label
+        window = slice(self._low, self._next_id)
+        return self._scan(
+            self._alive[window] & (self._labels[window] == label)
         )
-        return np.flatnonzero(mask).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _scan(self, mask: np.ndarray) -> np.ndarray:
+        """Ids of the set entries of a mask over ``[floor, next_id)``."""
+        return (np.flatnonzero(mask) + self._low).astype(np.int64, copy=False)
+
     def _check_alive(self, point_id: PointId) -> None:
         if not (0 <= point_id < self._next_id) or not self._alive[point_id]:
             raise UnknownPointError(f"point id {point_id} is not alive")
+
+    def _alive_ids(self, point_ids: Sequence[PointId]) -> np.ndarray:
+        """``point_ids`` as an int64 array; raises unless all are alive."""
+        ids = np.asarray(point_ids, dtype=np.int64)
+        if ids.size and not (
+            (ids >= 0).all()
+            and (ids < self._next_id).all()
+            and self._alive[ids].all()
+        ):
+            raise UnknownPointError("requested a dead point")
+        return ids
 
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._capacity:

@@ -43,18 +43,20 @@ def compactness(bubbles: BubbleSet) -> float:
 
 
 def compactness_from_points(bubbles: BubbleSet, store: PointStore) -> float:
-    """Compactness recomputed from raw member coordinates.
+    """Compactness recomputed from the raw coordinates of each bubble's
+    points (the store's owner column says which those are).
 
     Numerically independent of the sufficient statistics; the property
     tests assert it agrees with :func:`compactness` to within floating
     point tolerance.
     """
+    offsets, member_ids = bubbles.member_csr()
+    points = store.points_of(member_ids)
     total = 0.0
     for bubble in bubbles:
         if bubble.is_empty():
             continue
-        points = store.points_of(bubble.member_ids())
-        rep = bubble.rep
-        diff = points - rep
+        b = bubble.bubble_id
+        diff = points[offsets[b] : offsets[b + 1]] - bubble.rep
         total += float(np.einsum("ij,ij->", diff, diff))
     return total

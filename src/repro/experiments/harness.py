@@ -169,10 +169,11 @@ def candidate_point_sets(
     A span covers expanded plot entries; a bubble belongs to the span's
     cluster when at least half of its entries fall inside (spans may cut
     through a bubble's entry block at the separating bar). The candidate
-    is then the union of the member point ids of its bubbles, translated
-    to positions within ``alive_ids`` (the universe the truth labels are
-    indexed by).
+    is then the union of the ids of its bubbles' points (read from the
+    store's owner column), translated to positions within ``alive_ids``
+    (the universe the truth labels are indexed by).
     """
+    offsets, owned = bubbles.member_csr()
     source = expanded.source
     totals: dict[int, int] = {}
     for bubble_id, count in zip(*np.unique(source, return_counts=True)):
@@ -190,7 +191,7 @@ def candidate_point_sets(
             candidates.append(np.empty(0, dtype=np.int64))
             continue
         member_ids = np.concatenate(
-            [bubbles[b].member_ids() for b in chosen]
+            [owned[offsets[b] : offsets[b + 1]] for b in chosen]
         )
         positions = np.searchsorted(alive_ids, member_ids)
         candidates.append(positions)

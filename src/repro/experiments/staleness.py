@@ -85,7 +85,7 @@ def _stale_score(
 ) -> float:
     """Score a possibly stale summary against the *current* database."""
     alive_ids, _, truth = store.snapshot()
-    alive = set(int(i) for i in alive_ids)
+    offsets, owned = bubbles.member_csr()
     result = BubbleOptics(min_pts=config.min_pts).fit(bubbles)
     expanded = result.expanded()
     min_size = max(2, int(config.min_cluster_size * store.size))
@@ -105,20 +105,16 @@ def _stale_score(
             for b, c in zip(inside, counts)
             if 2 * int(c) >= totals[int(b)]
         ]
-        members: list[int] = []
-        for bubble_id in chosen:
-            # A stale summary may reference deleted points; only the
-            # still-alive ones can be reported to the analyst.
-            members.extend(
-                pid for pid in bubbles[bubble_id].members if pid in alive
+        # The owner column lists only alive points: a stale summary's
+        # deleted points are gone from it, and points inserted since the
+        # last rebuild are owned by no bubble.
+        members = np.sort(
+            np.concatenate(
+                [owned[offsets[b] : offsets[b + 1]] for b in chosen]
+                + [np.empty(0, dtype=np.int64)]
             )
-        if members:
-            positions = np.searchsorted(
-                alive_ids, np.asarray(sorted(members), dtype=np.int64)
-            )
-            candidates.append(positions)
-        else:
-            candidates.append(np.empty(0, dtype=np.int64))
+        )
+        candidates.append(np.searchsorted(alive_ids, members))
     return best_match_fscore(truth, candidates).overall
 
 

@@ -8,13 +8,14 @@ incremental savings. This module round-trips a whole session (the
 ``.npz`` file:
 
 * the store is saved as its alive ids, coordinates, labels, ownership and
-  id counter (ids are preserved exactly, including deletion gaps — they
-  are the keys the bubbles' member sets refer to);
-* the summary is saved structurally (seeds + member id lists); sufficient
-  statistics are *recomputed* from the member coordinates on load, which
-  both keeps the file format minimal and guarantees the loaded statistics
-  agree with the membership (a corrupted file cannot produce an
-  inconsistent summary).
+  id counter (ids are preserved exactly, including deletion gaps);
+* the summary is saved structurally (seeds + member id lists, derived
+  from the owner column — the store's ownership *is* the membership);
+  sufficient statistics are *recomputed* from the owned points'
+  coordinates on load, which keeps the file format minimal. On load the
+  member lists must equal what the owner column implies, so a file whose
+  two copies of the membership disagree is rejected rather than loaded
+  into an inconsistent summary.
 
 Example:
     >>> save_session("session.npz", store, bubbles)   # doctest: +SKIP
@@ -27,7 +28,7 @@ import pathlib
 
 import numpy as np
 
-from .core.bubble_set import BubbleSet
+from .core.bubble_set import BubbleSet, check_members
 from .database import PointStore
 
 __all__ = ["save_session", "load_session"]
@@ -43,9 +44,10 @@ def save_session(
     """Persist a store (and optionally its summary) to ``path``.
 
     Raises:
-        ValueError: if the summary's members are not all alive in the
-            store (a desynchronized pair would not survive the round
-            trip, so it is rejected up front).
+        ValueError: if a bubble's ``n`` differs from the number of points
+            the store's owner column gives it (a desynchronized pair
+            would not survive the round trip, so it is rejected up
+            front).
     """
     ids, points, labels = store.snapshot()
     owners = store.owners_of(ids)
@@ -60,26 +62,11 @@ def save_session(
         "has_summary": np.bool_(bubbles is not None),
     }
     if bubbles is not None:
-        alive = set(int(i) for i in ids)
-        member_chunks: list[np.ndarray] = []
-        offsets = [0]
-        seeds = bubbles.seeds()
-        for bubble in bubbles:
-            members = bubble.member_ids()
-            if not set(int(i) for i in members) <= alive:
-                raise ValueError(
-                    f"bubble {bubble.bubble_id} references points not alive "
-                    "in the store"
-                )
-            member_chunks.append(members)
-            offsets.append(offsets[-1] + members.size)
-        payload["seeds"] = seeds
-        payload["member_offsets"] = np.asarray(offsets, dtype=np.int64)
-        payload["member_ids"] = (
-            np.concatenate(member_chunks)
-            if member_chunks
-            else np.empty(0, dtype=np.int64)
-        )
+        offsets, member_ids = bubbles.member_csr()
+        check_members(bubbles, offsets, member_ids)
+        payload["seeds"] = bubbles.seeds()
+        payload["member_offsets"] = offsets
+        payload["member_ids"] = member_ids
     np.savez_compressed(pathlib.Path(path), **payload)
 
 
@@ -91,6 +78,10 @@ def load_session(
     Returns:
         ``(store, bubbles)``; ``bubbles`` is ``None`` when the session was
         saved without a summary.
+
+    Raises:
+        ValueError: the file's format version is unknown, or its member
+            arrays disagree with its owner column.
     """
     with np.load(pathlib.Path(path)) as archive:
         version = int(archive["format_version"])
@@ -113,10 +104,14 @@ def load_session(
         offsets = archive["member_offsets"]
         member_ids = archive["member_ids"]
 
-    bubbles = BubbleSet(dim=dim)
-    for index in range(seeds.shape[0]):
-        bubble = bubbles.add_bubble(seeds[index])
-        members = member_ids[offsets[index] : offsets[index + 1]]
-        if members.size:
-            bubble.absorb_many(members, store.points_of(members))
+    bubbles = BubbleSet(store)
+    for seed in seeds:
+        bubbles.add_bubble(seed)
+    owned_offsets, owned_ids = bubbles.member_csr()
+    points = store.points_of(owned_ids)
+    for index, bubble in enumerate(bubbles):
+        owned = points[owned_offsets[index] : owned_offsets[index + 1]]
+        if owned.size:
+            bubble.absorb_many(owned)
+    check_members(bubbles, offsets, member_ids)
     return store, bubbles

@@ -11,7 +11,8 @@ the incremental scheme *bit-identically*:
   ids are never reused);
 * the summary — per-bubble seeds, **raw** sufficient statistics
   ``(n, LS, SS)`` (stored verbatim, never recomputed: incremental updates
-  accumulate floating point in arrival order) and member-id lists;
+  accumulate floating point in arrival order) and member-id lists
+  (derived from the ownership column, which they must match on load);
 * the maintainer — retired-bubble set, steering parameters, and the
   maintenance RNG's bit-generator state, so replayed random choices match
   the crashed process exactly;
@@ -94,7 +95,8 @@ class SummarizerState:
         ns / linear_sums / square_sums: raw per-bubble sufficient
             statistics, aligned with ``seeds``.
         member_offsets / member_ids: CSR-style concatenated member-id
-            lists (``member_offsets`` has ``B + 1`` entries).
+            lists (``member_offsets`` has ``B + 1`` entries), derived from
+            ``store_owners``.
         retired: ids of retired bubbles.
         max_adjust: the maintainer's per-batch steering bound.
         rng_state: the maintenance RNG bit-generator state dict, or

@@ -40,6 +40,7 @@ from .core import (
     MaintenanceConfig,
 )
 from .core.audit import AuditReport, InvariantAuditor
+from .core.bubble_set import check_members
 from .core.maintenance import BatchReport
 from .core.validate import RejectedPoint, check_policy, screen_chunk
 from .database import PointStore, UpdateBatch
@@ -503,11 +504,12 @@ class SlidingWindowSummarizer:
         """Freeze the complete summarizer state for snapshotting.
 
         Everything a later :meth:`from_state` needs to resume
-        *bit-identically* is captured: store content (with id counter),
-        raw per-bubble sufficient statistics (never recomputed — they
-        carry insertion-order floating-point history), seeds, member ids,
-        the maintainer's RNG state and retired set, and the distance
-        totals.
+        *bit-identically* is captured: store content (with id counter and
+        owner column), raw per-bubble sufficient statistics (never
+        recomputed — they carry insertion-order floating-point history),
+        seeds, the maintainer's RNG state and retired set, and the
+        distance totals. The per-bubble member ids the snapshot format
+        carries are derived from the owner column.
 
         Args:
             batches_applied: stream position this state corresponds to
@@ -537,28 +539,16 @@ class SlidingWindowSummarizer:
 
         bubbles = self._maintainer.bubbles
         num = len(bubbles)
-        seeds = bubbles.seeds()
-        ns = bubbles.counts()
         linear_sums = np.empty((num, self._store.dim), dtype=np.float64)
         square_sums = np.empty(num, dtype=np.float64)
-        member_chunks: list[np.ndarray] = []
-        offsets = np.zeros(num + 1, dtype=np.int64)
         for i, bubble in enumerate(bubbles):
             linear_sums[i] = bubble.stats.linear_sum
             square_sums[i] = bubble.stats.square_sum
-            members = bubble.member_ids()
-            member_chunks.append(members)
-            offsets[i + 1] = offsets[i] + members.size
-        state.seeds = seeds
-        state.ns = ns
+        state.seeds = bubbles.seeds()
+        state.ns = bubbles.counts()
         state.linear_sums = linear_sums
         state.square_sums = square_sums
-        state.member_offsets = offsets
-        state.member_ids = (
-            np.concatenate(member_chunks)
-            if member_chunks
-            else np.empty(0, dtype=np.int64)
-        )
+        state.member_offsets, state.member_ids = bubbles.member_csr()
         state.retired = tuple(sorted(self._maintainer.retired_ids))
         state.max_adjust = self._maintainer.max_adjust_per_batch
         state.rng_state = self._maintainer.rng_state
@@ -577,6 +567,11 @@ class SlidingWindowSummarizer:
         ``on_bad_point`` and ``audit_every`` are runtime policies, not
         summary state — the caller (e.g. ``DurableSummarizer.recover``,
         which reads them from the manifest) re-supplies them.
+
+        Raises:
+            ValueError: the state is internally inconsistent — among
+                others, its member arrays or ``ns`` disagree with what
+                the store's owner column implies.
         """
         stream = cls(
             dim=state.dim,
@@ -607,18 +602,16 @@ class SlidingWindowSummarizer:
         if not state.bootstrapped:
             return stream
 
-        bubbles = BubbleSet(dim=state.dim)
+        bubbles = BubbleSet(stream._store)
         for i in range(state.num_bubbles):
-            bubble = bubbles.add_bubble(state.seeds[i])
-            stats = SufficientStatistics.from_raw(
-                int(state.ns[i]),
-                state.linear_sums[i],
-                float(state.square_sums[i]),
+            bubbles.add_bubble(state.seeds[i]).restore_state(
+                SufficientStatistics.from_raw(
+                    int(state.ns[i]),
+                    state.linear_sums[i],
+                    float(state.square_sums[i]),
+                )
             )
-            members = state.member_ids[
-                state.member_offsets[i] : state.member_offsets[i + 1]
-            ]
-            bubble.restore_state(stats, members)
+        check_members(bubbles, state.member_offsets, state.member_ids)
         maintainer = AdaptiveMaintainer(
             bubbles,
             stream._store,

@@ -127,7 +127,7 @@ class TestBubbleOrdering:
     def test_all_empty_raises(self):
         from repro.core import BubbleSet
 
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         bubbles.add_bubble(np.zeros(2))
         with pytest.raises(ValueError):
             BubbleOptics().fit(bubbles)

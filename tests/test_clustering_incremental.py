@@ -71,19 +71,16 @@ def assert_states_equal(state, fresh_state):
         assert np.array_equal(v_a, v_b)
 
 
-def apply_move(bubbles, bid: int, move: int, rng, next_pid: list[int]):
+def apply_move(bubbles, bid: int, move: int, rng):
     """One mutation: absorb near, release, or absorb far (a drifter)."""
     b = bubbles[int(bid)]
     dim = b.rep.shape[0]
     if move == 0 or b.n <= 2:
-        b.absorb(next_pid[0], b.rep + rng.normal(0, 0.3, size=dim))
-        next_pid[0] += 1
+        b.absorb(b.rep + rng.normal(0, 0.3, size=dim))
     elif move == 1:
-        victim = next(iter(b.members))
-        b.release(victim, b.rep + rng.normal(0, 0.2, size=dim))
+        b.release(b.rep + rng.normal(0, 0.2, size=dim))
     else:
-        b.absorb(next_pid[0], b.rep + rng.normal(0, 1.8, size=dim))
-        next_pid[0] += 1
+        b.absorb(b.rep + rng.normal(0, 1.8, size=dim))
 
 
 MIN_PTS = 12
@@ -128,8 +125,7 @@ class TestCacheSources:
         cache.refresh(bubbles)
         cold_cost = counter.snapshot().computed
         rng = np.random.default_rng(0)
-        next_pid = [10_000_000]
-        apply_move(bubbles, 5, 0, rng, next_pid)
+        apply_move(bubbles, 5, 0, rng)
         before = counter.snapshot().computed
         _, src = cache.refresh(bubbles)
         assert src == "repair"
@@ -159,10 +155,9 @@ class TestRepairEquivalence:
     def run_schedule(self, bubbles, schedule, rng):
         cache = ClusterCache(min_pts=MIN_PTS)
         cache.refresh(bubbles)
-        next_pid = [10_000_000]
         for moves in schedule:
             for bid, move in moves:
-                apply_move(bubbles, bid % len(bubbles), move, rng, next_pid)
+                apply_move(bubbles, bid % len(bubbles), move, rng)
             state, src = cache.refresh(bubbles)
             fresh_state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
             assert_states_equal(state, fresh_state)
@@ -202,8 +197,7 @@ class TestRepairEquivalence:
         cache = ClusterCache(min_pts=MIN_PTS)
         cache.refresh(bubbles)
         rng = np.random.default_rng(4)
-        next_pid = [10_000_000]
-        apply_move(bubbles, 7, 0, rng, next_pid)
+        apply_move(bubbles, 7, 0, rng)
         _, src = cache.refresh(bubbles)
         assert src == "repair"
         splice = cache.last_splice
@@ -219,8 +213,8 @@ class TestRepairEquivalence:
         # cache must take the rebuild path (reusing surviving entries).
         rng = np.random.default_rng(5)
         donor = bubbles[3]
-        for pid in list(donor.members):
-            donor.release(pid, donor.rep + rng.normal(0, 0.1, size=3))
+        for _ in range(donor.n):
+            donor.release(donor.rep + rng.normal(0, 0.1, size=3))
         assert donor.n == 0
         state, src = cache.refresh(bubbles)
         assert src == "rebuild"
@@ -259,7 +253,7 @@ class TestDegenerates:
             BubbleConfig(num_bubbles=1, seed=0)
         ).build(store)
         b = bubbles[0]
-        b.release(next(iter(b.members)), np.zeros(2))
+        b.release(np.zeros(2))
         clusterer = IncrementalClusterer(min_pts=MIN_PTS)
         fit = clusterer.fit(bubbles)
         assert fit.source == "empty"
@@ -381,8 +375,7 @@ class TestAnytime:
         )
         clusterer.fit(bubbles)
         rng = np.random.default_rng(6)
-        next_pid = [10_000_000]
-        apply_move(bubbles, 11, 0, rng, next_pid)
+        apply_move(bubbles, 11, 0, rng)
         fit = clusterer.fit(bubbles, deadline_seconds=10.0)
         # A repairable cache beats staged re-walking.
         assert fit.source == "repair"
@@ -396,8 +389,7 @@ class TestClustererWiring:
         assert clusterer.fit(bubbles).source == "cold"
         assert clusterer.fit(bubbles).source == "hit"
         rng = np.random.default_rng(7)
-        next_pid = [10_000_000]
-        apply_move(bubbles, 3, 0, rng, next_pid)
+        apply_move(bubbles, 3, 0, rng)
         assert clusterer.fit(bubbles).source == "repair"
         stats = clusterer.stats()
         assert stats["fits"] == 3
@@ -631,8 +623,7 @@ class TestObservabilityWiring:
         )
         clusterer.fit(bubbles, deadline_seconds=10.0)  # anytime stages
         rng = np.random.default_rng(11)
-        next_pid = [10_000_000]
-        apply_move(bubbles, 4, 0, rng, next_pid)
+        apply_move(bubbles, 4, 0, rng)
         clusterer.fit(bubbles)  # repair
         counts = obs.spans.counts()
         assert counts["cluster_fit"] == 2

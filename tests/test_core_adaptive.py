@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro import BubbleBuilder, BubbleConfig, PointStore, UpdateBatch
-from repro.core import AdaptiveMaintainer, MaintenanceConfig
+from repro.core import (
+    AdaptiveMaintainer,
+    MaintenanceConfig,
+    verify_consistency,
+)
 from repro.exceptions import InvalidConfigError
 
 
@@ -36,7 +40,7 @@ class TestGrowth:
                 insertion_labels=tuple([0] * 200),
             )
             maintainer.apply_batch(batch)
-            assert bubbles.membership_invariant_ok(store.size)
+            assert verify_consistency(bubbles, store).ok
         assert maintainer.active_count > start
         assert maintainer.active_count == maintainer.target_count
 
@@ -63,7 +67,7 @@ class TestShrink:
             maintainer.apply_batch(
                 UpdateBatch(deletions=victims, insertions=np.empty((0, 2)))
             )
-            assert bubbles.membership_invariant_ok(store.size)
+            assert verify_consistency(bubbles, store).ok
         assert maintainer.active_count == maintainer.target_count
         assert maintainer.active_count < 20
 
@@ -83,7 +87,7 @@ class TestShrink:
             )
             for bubble_id in maintainer.retired_ids:
                 assert bubbles[bubble_id].is_empty()
-            assert bubbles.membership_invariant_ok(store.size)
+            assert verify_consistency(bubbles, store).ok
 
     def test_retired_bubbles_revived_on_regrowth(self, rng):
         store, bubbles, maintainer = make_adaptive(rng)

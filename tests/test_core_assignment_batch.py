@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import PointStore
 from repro.core import (
     AssignerCache,
     BubbleSet,
@@ -248,7 +249,7 @@ class TestBatchScalarEquivalence:
 
 class TestAssignerCache:
     def _bubble_set(self, seeds):
-        bubbles = BubbleSet(dim=seeds.shape[1])
+        bubbles = BubbleSet(PointStore(dim=seeds.shape[1]))
         for seed in seeds:
             bubbles.add_bubble(seed)
         return bubbles
@@ -271,7 +272,7 @@ class TestAssignerCache:
         cache = AssignerCache()
         counter = DistanceCounter()
         a1 = cache.get(bubbles, counter)
-        bubbles[0].absorb(0, np.array([1.0, 1.0]))
+        bubbles[0].absorb(np.array([1.0, 1.0]))
         a2 = cache.get(bubbles, counter)
         assert a1 is not a2
         assert cache.misses == 2
@@ -310,36 +311,32 @@ class TestAssignerCache:
         cache = AssignerCache()
         assigner = cache.get(bubbles, DistanceCounter())
         before = assigner.locations.copy()
-        bubbles[0].absorb(0, np.array([100.0, 100.0]))
+        bubbles[0].absorb(np.array([100.0, 100.0]))
         bubbles.reps()  # refresh the set's cache in place
         assert np.array_equal(assigner.locations, before)
 
 
 class TestBubbleSetVersioning:
     def test_version_bumps_on_every_mutation(self):
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         v0 = bubbles.version
         bubble = bubbles.add_bubble(np.zeros(2))
         assert bubbles.version > v0
 
         v1 = bubbles.version
-        bubble.absorb(0, np.array([1.0, 0.0]))
+        bubble.absorb(np.array([1.0, 0.0]))
         assert bubbles.version > v1
 
         v2 = bubbles.version
-        bubble.release(0, np.array([1.0, 0.0]))
+        bubble.release(np.array([1.0, 0.0]))
         assert bubbles.version > v2
 
         v3 = bubbles.version
-        bubble.absorb_many(
-            np.array([1, 2]), np.array([[1.0, 0.0], [0.0, 1.0]])
-        )
+        bubble.absorb_many(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert bubbles.version > v3
 
         v4 = bubbles.version
-        bubble.release_many(
-            np.array([1, 2]), np.array([[1.0, 0.0], [0.0, 1.0]])
-        )
+        bubble.release_many(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert bubbles.version > v4
 
         v5 = bubbles.version
@@ -351,13 +348,13 @@ class TestBubbleSetVersioning:
         assert bubbles.version > v6
 
     def test_reps_cache_refreshes_dirty_rows_only(self):
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         a = bubbles.add_bubble(np.array([0.0, 0.0]))
         b = bubbles.add_bubble(np.array([5.0, 5.0]))
         first = bubbles.reps()
         assert first[0].tolist() == [0.0, 0.0]
 
-        a.absorb(0, np.array([2.0, 2.0]))
+        a.absorb(np.array([2.0, 2.0]))
         second = bubbles.reps()
         assert second[0].tolist() == [2.0, 2.0]  # dirty row refreshed
         assert second[1].tolist() == [5.0, 5.0]
@@ -365,7 +362,7 @@ class TestBubbleSetVersioning:
         assert second.base is first.base
 
     def test_reps_view_is_read_only(self):
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         bubbles.add_bubble(np.zeros(2))
         reps = bubbles.reps()
         with pytest.raises(ValueError):

@@ -31,6 +31,19 @@ def point_of(store, pid):
     return store.points_of(np.asarray([pid], dtype=np.int64))[0]
 
 
+def retire_first(maintainer):
+    """Move the first non-empty bubble's points to the second and park
+    the first; returns ``(retired_id, target_id)``."""
+    store, bubbles = maintainer.store, maintainer.bubbles
+    retired_bid, target_bid = bubbles.non_empty_ids()[:2]
+    ids = store.owned_by(retired_bid)
+    bubbles[retired_bid].clear()
+    bubbles[target_bid].absorb_many(store.points_of(ids))
+    store.set_owners(ids, np.full(ids.size, target_bid, dtype=np.int64))
+    maintainer.restore_retired(set(maintainer.retired_ids) | {retired_bid})
+    return retired_bid, target_bid
+
+
 class TestAuditReport:
     def test_healthy_when_clean(self):
         assert AuditReport(ok=True).healthy
@@ -55,12 +68,17 @@ class TestCleanAudit:
 
     def test_clean_audit_does_not_mutate(self, world):
         store, bubbles = world
-        before = {
-            b.bubble_id: (b.stats.n, b.members) for b in bubbles
-        }
+        ids = store.ids()
+
+        def state():
+            return (
+                [b.stats.n for b in bubbles],
+                store.owners_of(ids).tolist(),
+            )
+
+        before = state()
         InvariantAuditor(bubbles, store).audit()
-        after = {b.bubble_id: (b.stats.n, b.members) for b in bubbles}
-        assert before == after
+        assert state() == before
 
 
 class TestRepairs:
@@ -68,7 +86,7 @@ class TestRepairs:
         store, bubbles = world
         victim = bubbles.non_empty_ids()[0]
         # A phantom point in the statistics only: n/LS/SS drift away
-        # from the membership.
+        # from the points the owner column gives the bubble.
         bubbles[victim].stats.insert(np.array([50.0, 50.0]))
         assert not verify_consistency(bubbles, store).ok
 
@@ -82,42 +100,25 @@ class TestRepairs:
     def test_orphaned_point_is_rehomed_to_nearest_bubble(self, world):
         store, bubbles = world
         victim = bubbles.non_empty_ids()[0]
-        pid = int(min(bubbles[victim].members))
-        bubbles[victim].release(pid, point_of(store, pid))
+        pid = int(store.owned_by(victim)[0])
+        bubbles[victim].release(point_of(store, pid))
+        store.set_owner(pid, -1)  # owned by no bubble
         assert not verify_consistency(bubbles, store).ok
+        sq = ((bubbles.reps() - point_of(store, pid)) ** 2).sum(axis=1)
 
         report = InvariantAuditor(bubbles, store).audit()
         assert report.healthy
-        # The point is a member of exactly one bubble again, and the
-        # ownership record matches.
-        holders = [
-            b.bubble_id for b in bubbles if pid in b.members
-        ]
-        assert len(holders) == 1
-        assert store.owner(pid) == holders[0]
-        assert verify_consistency(bubbles, store).ok
-
-    def test_duplicate_membership_is_resolved(self, world):
-        store, bubbles = world
-        donor = bubbles.non_empty_ids()[0]
-        other = bubbles.non_empty_ids()[1]
-        pid = int(min(bubbles[donor].members))
-        bubbles[other].absorb(pid, point_of(store, pid))
-        assert not verify_consistency(bubbles, store).ok
-
-        report = InvariantAuditor(bubbles, store).audit()
-        assert report.healthy
-        holders = [b.bubble_id for b in bubbles if pid in b.members]
-        # The store's owner record broke the tie: the point stays where
-        # it always was.
-        assert holders == [donor]
+        assert report.reassigned_points == 1
+        # The point is owned again — by the bubble whose representative
+        # is nearest — and that bubble's statistics include it.
+        assert store.owner(pid) == int(np.argmin(sq))
         assert verify_consistency(bubbles, store).ok
 
     def test_ownership_mismatch_is_rewritten(self, world):
         store, bubbles = world
         donor = bubbles.non_empty_ids()[0]
         other = bubbles.non_empty_ids()[1]
-        pid = int(min(bubbles[donor].members))
+        pid = int(store.owned_by(donor)[0])
         store.set_owners(
             np.asarray([pid], dtype=np.int64),
             np.asarray([other], dtype=np.int64),
@@ -126,8 +127,11 @@ class TestRepairs:
 
         report = InvariantAuditor(bubbles, store).audit()
         assert report.healthy
-        assert report.reassigned_points >= 1
-        assert store.owner(pid) == donor
+        # The owner column is the truth: the point stays with `other`,
+        # and both bubbles' statistics are rewritten to match it.
+        assert report.reassigned_points == 0
+        assert set(report.repaired_bubbles) == {donor, other}
+        assert store.owner(pid) == other
         assert verify_consistency(bubbles, store).ok
 
     def test_healthy_bubbles_keep_their_float_history(self, world):
@@ -177,56 +181,42 @@ class TestRetiredBubbles:
     def test_orphans_never_rehomed_into_retired_bubbles(self, stream):
         maintainer = stream.maintainer
         store, bubbles = maintainer.store, maintainer.bubbles
-        # Manufacture a retired bubble: move its members elsewhere
+        # Manufacture a retired bubble: move its points elsewhere
         # through the proper primitives, then park it.
-        retired_bid = bubbles.non_empty_ids()[0]
-        target_bid = bubbles.non_empty_ids()[1]
-        moved = bubbles[retired_bid].clear()
-        ids = np.asarray(moved, dtype=np.int64)
-        bubbles[target_bid].absorb_many(ids, store.points_of(ids))
-        store.set_owners(
-            ids, np.full(ids.size, target_bid, dtype=np.int64)
-        )
-        maintainer.restore_retired(
-            set(maintainer.retired_ids) | {retired_bid}
-        )
+        retired_bid, target_bid = retire_first(maintainer)
         assert verify_consistency(bubbles, store).ok
 
         # Now orphan a point sitting right on the retired bubble's seed
         # neighbourhood and audit: it must land in an *active* bubble.
-        pid = int(min(bubbles[target_bid].members))
-        bubbles[target_bid].release(pid, point_of(store, pid))
+        pid = int(store.owned_by(target_bid)[0])
+        bubbles[target_bid].release(point_of(store, pid))
+        store.set_owner(pid, -1)
         report = InvariantAuditor.for_maintainer(maintainer).audit()
         assert report.healthy
         assert bubbles[retired_bid].is_empty()
-        assert pid not in bubbles[retired_bid].members
-        assert store.owner(pid) != retired_bid
+        assert store.owned_by(retired_bid).size == 0
+        assert store.owner(pid) not in (None, retired_bid)
 
     def test_point_claimed_only_by_retired_bubble_is_rescued(self, stream):
         maintainer = stream.maintainer
         store, bubbles = maintainer.store, maintainer.bubbles
         # Properly retire an emptied bubble first...
-        retired_bid = bubbles.non_empty_ids()[0]
-        target_bid = bubbles.non_empty_ids()[1]
-        moved = bubbles[retired_bid].clear()
-        ids = np.asarray(moved, dtype=np.int64)
-        bubbles[target_bid].absorb_many(ids, store.points_of(ids))
-        store.set_owners(
-            ids, np.full(ids.size, target_bid, dtype=np.int64)
-        )
-        maintainer.restore_retired(
-            set(maintainer.retired_ids) | {retired_bid}
-        )
-        # ...then corrupt: a point claimed *only* by the retired bubble.
-        pid = int(min(bubbles[target_bid].members))
+        retired_bid, target_bid = retire_first(maintainer)
+        # ...then corrupt: a point owned (and counted) by the retired
+        # bubble. Statistics and column agree, but retired bubbles must
+        # stay empty.
+        pid = int(store.owned_by(target_bid)[0])
         point = point_of(store, pid)
-        bubbles[target_bid].release(pid, point)
-        bubbles[retired_bid].absorb(pid, point)
+        bubbles[target_bid].release(point)
+        bubbles[retired_bid].absorb(point)
+        store.set_owner(pid, retired_bid)
+        assert verify_consistency(bubbles, store).ok
 
         report = InvariantAuditor.for_maintainer(maintainer).audit()
+        assert not report.ok
         assert report.healthy
         assert bubbles[retired_bid].is_empty()
-        assert store.owner(pid) != retired_bid
+        assert store.owner(pid) not in (None, retired_bid)
 
 
 class TestObservability:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import DataBubble
+from repro import PointStore
+from repro.core import BubbleSet, DataBubble
 from repro.exceptions import EmptyBubbleError
 
 
@@ -27,92 +28,80 @@ class TestLifecycle:
 
     def test_absorb_updates_rep(self):
         bubble = make_bubble()
-        bubble.absorb(1, np.array([2.0, 2.0]))
-        bubble.absorb(2, np.array([4.0, 4.0]))
+        bubble.absorb(np.array([2.0, 2.0]))
+        bubble.absorb(np.array([4.0, 4.0]))
         assert bubble.n == 2
         assert bubble.rep == pytest.approx([3.0, 3.0])
-        assert bubble.members == {1, 2}
-
-    def test_double_absorb_rejected(self):
-        bubble = make_bubble()
-        bubble.absorb(1, np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            bubble.absorb(1, np.array([1.0, 1.0]))
 
     def test_release_restores_empty(self):
         bubble = make_bubble()
         point = np.array([1.0, 2.0])
-        bubble.absorb(5, point)
-        bubble.release(5, point)
+        bubble.absorb(point)
+        bubble.release(point)
         assert bubble.is_empty()
-        assert bubble.members == frozenset()
+        assert bubble.stats.n == 0
 
     def test_release_nonmember_rejected(self):
+        # A bubble that holds nothing has no point to release.
         bubble = make_bubble()
-        with pytest.raises(ValueError):
-            bubble.release(9, np.array([0.0, 0.0]))
+        with pytest.raises(EmptyBubbleError):
+            bubble.release(np.array([0.0, 0.0]))
 
-    def test_clear_returns_member_ids(self):
+    def test_clear_empties_the_bubble(self):
         bubble = make_bubble()
         for i in range(3):
-            bubble.absorb(i, np.array([float(i), 0.0]))
-        released = bubble.clear()
-        assert released == [0, 1, 2]
+            bubble.absorb(np.array([float(i), 0.0]))
+        assert bubble.clear() is None
         assert bubble.is_empty()
+        assert bubble.rep == pytest.approx(bubble.seed)
 
 
 class TestBulkOperations:
     def test_absorb_many_matches_loop(self):
         rng = np.random.default_rng(0)
         points = rng.normal(size=(20, 2))
-        ids = np.arange(20)
         bulk = make_bubble()
-        bulk.absorb_many(ids, points)
+        bulk.absorb_many(points)
         loop = make_bubble()
-        for i, p in zip(ids, points):
-            loop.absorb(int(i), p)
+        for p in points:
+            loop.absorb(p)
         assert bulk.n == loop.n
         assert bulk.rep == pytest.approx(loop.rep)
         assert bulk.extent == pytest.approx(loop.extent)
-        assert bulk.members == loop.members
-
-    def test_absorb_many_rejects_duplicates(self):
-        bubble = make_bubble()
-        with pytest.raises(ValueError):
-            bubble.absorb_many(np.array([1, 1]), np.zeros((2, 2)))
-
-    def test_absorb_many_rejects_existing_member(self):
-        bubble = make_bubble()
-        bubble.absorb(1, np.zeros(2))
-        with pytest.raises(ValueError):
-            bubble.absorb_many(np.array([1]), np.zeros((1, 2)))
 
     def test_release_many(self):
         rng = np.random.default_rng(1)
         points = rng.normal(size=(10, 2))
         bubble = make_bubble()
-        bubble.absorb_many(np.arange(10), points)
-        bubble.release_many(np.arange(5), points[:5])
+        bubble.absorb_many(points)
+        bubble.release_many(points[:5])
         assert bubble.n == 5
-        assert bubble.members == set(range(5, 10))
+        assert bubble.rep == pytest.approx(points[5:].mean(axis=0))
 
     def test_release_many_nonmember_rejected(self):
+        # Releasing more points than the bubble holds.
         bubble = make_bubble()
-        bubble.absorb(0, np.zeros(2))
-        with pytest.raises(ValueError):
-            bubble.release_many(np.array([0, 1]), np.zeros((2, 2)))
+        bubble.absorb(np.zeros(2))
+        with pytest.raises(EmptyBubbleError):
+            bubble.release_many(np.zeros((2, 2)))
 
     def test_member_ids_sorted(self):
-        bubble = make_bubble()
-        for i in (5, 1, 3):
-            bubble.absorb(i, np.zeros(2))
-        assert bubble.member_ids().tolist() == [1, 3, 5]
+        # A bubble's member ids are the store's owner-column entries
+        # naming it, in ascending id order whatever order they were set.
+        store = PointStore(dim=2)
+        store.insert(np.zeros((6, 2)))
+        bubbles = BubbleSet(store)
+        bubbles.add_bubble(np.zeros(2))
+        bubbles.add_bubble(np.ones(2))
+        store.set_owners([5, 1, 3, 4, 0, 2], [0, 0, 0, 1, 1, 1])
+        assert store.owned_by(0).tolist() == [1, 3, 5]
+        assert store.owned_by(1).tolist() == [0, 2, 4]
 
 
 class TestReseed:
     def test_reseed_requires_empty(self):
         bubble = make_bubble()
-        bubble.absorb(1, np.ones(2))
+        bubble.absorb(np.ones(2))
         with pytest.raises(EmptyBubbleError):
             bubble.reseed(np.zeros(2))
 
@@ -144,7 +133,7 @@ class TestDerivedQuantities:
         rng = np.random.default_rng(2)
         points = rng.normal(size=(30, 3))
         bubble = DataBubble(bubble_id=0, seed=np.zeros(3))
-        bubble.absorb_many(np.arange(30), points)
+        bubble.absorb_many(points)
         from repro.sufficient import SufficientStatistics, extent
 
         expected = extent(SufficientStatistics.from_points(points))

@@ -10,19 +10,20 @@ from repro import (
     BubbleConfig,
     PointStore,
 )
+from repro.core import verify_consistency
 from repro.exceptions import InvalidConfigError
 from repro.geometry import DistanceCounter
 
 
 class TestBuild:
     def test_partition_invariant(self, populated_store, built_bubbles):
-        assert built_bubbles.membership_invariant_ok(populated_store.size)
+        assert verify_consistency(built_bubbles, populated_store).ok
         assert built_bubbles.total_points == populated_store.size
 
     def test_owners_recorded(self, populated_store, built_bubbles):
         for bubble in built_bubbles:
-            for pid in bubble.members:
-                assert populated_store.owner(pid) == bubble.bubble_id
+            owned = populated_store.owned_by(bubble.bubble_id)
+            assert owned.size == bubble.n
 
     def test_assignment_is_nearest_seed(self, populated_store, built_bubbles):
         seeds = built_bubbles.seeds()
@@ -83,7 +84,7 @@ class TestBuild:
         builder = BubbleBuilder(BubbleConfig(num_bubbles=10, seed=1))
         builder.build(populated_store)
         second = builder.build(populated_store)
-        assert second.membership_invariant_ok(populated_store.size)
+        assert verify_consistency(second, populated_store).ok
 
     def test_single_bubble(self, populated_store):
         bubbles = BubbleBuilder(BubbleConfig(num_bubbles=1, seed=0)).build(

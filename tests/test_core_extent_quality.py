@@ -5,20 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import PointStore
 from repro.core import BubbleClass, BubbleSet, ExtentQuality
 from repro.exceptions import InvalidConfigError
 
 
 def bubble_set_with_extents(spreads: list[float]) -> BubbleSet:
     """One bubble per requested spread (two points ``spread`` apart)."""
-    bubbles = BubbleSet(dim=2)
-    pid = 0
-    for i, spread in enumerate(spreads):
+    bubbles = BubbleSet(PointStore(dim=2))
+    for spread in spreads:
         bubble = bubbles.add_bubble(np.zeros(2))
-        bubble.absorb(pid, np.array([0.0, 0.0]))
-        pid += 1
-        bubble.absorb(pid, np.array([spread, 0.0]))
-        pid += 1
+        bubble.absorb(np.array([0.0, 0.0]))
+        bubble.absorb(np.array([spread, 0.0]))
     return bubbles
 
 
@@ -40,14 +38,14 @@ class TestExtentQuality:
         # Note: with k = sqrt(10), a lone outlier among B bubbles can only
         # be flagged when (B-1)/sqrt(B) > k, i.e. B >= 13 — hence 20
         # bubbles here (the paper's summaries use far more).
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         pid = 0
         rng = np.random.default_rng(0)
         for b in range(20):
             bubble = bubbles.add_bubble(np.zeros(2))
             count = 300 if b == 0 else 10  # same extent, 30x the points
             for _ in range(count):
-                bubble.absorb(pid, rng.normal(0.0, 1.0, size=2))
+                bubble.absorb(rng.normal(0.0, 1.0, size=2))
                 pid += 1
         report = ExtentQuality(0.9).classify(bubbles, database_size=pid)
         assert report.classes[0] is BubbleClass.GOOD

@@ -13,7 +13,7 @@ from repro import (
     PointStore,
     UpdateBatch,
 )
-from repro.core import DonorPolicy, SplitStrategy
+from repro.core import DonorPolicy, SplitStrategy, verify_consistency
 from repro.exceptions import InvalidConfigError
 from repro.geometry import DistanceCounter
 
@@ -66,7 +66,7 @@ class TestDeletions:
         maintainer.apply_batch(
             UpdateBatch(deletions=victims, insertions=np.empty((0, 2)))
         )
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
 
 
 class TestInsertions:
@@ -92,7 +92,7 @@ class TestInsertions:
         )
         maintainer.apply_batch(batch)
         assert bubbles.total_points == total_before + 25
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
 
     def test_empty_batch_is_noop(self, rng):
         store, bubbles, maintainer = make_world(rng)
@@ -183,7 +183,7 @@ class TestDonorPolicies:
                 insertion_labels=tuple([1] * 150),
             )
             maintainer.apply_batch(batch)
-            assert bubbles.membership_invariant_ok(store.size)
+            assert verify_consistency(bubbles, store).ok
 
 
 class TestBatchReport:

@@ -19,7 +19,7 @@ from repro import (
     PointStore,
     UpdateBatch,
 )
-from repro.core import BubbleClass, DonorPolicy
+from repro.core import BubbleClass, DonorPolicy, verify_consistency
 from repro.core.quality import QualityReport, classify_values
 
 
@@ -146,7 +146,7 @@ class TestRebuildRounds:
         assert len(set(report.rebuilt_bubbles)) == len(
             report.rebuilt_bubbles
         )
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
 
 
 class TestWorstFirstProcessing:
@@ -220,4 +220,4 @@ class TestBatchReportAccounting:
             )
         )
         assert bubbles.total_points == 60
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok

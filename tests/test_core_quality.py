@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import PointStore
 from repro.core import (
     BetaQuality,
     BubbleClass,
@@ -85,26 +86,26 @@ class TestClassifyValues:
 
 class TestBetaQuality:
     def test_beta_is_count_over_database_size(self):
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         for i in range(4):
             bubbles.add_bubble(np.zeros(2))
         for pid in range(8):
-            bubbles[pid % 2].absorb(pid, np.zeros(2))
+            bubbles[pid % 2].absorb(np.zeros(2))
         report = BetaQuality(0.9).classify(bubbles, database_size=8)
         assert report.values == pytest.approx([0.5, 0.5, 0.0, 0.0])
 
     def test_over_filled_bubble_detected(self):
-        bubbles = BubbleSet(dim=2)
+        bubbles = BubbleSet(PointStore(dim=2))
         for i in range(20):
             bubbles.add_bubble(np.zeros(2))
         pid = 0
         # 19 bubbles with 10 points, one with 300.
         for b in range(19):
             for _ in range(10):
-                bubbles[b].absorb(pid, np.zeros(2))
+                bubbles[b].absorb(np.zeros(2))
                 pid += 1
         for _ in range(300):
-            bubbles[19].absorb(pid, np.zeros(2))
+            bubbles[19].absorb(np.zeros(2))
             pid += 1
         report = BetaQuality(0.9).classify(bubbles, database_size=pid)
         assert report.classes[19] is BubbleClass.OVER_FILLED

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import CompleteRebuildMaintainer, PointStore, UpdateBatch
-from repro.core import BubbleConfig
+from repro.core import BubbleConfig, verify_consistency
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ class TestCompleteRebuild:
         store, maintainer = world
         bubbles = maintainer.rebuild()
         assert bubbles.total_points == store.size
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
 
     def test_apply_batch_applies_and_rebuilds(self, world, rng):
         store, maintainer = world

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro import BubbleBuilder, BubbleConfig, PointStore
-from repro.core import SplitStrategy, merge_bubble, rebuild_pair, split_bubble
+from repro.core import (
+    SplitStrategy,
+    merge_bubble,
+    rebuild_pair,
+    split_bubble,
+    verify_consistency,
+)
 from repro.geometry import DistanceCounter
 
 
@@ -34,12 +40,12 @@ class TestMerge:
         moved = merge_bubble(bubbles, store, donor, counter)
         assert bubbles[donor].is_empty()
         assert moved > 0
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
 
     def test_points_go_to_nearest_other_bubble(self, setup):
         store, bubbles = setup
         donor = bubbles.non_empty_ids()[0]
-        member_ids = bubbles[donor].member_ids()
+        member_ids = store.owned_by(donor)
         points = store.points_of(member_ids)
         # Assignment targets are judged at their pre-merge representatives
         # (absorbing the released points moves them afterwards).
@@ -101,17 +107,17 @@ class TestSplit:
             bubbles.non_empty_ids(), key=lambda i: bubbles[i].n, reverse=True
         )
         over, donor = ids[0], ids[-1]
-        before = bubbles[over].members
+        before = store.owned_by(over)
         merge_bubble(bubbles, store, donor, counter)
-        absorbed = bubbles[over].members  # merge may have added points
+        absorbed = store.owned_by(over)  # merge may have added points
         split_bubble(
             bubbles, store, over, donor, counter, np.random.default_rng(1)
         )
-        after = bubbles[over].members | bubbles[donor].members
-        assert after == absorbed
-        assert not bubbles[over].members & bubbles[donor].members
-        assert bubbles.membership_invariant_ok(store.size)
-        assert len(before) > 0
+        after = np.union1d(store.owned_by(over), store.owned_by(donor))
+        assert np.array_equal(after, absorbed)
+        assert bubbles[over].n + bubbles[donor].n == absorbed.size
+        assert verify_consistency(bubbles, store).ok
+        assert before.size > 0
 
     def test_split_assigns_to_closer_seed(self, setup):
         store, bubbles = setup
@@ -126,7 +132,7 @@ class TestSplit:
         )
         seed_over = bubbles[over].seed
         seed_donor = bubbles[donor].seed
-        for pid in bubbles[donor].members:
+        for pid in store.owned_by(donor):
             point = store.point(pid)
             assert np.linalg.norm(point - seed_donor) <= np.linalg.norm(
                 point - seed_over
@@ -174,5 +180,5 @@ class TestRebuildPair:
             bubbles, store, ids[0], ids[-1],
             DistanceCounter(), np.random.default_rng(4),
         )
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
         assert bubbles.total_points == store.size

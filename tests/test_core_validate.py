@@ -50,43 +50,42 @@ class TestVerifyConsistency:
             )
             assert verify_consistency(bubbles, store).ok
 
-    def test_detects_double_membership(self, consistent_world):
-        store, bubbles = consistent_world
-        donor = bubbles.non_empty_ids()[0]
-        pid = next(iter(bubbles[donor].members))
-        other = bubbles.non_empty_ids()[1]
-        bubbles[other].absorb(pid, store.point(pid))  # corrupt on purpose
-        report = verify_consistency(bubbles, store)
-        assert not report.ok
-        assert any("member of bubbles" in v for v in report.violations)
-        with pytest.raises(AssertionError):
-            report.raise_if_invalid()
-
     def test_detects_uncovered_point(self, consistent_world):
         store, bubbles = consistent_world
         store.insert(np.zeros((1, 2)))  # alive but owned by nobody
         report = verify_consistency(bubbles, store)
         assert not report.ok
         assert any("belong to no bubble" in v for v in report.violations)
+        with pytest.raises(AssertionError):
+            report.raise_if_invalid()
 
     def test_detects_dead_member(self, consistent_world):
         store, bubbles = consistent_world
         donor = bubbles.non_empty_ids()[0]
-        pid = next(iter(bubbles[donor].members))
-        # Delete from the store without telling the bubble.
+        pid = int(store.owned_by(donor)[0])
+        # Delete from the store without telling the bubble: its n still
+        # counts the dead point.
         store.delete([pid])
         report = verify_consistency(bubbles, store)
         assert not report.ok
-        assert any("dead point" in v for v in report.violations)
+        assert report.violations == (
+            f"bubble {donor}: n={bubbles[donor].n} but it owns "
+            f"{bubbles[donor].n - 1} alive point(s)",
+        )
 
     def test_detects_ownership_mismatch(self, consistent_world):
         store, bubbles = consistent_world
         donor = bubbles.non_empty_ids()[0]
-        pid = next(iter(bubbles[donor].members))
+        pid = int(store.owned_by(donor)[0])
         store.set_owner(pid, donor + 1)  # lie about the owner
         report = verify_consistency(bubbles, store)
         assert not report.ok
-        assert any("store owner" in v for v in report.violations)
+        # One flipped entry: both bubbles' statistics disagree with the
+        # points the column now gives them.
+        assert [v.split(":")[0] for v in report.violations] == [
+            f"bubble {donor}",
+            f"bubble {donor + 1}",
+        ]
 
     def test_detects_statistics_drift(self, consistent_world):
         store, bubbles = consistent_world

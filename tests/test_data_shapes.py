@@ -54,12 +54,16 @@ class TestVaryingDensity:
         sparse_bubbles = [
             b.bubble_id
             for b in bubbles
-            if b.n and (store.labels_of(b.member_ids()) == 1).mean() > 0.5
+            if b.n
+            and (store.labels_of(store.owned_by(b.bubble_id)) == 1).mean()
+            > 0.5
         ]
         dense_bubbles = [
             b.bubble_id
             for b in bubbles
-            if b.n and (store.labels_of(b.member_ids()) == 0).mean() > 0.5
+            if b.n
+            and (store.labels_of(store.owned_by(b.bubble_id)) == 0).mean()
+            > 0.5
         ]
         assert len(dense_bubbles) >= 5 * max(len(sparse_bubbles), 1)
         # Per-bubble point loads stay comparable across regions (the β

@@ -176,3 +176,116 @@ class TestLookup:
         store = PointStore(dim=2)
         ids = store.insert(np.zeros((3, 2)), labels=[5, 6, 7])
         assert store.labels_of(ids[::-1]).tolist() == [7, 6, 5]
+
+    def test_lookups_reject_ids_never_issued(self):
+        store = PointStore(dim=2)
+        store.insert(np.zeros((3, 2)))
+        for bad in ([-1], [3], [5000]):
+            with pytest.raises(UnknownPointError):
+                store.owners_of(bad)
+
+
+class TestScanFloor:
+    """Whole-store scans start at the lowest id that may be alive; each
+    must match a scan of the full aliveness mask."""
+
+    @staticmethod
+    def assert_scans_match(store, alive, labels, owners):
+        ids = np.flatnonzero(alive)
+        assert store.ids().tolist() == ids.tolist()
+        assert store.snapshot()[0].tolist() == ids.tolist()
+        assert store.size == ids.size
+        for label in range(3):
+            want = ids[labels[ids] == label]
+            assert store.ids_with_label(label).tolist() == want.tolist()
+        for bubble in range(4):
+            want = ids[owners[ids] == bubble]
+            assert store.owned_by(bubble).tolist() == want.tolist()
+        if ids.size:
+            assert store._low == ids[0]  # the dead prefix is skipped
+
+    def test_mixed_fifo_and_random_deletions(self):
+        rng = np.random.default_rng(3)
+        store = PointStore(dim=2)
+        alive = np.zeros(4000, dtype=bool)
+        labels = np.zeros(4000, dtype=np.int64)
+        owners = np.full(4000, -1, dtype=np.int64)
+        for step in range(60):
+            count = int(rng.integers(1, 60))
+            new = np.asarray(
+                store.insert(
+                    rng.normal(size=(count, 2)),
+                    labels=rng.integers(0, 3, size=count),
+                )
+            )
+            alive[new] = True
+            labels[new] = store.labels_of(new)
+            owned = rng.integers(-1, 4, size=count)
+            keep = owned >= 0
+            store.set_owners(new[keep], owned[keep])
+            owners[new] = owned
+            live = np.flatnonzero(alive)
+            if step % 3 == 0:  # random deletions
+                gone = rng.choice(live, size=live.size // 4, replace=False)
+            else:  # FIFO eviction down to a 150-point window
+                gone = live[: max(0, live.size - 150)]
+            store.delete(gone)
+            alive[gone] = False
+            owners[gone] = -1
+            self.assert_scans_match(store, alive, labels, owners)
+        store.delete(store.ids())
+        alive[:] = False
+        self.assert_scans_match(store, alive, labels, owners)
+        assert store.ids().size == 0
+        new = store.insert(np.zeros((2, 2)))
+        assert store.ids().tolist() == new
+
+    def test_gapped_from_snapshot(self):
+        ids = np.array([5, 9, 12, 30])
+        store = PointStore.from_snapshot(
+            dim=2,
+            ids=ids,
+            points=np.arange(8.0).reshape(4, 2),
+            labels=np.array([0, 1, 0, 2]),
+            owners=np.array([1, -1, 1, 3]),
+            next_id=40,
+        )
+        alive = np.zeros(50, dtype=bool)
+        alive[ids] = True
+        labels = np.zeros(50, dtype=np.int64)
+        labels[ids] = [0, 1, 0, 2]
+        owners = np.full(50, -1, dtype=np.int64)
+        owners[ids] = [1, -1, 1, 3]
+        self.assert_scans_match(store, alive, labels, owners)
+        store.delete([5, 12])
+        alive[[5, 12]] = False
+        owners[[5, 12]] = -1
+        self.assert_scans_match(store, alive, labels, owners)
+        new = store.insert(np.zeros((1, 2)), labels=[2])
+        assert new == [40]
+        alive[40], labels[40] = True, 2
+        self.assert_scans_match(store, alive, labels, owners)
+
+    def test_snapshot_without_owners_is_unowned(self):
+        ids = np.array([2, 6, 7])
+        store = PointStore.from_snapshot(
+            dim=2,
+            ids=ids,
+            points=np.zeros((3, 2)),
+            labels=np.zeros(3, dtype=np.int64),
+        )
+        assert store.owners_of(ids).tolist() == [-1, -1, -1]
+        for bubble in range(4):
+            assert store.owned_by(bubble).size == 0
+
+    def test_empty_snapshot(self):
+        store = PointStore.from_snapshot(
+            dim=2,
+            ids=np.empty(0, dtype=np.int64),
+            points=np.empty((0, 2)),
+            labels=np.empty(0, dtype=np.int64),
+            next_id=7,
+        )
+        assert store.ids().size == 0
+        assert store.insert(np.zeros((1, 2))) == [7]
+        assert store.ids().tolist() == [7]

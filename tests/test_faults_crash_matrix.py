@@ -109,7 +109,10 @@ def assert_identical(a, b):
             np.asarray(bubble_b.stats.linear_sum),
         )
         assert bubble_a.stats.square_sum == bubble_b.stats.square_sum
-        assert bubble_a.members == bubble_b.members
+        assert np.array_equal(
+            a.store.owned_by(bubble_a.bubble_id),
+            b.store.owned_by(bubble_b.bubble_id),
+        )
     ids_a, ids_b = a.store.ids(), b.store.ids()
     assert np.array_equal(ids_a, ids_b)
     assert np.array_equal(

@@ -20,6 +20,7 @@ from repro import (
     PointStore,
 )
 from repro.clustering import BubbleOptics, PointOptics, extract_cluster_tree
+from repro.core import verify_consistency
 from repro.data import UpdateStream, apply_raw, clone_batch_for, make_scenario
 from repro.evaluation import adjusted_rand_index, fscore_from_labels
 from repro.experiments import ExperimentConfig, run_comparison, score_summary
@@ -113,14 +114,8 @@ class TestFullPipeline:
             top = tree.root.children or [tree.root]
             spans = [node.span() for node in top]
             mapping = majority_bubble_labels(expanded, spans)
-            ids, _, _ = store.snapshot()
-            labels = np.empty(store.size, dtype=np.int64)
-            position = {int(pid): i for i, pid in enumerate(ids)}
-            for bubble in bubbles:
-                label = mapping.get(bubble.bubble_id, -1)
-                for pid in bubble.members:
-                    labels[position[pid]] = label
-            return labels
+            owners = store.owners_of(store.ids())
+            return np.array([mapping.get(int(b), -1) for b in owners])
 
         labels_a = flat_labels(bubbles_a, store_a)
         labels_b = flat_labels(bubbles_b, store_b)
@@ -140,7 +135,7 @@ class TestFullPipeline:
         stream = UpdateStream(scenario, store, 0.1, num_batches=20)
         for batch in stream:
             maintainer.apply_batch(batch)
-            assert bubbles.membership_invariant_ok(store.size)
+            assert verify_consistency(bubbles, store).ok
         assert store.size == 2000
         config = ExperimentConfig(min_pts=20, min_cluster_size=0.02)
         fscore, _ = score_summary(bubbles, store, config)

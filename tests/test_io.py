@@ -15,6 +15,7 @@ from repro import (
     load_session,
     save_session,
 )
+from repro.core import verify_consistency
 from repro.database import PointStore as StoreClass
 from repro.evaluation import compactness
 
@@ -54,7 +55,10 @@ class TestRoundTrip:
         assert bubbles2.extents() == pytest.approx(bubbles.extents())
         assert compactness(bubbles2) == pytest.approx(compactness(bubbles))
         for a, b in zip(bubbles, bubbles2):
-            assert a.members == b.members
+            assert np.array_equal(
+                bubbles.store.owned_by(a.bubble_id),
+                bubbles2.store.owned_by(b.bubble_id),
+            )
 
     def test_ownership_roundtrip(self, session, tmp_path):
         store, bubbles = session
@@ -98,7 +102,7 @@ class TestRoundTrip:
             )
         )
         assert report.num_insertions == 40
-        assert bubbles2.membership_invariant_ok(store2.size)
+        assert verify_consistency(bubbles2, store2).ok
 
 
 class TestValidation:
@@ -119,10 +123,43 @@ class TestValidation:
     def test_desynchronized_pair_rejected(self, session, tmp_path):
         store, bubbles = session
         # Delete a point behind the summary's back.
-        victim = next(iter(bubbles[0].members))
+        victim = int(store.owned_by(0)[0])
         store.delete([victim])
         with pytest.raises(ValueError):
             save_session(tmp_path / "bad.npz", store, bubbles)
+
+    def test_swapped_members_rejected(self, session, tmp_path):
+        store, bubbles = session
+        path = tmp_path / "session.npz"
+        save_session(path, store, bubbles)
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files}
+        # Two points trade bubbles in the member lists only: the counts
+        # agree, the owner column does not.
+        offsets, members = payload["member_offsets"], payload["member_ids"]
+        first, second = np.flatnonzero(np.diff(offsets))[:2]
+        i, j = offsets[first], offsets[second]
+        members[[i, j]] = members[[j, i]]
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError, match="owner column"):
+            load_session(path)
+
+    def test_owner_naming_no_bubble_rejected(self, session, tmp_path):
+        store, bubbles = session
+        path = tmp_path / "session.npz"
+        save_session(path, store, bubbles)
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files}
+        # Hand the first listed member to a bubble that does not
+        # exist, in the owner column and the member lists alike.
+        offsets, members = payload["member_offsets"], payload["member_ids"]
+        victim = members[offsets[0]]
+        payload["owners"][payload["ids"] == victim] = len(bubbles) + 5
+        payload["member_ids"] = np.delete(members, offsets[0])
+        payload["member_offsets"] = np.where(offsets > 0, offsets - 1, 0)
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError, match="nonexistent bubble"):
+            load_session(path)
 
     def test_from_snapshot_validation(self):
         with pytest.raises(ValueError):

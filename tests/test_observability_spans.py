@@ -184,9 +184,6 @@ class TestBitIdentical:
         np.testing.assert_array_equal(a.counts(), b.counts())
         np.testing.assert_array_equal(a.reps(), b.reps())
         np.testing.assert_array_equal(a.extents(), b.extents())
-        for bubble in a:
-            np.testing.assert_array_equal(
-                bubble.member_ids(),
-                b[bubble.bubble_id].member_ids(),
-            )
+        for x, y in zip(a.member_csr(), b.member_csr()):
+            np.testing.assert_array_equal(x, y)
         assert traced.obs.spans.total_opened > 0

@@ -212,9 +212,27 @@ class TestInternallyInconsistentSnapshot:
         # ValueError from deep inside state restoration.
         stream = run_stream(tmp_path, num_chunks=8)
         victim = stream.summary.non_empty_ids()[0]
-        # Bump n without adding a member: n != len(members) on restore.
+        # Bump n without owning another point: on restore n differs from
+        # the count the owner column implies.
         stream.summary[victim].stats.insert(np.zeros(DIM))
         stream.close()  # the goodbye checkpoint persists the damage
 
         with pytest.raises(CorruptStateError, match="inconsistent"):
+            DurableSummarizer.recover(tmp_path, fsync=False)
+
+    def test_member_arrays_must_match_the_owner_column(self, tmp_path):
+        # Swap two points between two bubbles' member lists: every count
+        # still agrees, but the lists now contradict the owner column.
+        stream = run_stream(tmp_path, num_chunks=8)
+        stream.close()
+        snapshot = sorted(tmp_path.glob("snapshot-*.npz"))[-1]
+        with np.load(snapshot) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        offsets, members = arrays["member_offsets"], arrays["member_ids"]
+        first, second = np.flatnonzero(np.diff(offsets))[:2]
+        i, j = offsets[first], offsets[second]
+        members[[i, j]] = members[[j, i]]
+        np.savez(snapshot, **arrays)
+
+        with pytest.raises(CorruptStateError, match="owner column"):
             DurableSummarizer.recover(tmp_path, fsync=False)

@@ -29,7 +29,12 @@ from repro import (
     PointStore,
     UpdateBatch,
 )
-from repro.core import NaiveAssigner, TriangleInequalityAssigner, classify_values
+from repro.core import (
+    NaiveAssigner,
+    TriangleInequalityAssigner,
+    classify_values,
+    verify_consistency,
+)
 from repro.evaluation import compactness, compactness_from_points
 from repro.sufficient import SufficientStatistics, extent, nn_dist
 
@@ -178,7 +183,7 @@ class TestMaintenanceInvariants:
                     insertion_labels=tuple([0] * num_ins),
                 )
             )
-            assert bubbles.membership_invariant_ok(store.size)
+            assert verify_consistency(bubbles, store).ok
             assert bubbles.total_points == store.size
             # Compactness derived from statistics must agree with raw
             # coordinates after every kind of mutation.

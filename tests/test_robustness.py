@@ -129,7 +129,7 @@ class TestDegenerateGeometry:
         bubbles = BubbleBuilder(BubbleConfig(num_bubbles=8, seed=4)).build(
             store
         )
-        assert bubbles.membership_invariant_ok(store.size)
+        assert verify_consistency(bubbles, store).ok
         assert (bubbles.extents() >= 0.0).all()
         verify_consistency(bubbles, store, rel_tol=1e-5).raise_if_invalid()
 

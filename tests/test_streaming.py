@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SlidingWindowSummarizer
+from repro.core import verify_consistency
 from repro.exceptions import InvalidConfigError, NotFittedError
 
 
@@ -27,7 +28,7 @@ class TestBootstrap:
         stream.append(rng.normal(size=(60, 2)))
         stream.append(rng.normal(size=(60, 2)))
         assert stream.is_ready()
-        assert stream.summary.membership_invariant_ok(stream.size)
+        assert verify_consistency(stream.summary, stream.store).ok
 
     def test_reports_after_bootstrap(self, rng):
         stream = SlidingWindowSummarizer(
@@ -73,7 +74,7 @@ class TestWindowSemantics:
         counts = stream.summary.counts()
         weighted = (reps * counts[:, None]).sum(axis=0) / counts.sum()
         assert np.linalg.norm(weighted - np.array([50.0, 50.0])) < 3.0
-        assert stream.summary.membership_invariant_ok(stream.size)
+        assert verify_consistency(stream.summary, stream.store).ok
 
     def test_invariant_maintained_throughout(self, rng):
         stream = SlidingWindowSummarizer(
@@ -82,7 +83,7 @@ class TestWindowSemantics:
         for i in range(12):
             stream.append(rng.normal(size=(60, 3)) * (1 + i))
             if stream.is_ready():
-                assert stream.summary.membership_invariant_ok(stream.size)
+                assert verify_consistency(stream.summary, stream.store).ok
 
     def test_eviction_is_strictly_fifo(self, rng):
         """Eviction removes the oldest ids first — exactly the ids below

@@ -59,7 +59,10 @@ class TestEquivalence:
                 np.asarray(b.stats.linear_sum),
             )
             assert a.stats.square_sum == b.stats.square_sum
-            assert a.members == b.members
+            assert np.array_equal(
+                plain.store.owned_by(a.bubble_id),
+                durable.store.owned_by(b.bubble_id),
+            )
         durable.close()
 
     def test_labels_flow_through(self, tmp_path, rng):
