@@ -284,17 +284,8 @@ class BubbleOptics:
         if not non_empty:
             raise ValueError("cannot cluster a summary with no points")
         bubble_ids = np.asarray(non_empty, dtype=np.int64)
-
-        reps = np.stack([bubbles[i].rep for i in non_empty])
-        extents = np.asarray(
-            [bubbles[i].extent for i in non_empty], dtype=np.float64
-        )
-        counts = np.asarray(
-            [bubbles[i].n for i in non_empty], dtype=np.int64
-        )
-        internal_core = np.asarray(
-            [bubbles[i].nn_dist(self._min_pts) for i in non_empty],
-            dtype=np.float64,
+        counts, reps, extents, internal_core = bubbles.features(
+            bubble_ids, self._min_pts
         )
         plot = optics_over_summaries(
             reps,

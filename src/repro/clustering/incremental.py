@@ -163,16 +163,14 @@ def _flatten_trace(
     return targets, values, offsets
 
 
-def _sanitize_extent(extent: float) -> float:
-    """Clamp a degenerate extent exactly like ``optics_over_summaries``."""
-    return extent if np.isfinite(extent) and extent > 0.0 else 0.0
+def _sanitize_extents(extents: np.ndarray) -> np.ndarray:
+    """Clamp degenerate extents exactly like ``optics_over_summaries``."""
+    return np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
 
 
-def _sanitize_internal_core(value: float) -> float:
+def _sanitize_internal_cores(values: np.ndarray) -> np.ndarray:
     """NaN/negative internal cores clamp to 0; ``inf`` stays meaningful."""
-    if np.isnan(value) or value < 0.0:
-        return 0.0
-    return value
+    return np.where(np.isnan(values) | (values < 0.0), 0.0, values)
 
 
 # ----------------------------------------------------------------------
@@ -369,14 +367,13 @@ class ClusterCache:
         self, state: _CacheState, bubbles: BubbleSet, compact: np.ndarray
     ) -> None:
         """Re-gather rep/extent/count/internal-core for ``compact`` rows."""
-        for c in compact:
-            bubble = bubbles[int(state.bubble_ids[c])]
-            state.reps[c] = bubble.rep
-            state.extents[c] = _sanitize_extent(float(bubble.extent))
-            state.counts[c] = bubble.n
-            state.internal_core[c] = _sanitize_internal_core(
-                float(bubble.nn_dist(self._min_pts))
-            )
+        counts, reps, extents, core = bubbles.features(
+            state.bubble_ids[compact], self._min_pts
+        )
+        state.reps[compact] = reps
+        state.extents[compact] = _sanitize_extents(extents)
+        state.counts[compact] = counts
+        state.internal_core[compact] = _sanitize_internal_cores(core)
         state.nn1[compact] = _nn_dist_arrays(
             state.counts[compact],
             state.extents[compact],
@@ -1591,9 +1588,7 @@ class IncrementalClusterer:
             state, source = self._cache.refresh(bubbles)
             return self._fit_from_state(state, source)
 
-        counts_all = np.asarray(
-            [bubbles[int(i)].n for i in non_empty], dtype=np.int64
-        )
+        counts_all = bubbles.counts()[non_empty]
         total_points = int(counts_all.sum())
         # Largest bubbles first: each stage's subset nests in the next,
         # so covered-points quality is monotone by construction.
@@ -1654,21 +1649,9 @@ class IncrementalClusterer:
     ) -> ClusterFit:
         """A complete cold fit of one bubble subset (no caching)."""
         num = int(subset_ids.shape[0])
-        reps = np.stack([bubbles[int(i)].rep for i in subset_ids])
-        extents = np.asarray(
-            [
-                _sanitize_extent(float(bubbles[int(i)].extent))
-                for i in subset_ids
-            ]
-        )
-        internal_core = np.asarray(
-            [
-                _sanitize_internal_core(
-                    float(bubbles[int(i)].nn_dist(self.min_pts))
-                )
-                for i in subset_ids
-            ]
-        )
+        _, reps, extents, core = bubbles.features(subset_ids, self.min_pts)
+        extents = _sanitize_extents(extents)
+        internal_core = _sanitize_internal_cores(core)
         from .bubble_optics import optics_over_summaries
 
         plot = optics_over_summaries(

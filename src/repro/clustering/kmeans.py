@@ -155,11 +155,8 @@ class WeightedKMeans:
         non_empty = bubbles.non_empty_ids()
         if not non_empty:
             raise ValueError("cannot cluster a summary with no points")
-        reps = np.stack([bubbles[i].rep for i in non_empty])
-        weights = np.asarray(
-            [bubbles[i].n for i in non_empty], dtype=np.float64
-        )
-        return self.fit(reps, weights)
+        weights = bubbles.counts()[non_empty].astype(np.float64)
+        return self.fit(bubbles.reps(non_empty), weights)
 
     def bubble_labels(self, bubbles: BubbleSet) -> dict[int, int]:
         """``{bubble id: cluster index}`` over the non-empty bubbles."""

@@ -99,17 +99,15 @@ class ClusteringSnapshot:
         spans = [leaf.span() for leaf in tree.leaves()]
         labels = majority_bubble_labels(expanded, spans)
 
-        rows = []
-        row_labels = []
-        for bubble_id, label in sorted(labels.items()):
-            rows.append(bubbles[bubble_id].rep)
-            row_labels.append(label)
+        labelled = sorted(labels)
         return cls(
             optics=optics,
             tree=tree,
             bubble_labels=labels,
-            reps=np.stack(rows),
-            rep_labels=np.asarray(row_labels, dtype=np.int64),
+            reps=bubbles.reps(labelled),
+            rep_labels=np.asarray(
+                [labels[b] for b in labelled], dtype=np.int64
+            ),
             num_clusters=len(spans),
         )
 
@@ -122,13 +120,16 @@ class ClusteringSnapshot:
         Each point inherits its owning bubble's cluster; points owned by
         no bubble (never summarized) come out as noise.
         """
-        ids = store.ids()
-        labels = np.full(ids.size, NOISE_LABEL, dtype=np.int64)
-        for position, pid in enumerate(ids):
-            owner = store.owner(int(pid))
-            if owner is not None:
-                labels[position] = self.bubble_labels.get(owner, NOISE_LABEL)
-        return labels
+        owners = store.owners_of(store.ids())
+        # Row b + 1 holds bubble b's label; row 0 serves unowned points
+        # (owner -1) and every bubble without a label.
+        top = max(
+            int(owners.max(initial=-1)), max(self.bubble_labels, default=-1)
+        )
+        table = np.full(top + 2, NOISE_LABEL, dtype=np.int64)
+        for bubble_id, label in self.bubble_labels.items():
+            table[bubble_id + 1] = label
+        return table[owners + 1]
 
     def predict(self, points: PointMatrix) -> np.ndarray:
         """Cluster labels for new points, via nearest bubble representative.

@@ -114,9 +114,7 @@ class AdaptiveMaintainer(IncrementalMaintainer):
 
     def _active_ids(self) -> list[int]:
         return [
-            b.bubble_id
-            for b in self._bubbles
-            if b.bubble_id not in self._retired
+            i for i in range(len(self._bubbles)) if i not in self._retired
         ]
 
     # ------------------------------------------------------------------
@@ -149,10 +147,11 @@ class AdaptiveMaintainer(IncrementalMaintainer):
         desynchronized snapshot.
         """
         retired = set(int(i) for i in retired)
+        counts = self._bubbles.counts()
         for bubble_id in retired:
             if not (0 <= bubble_id < len(self._bubbles)):
                 raise ValueError(f"retired id {bubble_id} does not exist")
-            if not self._bubbles[bubble_id].is_empty():
+            if counts[bubble_id]:
                 raise ValueError(
                     f"retired bubble {bubble_id} still summarizes points"
                 )
@@ -185,14 +184,14 @@ class AdaptiveMaintainer(IncrementalMaintainer):
         counts = self._bubbles.counts()
         active = self._active_ids()
         fullest = max(active, key=lambda i: counts[i])
-        if self._bubbles[fullest].n < 2:
+        if counts[fullest] < 2:
             return  # nothing worth splitting
         if self._retired:
             # Revive a parked bubble instead of allocating a new id.
             new_id = self._retired.pop()
             revived = True
         else:
-            seed = self._bubbles[fullest].rep.copy()
+            seed = self._bubbles.reps([fullest])[0]
             new_id = self._bubbles.add_bubble(seed).bubble_id
             revived = False
         donor_n, over_n = split_bubble(

@@ -473,14 +473,15 @@ class AssignerCache:
     """Reuses one assigner while the bubble set it reflects is unchanged.
 
     Building a :class:`TriangleInequalityAssigner` costs the ``B·(B-1)/2``
-    seed-to-seed matrix; maintainers that assign several batches against
-    an unchanged summary (or run several redistribution steps against the
-    same candidate set) should not pay it repeatedly. The cache keys on
-    the :attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>`
+    seed-to-seed matrix; a caller that assigns twice against an unchanged
+    summary and candidate set pays it once. The cache keys on the
+    :attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>`
     mutation counter plus the candidate id subset and the pruning flag,
     ``(version, active_ids, use_triangle_inequality)``, so any mutation
-    of any bubble — absorb, release, reseed, clear, restore — invalidates
-    it.
+    of any bubble — absorb, release, reseed, clear, add — invalidates
+    it. On the maintenance path every ``get`` follows such a mutation (a
+    batch's deletions, a merge's emptied donor), so there it rebuilds
+    each time.
 
     The shared ``counter`` and ``rng`` are captured at construction of the
     cached assigner; callers must pass the same objects on every ``get``
@@ -537,11 +538,8 @@ class AssignerCache:
             self.hits += 1
             self._assigner.obs = obs
             return self._assigner
-        reps = bubbles.reps()
-        if active_ids is not None:
-            reps = reps[np.asarray(active_ids, dtype=np.int64)]
         self._assigner = make_assigner(
-            reps,
+            bubbles.reps(active_ids),
             counter=counter,
             use_triangle_inequality=use_triangle_inequality,
             rng=rng,

@@ -6,9 +6,10 @@ bubbles' statistics); :class:`InvariantAuditor` goes one step further and
 *repairs* it, taking the owner column as the truth. Points the column
 gives to no active bubble are re-homed to their nearest active bubble,
 and every bubble whose statistics disagree with the points the column
-gives it is rebuilt wholesale through ``clear()`` + ``absorb_many()``
-(the merge/split machinery's path) — so a repaired summary is
-indistinguishable from one that was maintained correctly all along.
+gives it is rebuilt wholesale through the bubble set's ``clear`` and
+grouped ``absorb`` (the merge/split machinery's path) — so a repaired
+summary is indistinguishable from one that was maintained correctly all
+along.
 
 Intended uses:
 
@@ -175,33 +176,30 @@ class InvariantAuditor:
         it is rebuilt from their raw coordinates.
         """
         store = self._store
-        retired = self._retired_ids()
-        active = np.asarray(
-            [b.bubble_id for b in self._bubbles if b.bubble_id not in retired],
-            dtype=np.int64,
+        bubbles = self._bubbles
+        active = np.setdiff1d(
+            np.arange(len(bubbles)),
+            np.fromiter(self._retired_ids(), dtype=np.int64),
         )
         ids = store.ids()
         homeless = ids[~np.isin(store.owners_of(ids), active)]
         moved = 0
         if homeless.size and active.size:
-            reps = np.stack([self._bubbles[int(i)].rep for i in active])
+            reps = bubbles.reps(active)
             points = store.points_of(homeless)
             sq = ((points[:, None, :] - reps[None, :, :]) ** 2).sum(axis=2)
             store.set_owners(homeless, active[np.argmin(sq, axis=1)])
             moved = int(homeless.size)
 
-        offsets, members = self._bubbles.member_csr()
+        offsets, members = bubbles.member_csr()
         points = store.points_of(members)
-        repaired: list[int] = []
-        for bubble in self._bubbles:
-            b = bubble.bubble_id
-            mine = points[offsets[b] : offsets[b + 1]]
-            if not _stats_violations(bubble, mine, self._rel_tol):
-                continue
-            bubble.clear()
-            if mine.size:
-                bubble.absorb_many(mine)
-            repaired.append(b)
+        drifted = _stats_violations(bubbles, offsets, points, self._rel_tol)
+        repaired = sorted({b for b, _ in drifted})
+        if repaired:
+            owners = np.repeat(np.arange(len(bubbles)), np.diff(offsets))
+            rebuilt = np.isin(owners, repaired)
+            bubbles.clear(repaired)
+            bubbles.absorb(points[rebuilt], owners[rebuilt])
         return repaired, moved
 
     def _retired_ids(self) -> frozenset[int]:

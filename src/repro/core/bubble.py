@@ -1,71 +1,54 @@
-"""The data bubble: a seed plus sufficient statistics.
+"""The data bubble: a handle onto one row of a bubble set.
 
 Definition 1 of the paper: a data bubble ``B`` for a point set ``X`` is the
-tuple ``(rep, n, extent, nnDist)``. All of those are derived on demand from
-the additive sufficient statistics ``(n, LS, SS)``
-(:mod:`repro.sufficient`), which is what makes the bubble *incremental*:
-insertions and deletions are O(d) statistic updates.
+tuple ``(rep, n, extent, nnDist)``, all derived from the additive
+sufficient statistics ``(n, LS, SS)`` (:mod:`repro.sufficient`) — which is
+what makes the bubble *incremental*: insertions and deletions are O(d)
+statistic updates. An incremental bubble also needs a **seed**, the
+location points are compared against during assignment: the sampled
+database point at construction, a point of the over-filled bubble after a
+migration (Section 4.2).
 
-On top of Definition 1, an incremental bubble needs one more piece of
-state that the static formulation of Breunig et al. 2001 could leave
-implicit: a **seed** — the location used when assigning points to
-bubbles. During initial construction it is the sampled database point;
-when a bubble is migrated by the split/merge machinery it is re-seeded
-from a point of the over-filled bubble (Section 4.2).
-
-Which points a bubble summarizes is *not* kept here. Deletion support
-needs each point's bubble, and the split draws new seeds "from the current
-points in B" (Figure 6); both read the owner column of the
-:class:`~repro.database.PointStore`, the single membership record
-(``store.owned_by(bubble_id)`` lists a bubble's points). The callers that
-move points between bubbles update that column alongside the statistics.
+None of that state lives here: the owning
+:class:`~repro.core.bubble_set.BubbleSet` holds every bubble's
+``(n, LS, SS)`` and seed as arrays and runs every update, and a
+:class:`DataBubble` is the stateless ``(set, id)`` handle onto one row.
+Which points a bubble summarizes is the owner column of the
+:class:`~repro.database.PointStore` (``store.owned_by(bubble_id)``).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..exceptions import EmptyBubbleError
-from ..sufficient import SufficientStatistics, extent as _extent, nn_dist
+from ..sufficient import SufficientStatistics
 from ..types import BubbleId, Point
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .bubble_set import BubbleSet
 
 __all__ = ["DataBubble"]
 
 
 class DataBubble:
-    """One incremental data bubble.
+    """One data bubble of a :class:`~repro.core.bubble_set.BubbleSet`.
 
     Args:
-        bubble_id: stable identifier within the owning bubble set.
-        seed: the location that points are compared against during
-            assignment; copied defensively.
+        bubble_set: the set holding the bubble's statistics and seed.
+        bubble_id: the bubble's row in that set.
 
-    The bubble starts empty; points are added with :meth:`absorb` and
-    removed with :meth:`release`. Only their coordinates are passed: the
-    statistics are all a bubble keeps of them.
+    Handles are created by the set (:meth:`BubbleSet.add_bubble`,
+    indexing, iteration). Every update is a one-bubble call of the set's
+    grouped update, so there is one update rule, not two.
     """
 
-    __slots__ = ("_id", "_seed", "_stats", "_on_mutate")
+    __slots__ = ("_set", "_id")
 
-    def __init__(self, bubble_id: BubbleId, seed: Point) -> None:
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.ndim != 1:
-            raise ValueError(f"seed must be a (d,) point, got ndim={seed.ndim}")
+    def __init__(self, bubble_set: "BubbleSet", bubble_id: BubbleId) -> None:
+        self._set = bubble_set
         self._id = int(bubble_id)
-        self._seed = seed.copy()
-        self._stats = SufficientStatistics(dim=seed.shape[0])
-        self._on_mutate = None
-
-    def _notify(self) -> None:
-        """Tell the owning bubble set this bubble's state changed.
-
-        The :class:`~repro.core.bubble_set.BubbleSet` installs the hook to
-        invalidate its cached representative matrix (and bump its version
-        counter, which the assigner cache keys on). A standalone bubble
-        has no hook and pays nothing.
-        """
-        if self._on_mutate is not None:
-            self._on_mutate(self._id)
 
     # ------------------------------------------------------------------
     # Identity and location
@@ -78,14 +61,14 @@ class DataBubble:
     @property
     def dim(self) -> int:
         """Dimensionality of the summarized points."""
-        return self._stats.dim
+        return self._set.dim
 
     @property
     def seed(self) -> np.ndarray:
-        """The assignment location (read-only view)."""
-        view = self._seed.view()
-        view.flags.writeable = False
-        return view
+        """The assignment location (a read-only copy)."""
+        seed = self._set._seeds[self._id].copy()
+        seed.flags.writeable = False
+        return seed
 
     def reseed(self, seed: Point) -> None:
         """Move the bubble's assignment location (migration, Section 4.2).
@@ -93,17 +76,7 @@ class DataBubble:
         Only legal while the bubble is empty — repositioning a bubble that
         still summarizes points would silently misplace them.
         """
-        if not self._stats.is_empty():
-            raise EmptyBubbleError(
-                f"bubble {self._id} must be emptied before reseeding"
-            )
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.shape != self._seed.shape:
-            raise ValueError(
-                f"seed shape {seed.shape} does not match dim {self.dim}"
-            )
-        self._seed = seed.copy()
-        self._notify()
+        self._set.reseed(self._id, seed)
 
     # ------------------------------------------------------------------
     # Definition 1 quantities
@@ -111,7 +84,7 @@ class DataBubble:
     @property
     def n(self) -> int:
         """Number of points currently summarized."""
-        return self._stats.n
+        return int(self._set._n[self._id])
 
     @property
     def rep(self) -> np.ndarray:
@@ -120,11 +93,7 @@ class DataBubble:
         For an empty bubble the seed doubles as the representative, so the
         bubble remains placeable (e.g. by OPTICS) until it is recycled.
         """
-        if self._stats.is_empty():
-            view = self._seed.view()
-            view.flags.writeable = False
-            return view
-        return self._stats.mean()
+        return self._set.reps([self._id])[0]
 
     @property
     def extent(self) -> float:
@@ -133,75 +102,51 @@ class DataBubble:
         Estimated as the average intra-bubble pairwise distance; ``0.0`` for
         empty or singleton bubbles.
         """
-        if self._stats.is_empty():
-            return 0.0
-        return _extent(self._stats)
+        return float(self._set.extents([self._id])[0])
 
     def nn_dist(self, k: int) -> float:
         """Estimated average ``k``-nearest-neighbour distance inside the bubble.
 
         ``0.0`` for empty bubbles (consistent with a zero extent).
         """
-        if self._stats.is_empty():
-            return 0.0
-        return nn_dist(self._stats, k)
+        return float(self._set.features([self._id], k)[3][0])
 
     @property
     def stats(self) -> SufficientStatistics:
-        """The underlying sufficient statistics (live object, handle with care)."""
-        return self._stats
+        """A snapshot of the bubble's ``(n, LS, SS)``; later updates of the
+        bubble do not reach it, nor do changes to it reach the bubble."""
+        bubbles = self._set
+        return SufficientStatistics.from_raw(
+            self.n, bubbles._ls[self._id], float(bubbles._ss[self._id])
+        )
 
     # ------------------------------------------------------------------
-    # Incremental updates
+    # Incremental updates (one-bubble calls of the set's grouped update)
     # ------------------------------------------------------------------
     def absorb(self, point: Point) -> None:
         """Add one point: ``(n, LS, SS) -> (n+1, LS+p, SS+p·p)``."""
-        self._stats.insert(point)
-        self._notify()
+        self.absorb_many(np.reshape(point, (1, -1)))
 
     def release(self, point: Point) -> None:
         """Remove one point: ``(n, LS, SS) -> (n-1, LS-p, SS-p·p)``."""
-        self._stats.remove(point)
-        self._notify()
+        self.release_many(np.reshape(point, (1, -1)))
 
     def absorb_many(self, points: np.ndarray) -> None:
-        """Vectorised :meth:`absorb` of an ``(m, d)`` coordinate matrix."""
-        self._stats.insert_many(points)
-        self._notify()
+        """Add every row of an ``(m, d)`` coordinate matrix."""
+        self._set.absorb(points, np.full(len(points), self._id))
 
     def release_many(self, points: np.ndarray) -> None:
-        """Vectorised :meth:`release` of an ``(m, d)`` coordinate matrix."""
-        self._stats.remove_many(points)
-        self._notify()
-
-    def restore_state(self, stats: SufficientStatistics) -> None:
-        """Adopt persisted statistics verbatim.
-
-        Used by the persistence layer to rebuild a bubble bit-identically:
-        the statistics are installed as-is instead of being re-accumulated
-        from coordinates. Only legal on a freshly created (empty) bubble.
-        """
-        if not self._stats.is_empty():
-            raise EmptyBubbleError(
-                f"bubble {self._id} already summarizes points; restore_state "
-                "is only legal on an empty bubble"
-            )
-        if stats.dim != self.dim:
-            raise ValueError(
-                f"stats dim {stats.dim} does not match bubble dim {self.dim}"
-            )
-        self._stats = stats.copy()
-        self._notify()
+        """Remove every row of an ``(m, d)`` coordinate matrix."""
+        self._set.release(points, np.full(len(points), self._id))
 
     def clear(self) -> None:
         """Empty the bubble (the merge step of Figure 6 releases all of
         its points at once)."""
-        self._stats.clear()
-        self._notify()
+        self._set.clear([self._id])
 
     def is_empty(self) -> bool:
         """Whether the bubble currently summarizes no points."""
-        return self._stats.is_empty()
+        return self.n == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DataBubble(id={self._id}, n={self.n}, dim={self.dim})"

@@ -101,9 +101,7 @@ class BubbleBuilder:
         seed_rows = self._rng.choice(num_points, size=num_bubbles, replace=False)
         seeds = points[seed_rows]
 
-        bubbles = BubbleSet(store)
-        for seed in seeds:
-            bubbles.add_bubble(seed)
+        bubbles = BubbleSet.from_arrays(store, seeds)
 
         # Step 2: scan the database, assigning each point to its closest
         # seed (triangle-inequality pruned when configured).
@@ -117,11 +115,7 @@ class BubbleBuilder:
         self._last_pruned_fraction = assigner.pruned_fraction
 
         store.clear_owners()
-        for bubble_id in range(num_bubbles):
-            mask = assignment == bubble_id
-            if not mask.any():
-                continue
-            bubbles[bubble_id].absorb_many(points[mask])
+        bubbles.absorb(points, assignment)
         store.set_owners(ids, assignment)
         return bubbles
 

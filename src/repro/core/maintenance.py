@@ -492,10 +492,7 @@ class IncrementalMaintainer:
                 "bubble; points must be inserted through the maintainer (or "
                 "assigned by the builder) before they can be deleted"
             )
-        points = self._store.points_of(ids)
-        for owner_id in np.unique(owners):
-            mask = owners == owner_id
-            self._bubbles[int(owner_id)].release_many(points[mask])
+        self._bubbles.release(self._store.points_of(ids), owners)
         self._store.delete(ids)
 
     # ------------------------------------------------------------------
@@ -522,9 +519,7 @@ class IncrementalMaintainer:
         assignment = self._timed_assign(assigner, points)
         if active is not None:
             assignment = np.asarray(active, dtype=np.int64)[assignment]
-        for bubble_id in np.unique(assignment):
-            mask = assignment == bubble_id
-            self._bubbles[int(bubble_id)].absorb_many(points[mask])
+        self._bubbles.absorb(points, assignment)
         self._store.set_owners(new_ids, assignment)
         # Per-batch fraction from the assigner's counter deltas, not its
         # lifetime totals — the cached assigner may outlive this batch.

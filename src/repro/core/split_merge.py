@@ -85,13 +85,11 @@ def merge_bubble(
         obs: observability handle; the merge runs under a
             ``merge_bubble`` span when span tracing is enabled.
     """
-    donor = bubbles[donor_id]
-    if donor.is_empty():
+    size = int(bubbles.counts()[donor_id])
+    if size == 0:
         return 0
 
-    with maybe_span(
-        obs, "merge_bubble", donor=int(donor_id), points=donor.n
-    ):
+    with maybe_span(obs, "merge_bubble", donor=int(donor_id), points=size):
         return _merge_bubble_inner(
             bubbles,
             store,
@@ -116,19 +114,14 @@ def _merge_bubble_inner(
     assigner_cache: AssignerCache | None,
     obs,
 ) -> int:
-    donor = bubbles[donor_id]
     member_ids = store.owned_by(donor_id)
     points = store.points_of(member_ids)
-    donor.clear()
+    bubbles.clear([donor_id])
 
     # Candidate targets: every other bubble, compared at its representative.
-    other_ids = np.array(
-        [
-            b.bubble_id
-            for b in bubbles
-            if b.bubble_id != donor_id and b.bubble_id not in exclude
-        ],
-        dtype=np.int64,
+    other_ids = np.setdiff1d(
+        np.arange(len(bubbles)),
+        np.fromiter(exclude | {donor_id}, dtype=np.int64),
     )
     if other_ids.size == 0:
         raise ValueError("merge_bubble has no target bubbles left")
@@ -143,17 +136,14 @@ def _merge_bubble_inner(
         )
     else:
         assigner = make_assigner(
-            bubbles.reps()[other_ids],
+            bubbles.reps(other_ids),
             counter=counter,
             use_triangle_inequality=use_triangle_inequality,
             rng=rng,
             obs=obs,
         )
     assignment = other_ids[assigner.assign_many(points)]
-
-    for target_id in np.unique(assignment):
-        mask = assignment == target_id
-        bubbles[int(target_id)].absorb_many(points[mask])
+    bubbles.absorb(points, assignment)
     store.set_owners(member_ids, assignment)
     return int(member_ids.size)
 
@@ -200,15 +190,14 @@ def split_bubble(
 
     Returns the post-split sizes ``(donor_n, over_n)``.
     """
-    over = bubbles[over_id]
-    donor = bubbles[donor_id]
     if over_id == donor_id:
         raise ValueError("a bubble cannot donate to its own split")
-    if not donor.is_empty():
+    counts = bubbles.counts()
+    if counts[donor_id]:
         raise ValueError(
             f"donor bubble {donor_id} must be merged (emptied) before a split"
         )
-    if over.is_empty():
+    if not counts[over_id]:
         raise ValueError(f"cannot split empty bubble {over_id}")
 
     with maybe_span(
@@ -220,9 +209,9 @@ def split_bubble(
             points, strategy, rng, counter
         )
 
-        donor.reseed(seed_one)
-        over.clear()
-        over.reseed(seed_two)
+        bubbles.reseed(donor_id, seed_one)
+        bubbles.clear([over_id])
+        bubbles.reseed(over_id, seed_two)
 
         # Distribute the points between the two new seeds; with two
         # candidates the triangle inequality cannot prune, so compute
@@ -234,9 +223,8 @@ def split_bubble(
             "ij,ij->i", diff_two, diff_two
         )
 
-        donor.absorb_many(points[to_donor])
-        over.absorb_many(points[~to_donor])
         owners = np.where(to_donor, donor_id, over_id)
+        bubbles.absorb(points, owners)
         store.set_owners(member_ids, owners)
         return int(to_donor.sum()), int(member_ids.size - to_donor.sum())
 

@@ -37,7 +37,6 @@ import numpy as np
 from ..database import PointStore
 from ..exceptions import InvalidConfigError, InvalidPointError
 from ..sufficient import SufficientStatistics
-from .bubble import DataBubble
 from .bubble_set import BubbleSet
 
 __all__ = [
@@ -215,46 +214,46 @@ def verify_consistency(
         )
     offsets, members = bubbles.member_csr()
     points = store.points_of(members)
-    for bubble in bubbles:
-        b = bubble.bubble_id
-        violations.extend(
-            _stats_violations(
-                bubble, points[offsets[b] : offsets[b + 1]], rel_tol
-            )
-        )
+    violations.extend(
+        message
+        for _, message in _stats_violations(bubbles, offsets, points, rel_tol)
+    )
     return ConsistencyReport(
         ok=not violations, violations=tuple(violations)
     )
 
 
 def _stats_violations(
-    bubble: DataBubble, points: np.ndarray, rel_tol: float
-) -> list[str]:
-    """How ``bubble``'s ``(n, LS, SS)`` disagrees with the ``(m, d)``
-    coordinates of the points it owns (empty when it agrees)."""
-    stats = bubble.stats
-    owned = points.shape[0]
-    if stats.n != owned:
-        return [
-            f"bubble {bubble.bubble_id}: n={stats.n} but it owns {owned} "
-            "alive point(s)"
-        ]
-    if owned == 0:
-        return []
-    fresh = SufficientStatistics.from_points(points)
-    scale = max(1.0, float(np.abs(points).max()))
-    atol = rel_tol * scale * owned
-    found = []
-    if not np.allclose(
-        stats.linear_sum, fresh.linear_sum, rtol=rel_tol, atol=atol
-    ):
-        found.append(
-            f"bubble {bubble.bubble_id}: LS drifted from its points' sum"
-        )
-    if abs(stats.square_sum - fresh.square_sum) > max(
-        rel_tol * abs(fresh.square_sum), atol * scale
-    ):
-        found.append(
-            f"bubble {bubble.bubble_id}: SS drifted from its points' sum"
-        )
+    bubbles: BubbleSet,
+    offsets: np.ndarray,
+    points: np.ndarray,
+    rel_tol: float,
+) -> list[tuple[int, str]]:
+    """``(bubble id, violation)`` for every bubble whose ``(n, LS, SS)``
+    disagrees with the coordinates of the points it owns — ``points`` and
+    ``offsets`` in the CSR layout of :meth:`BubbleSet.member_csr`."""
+    counts, linear_sums, square_sums = bubbles.statistics()
+    found: list[tuple[int, str]] = []
+    for b in range(len(bubbles)):
+        mine = points[offsets[b] : offsets[b + 1]]
+        owned = mine.shape[0]
+        if counts[b] != owned:
+            found.append(
+                (b, f"bubble {b}: n={counts[b]} but it owns {owned} alive "
+                 "point(s)")
+            )
+            continue
+        if owned == 0:
+            continue
+        fresh = SufficientStatistics.from_points(mine)
+        scale = max(1.0, float(np.abs(mine).max()))
+        atol = rel_tol * scale * owned
+        if not np.allclose(
+            linear_sums[b], fresh.linear_sum, rtol=rel_tol, atol=atol
+        ):
+            found.append((b, f"bubble {b}: LS drifted from its points' sum"))
+        if abs(square_sums[b] - fresh.square_sum) > max(
+            rel_tol * abs(fresh.square_sum), atol * scale
+        ):
+            found.append((b, f"bubble {b}: SS drifted from its points' sum"))
     return found

@@ -17,12 +17,14 @@ that substrate:
   :meth:`PointStore.owned_by` answers "the points of bubble b" (Figure 6's
   merge and split) with one mask over the column.
 
-Storage is a set of parallel, capacity-doubling numpy arrays indexed by the
-point id itself, plus an aliveness mask. That keeps bulk snapshots (the
+Storage is a set of parallel numpy arrays plus an aliveness mask; the row
+of id ``i`` is ``i - base``. That keeps bulk snapshots (the
 complete-rebuild baseline re-summarizes the whole database every batch)
-vectorised and cheap. Ids are never reused, so the arrays only grow; every
-whole-store scan starts at a *scan floor*, the lowest id that may still be
-alive, instead of at id 0 — a sliding window's dead prefix is never read.
+vectorised and cheap. Every whole-store scan starts at a *scan floor*, the
+lowest id that may still be alive — a sliding window's dead prefix is
+never read — and when the arrays run out of rows the live ids from the
+floor on move to row 0 and the base moves up to the floor, so a window
+holds a bounded number of rows however many ids it has issued.
 """
 
 from __future__ import annotations
@@ -70,8 +72,10 @@ class PointStore:
         self._alive = np.zeros(self._capacity, dtype=bool)
         self._next_id = 0
         self._size = 0
-        # Every id below the floor is dead, and every dead id below
-        # next_id has owner -1, so scans of [floor, next_id) see it all.
+        # Row r holds id base + r. Every id below the floor is dead, and
+        # every dead id in [base, next_id) has owner -1, so scans of
+        # [floor, next_id) see it all.
+        self._base = 0
         self._low = 0
 
     # ------------------------------------------------------------------
@@ -116,19 +120,23 @@ class PointStore:
         )
         if ids.size and resume <= int(ids[-1]):
             raise ValueError("next_id must exceed every alive id")
-        store._ensure_capacity(max(resume, 1))
-        store._points[ids] = points
-        store._labels[ids] = labels
-        store._owners[:resume] = _UNOWNED
+        # Rows start at the first alive id: the dead ids below it are
+        # never stored.
+        base = int(ids[0]) if ids.size else resume
+        store._base = store._low = store._next_id = base
+        store._make_room(resume - base)
+        rows = ids - base
+        store._points[rows] = points
+        store._labels[rows] = labels
+        store._owners[: resume - base] = _UNOWNED
         if owners is not None:
             owners = np.asarray(owners, dtype=np.int64)
             if owners.shape != ids.shape:
                 raise ValueError("owners must align with ids")
-            store._owners[ids] = owners
-        store._alive[ids] = True
+            store._owners[rows] = owners
+        store._alive[rows] = True
         store._next_id = resume
         store._size = int(ids.size)
-        store._low = int(ids[0]) if ids.size else resume
         return store
 
     # ------------------------------------------------------------------
@@ -162,12 +170,13 @@ class PointStore:
                 raise ValueError(
                     f"expected {count} labels, got shape {label_array.shape}"
                 )
+        self._make_room(count)
         start = self._next_id
-        self._ensure_capacity(start + count)
-        self._points[start : start + count] = points
-        self._labels[start : start + count] = label_array
-        self._owners[start : start + count] = _UNOWNED
-        self._alive[start : start + count] = True
+        rows = slice(start - self._base, start - self._base + count)
+        self._points[rows] = points
+        self._labels[rows] = label_array
+        self._owners[rows] = _UNOWNED
+        self._alive[rows] = True
         self._next_id += count
         self._size += count
         return list(range(start, start + count))
@@ -182,25 +191,19 @@ class PointStore:
         ids = np.asarray(point_ids, dtype=np.int64)
         if ids.size == 0:
             return
-        bad = (ids < 0) | (ids >= self._next_id)
-        if bad.any() or not self._alive[ids].all():
-            first = int(ids[bad][0]) if bad.any() else int(
-                ids[~self._alive[np.clip(ids, 0, self._next_id - 1)]][0]
-            )
-            raise UnknownPointError(f"point id {first} is not alive")
-        self._alive[ids] = False
-        self._owners[ids] = _UNOWNED
+        rows = self._rows(ids)
+        self._alive[rows] = False
+        self._owners[rows] = _UNOWNED
         self._size -= ids.size
-        if not self._alive[self._low]:
+        if not self._alive[self._low - self._base]:
             # argmax stops at the first alive id; none left means the
             # floor moves to next_id.
-            rest = self._alive[self._low : self._next_id]
+            rest = self._alive[self._window()]
             self._low += int(rest.argmax()) if self._size else rest.size
 
     def set_owner(self, point_id: PointId, bubble_id: BubbleId) -> None:
         """Record which bubble currently summarizes ``point_id``."""
-        self._check_alive(point_id)
-        self._owners[point_id] = bubble_id
+        self._owners[self._rows([point_id])] = bubble_id
 
     def set_owners(
         self, point_ids: Sequence[PointId], bubble_ids: Sequence[BubbleId]
@@ -212,13 +215,11 @@ class PointStore:
             raise ValueError("point_ids and bubble_ids must align")
         if ids.size == 0:
             return
-        if not self._alive[ids].all():
-            raise UnknownPointError("cannot set owner of a dead point")
-        self._owners[ids] = owners
+        self._owners[self._rows(ids)] = owners
 
     def clear_owners(self) -> None:
         """Forget every ownership record (used before a complete rebuild)."""
-        self._owners[self._low : self._next_id] = _UNOWNED
+        self._owners[self._window()] = _UNOWNED
 
     # ------------------------------------------------------------------
     # Lookup
@@ -251,45 +252,44 @@ class PointStore:
         if not isinstance(point_id, (int, np.integer)):
             return False
         idx = int(point_id)
-        return 0 <= idx < self._next_id and bool(self._alive[idx])
+        return self._base <= idx < self._next_id and bool(
+            self._alive[idx - self._base]
+        )
 
     def point(self, point_id: PointId) -> np.ndarray:
         """The coordinates of one alive point (read-only view)."""
-        self._check_alive(point_id)
-        view = self._points[point_id].view()
+        view = self._points[self._rows([point_id])[0]].view()
         view.flags.writeable = False
         return view
 
     def label(self, point_id: PointId) -> Label:
         """Ground-truth label of one alive point."""
-        self._check_alive(point_id)
-        return int(self._labels[point_id])
+        return int(self._labels[self._rows([point_id])[0]])
 
     def owner(self, point_id: PointId) -> BubbleId | None:
         """Bubble currently owning the point, or ``None`` if unassigned."""
-        self._check_alive(point_id)
-        owner = int(self._owners[point_id])
+        owner = int(self._owners[self._rows([point_id])[0]])
         return None if owner == _UNOWNED else owner
 
     def ids(self) -> np.ndarray:
         """Ids of all alive points, ascending."""
-        return self._scan(self._alive[self._low : self._next_id])
+        return self._scan(self._alive[self._window()])
 
     def owned_by(self, bubble_id: BubbleId) -> np.ndarray:
         """Ids of the alive points ``bubble_id`` owns, ascending."""
-        return self._scan(self._owners[self._low : self._next_id] == bubble_id)
+        return self._scan(self._owners[self._window()] == bubble_id)
 
     def points_of(self, point_ids: Sequence[PointId]) -> np.ndarray:
         """Coordinate matrix for the given alive ids."""
-        return self._points[self._alive_ids(point_ids)].copy()
+        return self._points[self._rows(point_ids)]
 
     def owners_of(self, point_ids: Sequence[PointId]) -> np.ndarray:
         """Bubble ownership for the given alive ids (``-1`` = unowned)."""
-        return self._owners[self._alive_ids(point_ids)].copy()
+        return self._owners[self._rows(point_ids)]
 
     def labels_of(self, point_ids: Sequence[PointId]) -> np.ndarray:
         """Ground-truth labels for the given alive ids."""
-        return self._labels[self._alive_ids(point_ids)].copy()
+        return self._labels[self._rows(point_ids)]
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, points, labels)`` of all alive points in one shot.
@@ -298,16 +298,17 @@ class PointStore:
         harness.
         """
         ids = self.ids()
-        return ids, self._points[ids].copy(), self._labels[ids].copy()
+        rows = ids - self._base
+        return ids, self._points[rows], self._labels[rows]
 
     def iter_alive(self) -> Iterator[tuple[PointId, np.ndarray]]:
         """Iterate ``(id, point)`` pairs for all alive points."""
         for point_id in self.ids():
-            yield int(point_id), self._points[point_id]
+            yield int(point_id), self._points[point_id - self._base]
 
     def ids_with_label(self, label: Label) -> np.ndarray:
         """Alive point ids whose ground-truth label equals ``label``."""
-        window = slice(self._low, self._next_id)
+        window = self._window()
         return self._scan(
             self._alive[window] & (self._labels[window] == label)
         )
@@ -315,38 +316,58 @@ class PointStore:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _window(self) -> slice:
+        """The rows of ids ``[floor, next_id)``."""
+        return slice(self._low - self._base, self._next_id - self._base)
+
     def _scan(self, mask: np.ndarray) -> np.ndarray:
         """Ids of the set entries of a mask over ``[floor, next_id)``."""
         return (np.flatnonzero(mask) + self._low).astype(np.int64, copy=False)
 
-    def _check_alive(self, point_id: PointId) -> None:
-        if not (0 <= point_id < self._next_id) or not self._alive[point_id]:
-            raise UnknownPointError(f"point id {point_id} is not alive")
-
-    def _alive_ids(self, point_ids: Sequence[PointId]) -> np.ndarray:
-        """``point_ids`` as an int64 array; raises unless all are alive."""
+    def _rows(self, point_ids: Sequence[PointId]) -> np.ndarray:
+        """The rows of ``point_ids``; raises unless all are alive."""
         ids = np.asarray(point_ids, dtype=np.int64)
+        rows = ids - self._base
         if ids.size and not (
-            (ids >= 0).all()
+            (rows >= 0).all()
             and (ids < self._next_id).all()
-            and self._alive[ids].all()
+            and self._alive[rows].all()
         ):
-            raise UnknownPointError("requested a dead point")
-        return ids
+            alive = (rows >= 0) & (ids < self._next_id)
+            alive[alive] = self._alive[rows[alive]]
+            first = int(ids[~alive][0])
+            raise UnknownPointError(f"point id {first} is not alive")
+        return rows
 
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed <= self._capacity:
+    def _make_room(self, count: int) -> None:
+        """Make rows for ``count`` more ids after ``next_id``.
+
+        When the ids from the floor on plus the new ones fit in half the
+        capacity, the capacity stays; otherwise it doubles until they
+        fit. Either way the live range ``[floor, next_id)`` is copied to
+        row 0 and the base moves up to the floor.
+        """
+        if self._next_id + count - self._base <= self._capacity:
             return
-        new_capacity = self._capacity
-        while new_capacity < needed:
-            new_capacity *= 2
-        self._points = np.resize(self._points, (new_capacity, self._dim))
-        self._labels = np.resize(self._labels, new_capacity)
-        self._owners = np.resize(self._owners, new_capacity)
-        alive = np.zeros(new_capacity, dtype=bool)
-        alive[: self._capacity] = self._alive
-        self._alive = alive
-        self._capacity = new_capacity
+        needed = self._next_id + count - self._low
+        capacity = self._capacity
+        if 2 * needed > capacity:
+            capacity *= 2
+            while capacity < needed:
+                capacity *= 2
+        live, span = self._window(), self._next_id - self._low
+        points = np.empty((capacity, self._dim), dtype=np.float64)
+        labels = np.empty(capacity, dtype=np.int64)
+        owners = np.empty(capacity, dtype=np.int64)
+        alive = np.zeros(capacity, dtype=bool)
+        points[:span] = self._points[live]
+        labels[:span] = self._labels[live]
+        owners[:span] = self._owners[live]
+        alive[:span] = self._alive[live]
+        self._points, self._labels = points, labels
+        self._owners, self._alive = owners, alive
+        self._capacity = capacity
+        self._base = self._low
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PointStore(dim={self._dim}, size={self._size})"

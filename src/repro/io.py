@@ -104,14 +104,11 @@ def load_session(
         offsets = archive["member_offsets"]
         member_ids = archive["member_ids"]
 
-    bubbles = BubbleSet(store)
-    for seed in seeds:
-        bubbles.add_bubble(seed)
+    bubbles = BubbleSet.from_arrays(store, seeds)
     owned_offsets, owned_ids = bubbles.member_csr()
-    points = store.points_of(owned_ids)
-    for index, bubble in enumerate(bubbles):
-        owned = points[owned_offsets[index] : owned_offsets[index + 1]]
-        if owned.size:
-            bubble.absorb_many(owned)
+    bubbles.absorb(
+        store.points_of(owned_ids),
+        np.repeat(np.arange(len(bubbles)), np.diff(owned_offsets)),
+    )
     check_members(bubbles, offsets, member_ids)
     return store, bubbles

@@ -60,7 +60,6 @@ from .persistence import (
     config_to_dict,
     recover_state,
 )
-from .sufficient import SufficientStatistics
 from .types import Label
 
 __all__ = ["SlidingWindowSummarizer", "DurableSummarizer"]
@@ -538,16 +537,8 @@ class SlidingWindowSummarizer:
             return state
 
         bubbles = self._maintainer.bubbles
-        num = len(bubbles)
-        linear_sums = np.empty((num, self._store.dim), dtype=np.float64)
-        square_sums = np.empty(num, dtype=np.float64)
-        for i, bubble in enumerate(bubbles):
-            linear_sums[i] = bubble.stats.linear_sum
-            square_sums[i] = bubble.stats.square_sum
         state.seeds = bubbles.seeds()
-        state.ns = bubbles.counts()
-        state.linear_sums = linear_sums
-        state.square_sums = square_sums
+        state.ns, state.linear_sums, state.square_sums = bubbles.statistics()
         state.member_offsets, state.member_ids = bubbles.member_csr()
         state.retired = tuple(sorted(self._maintainer.retired_ids))
         state.max_adjust = self._maintainer.max_adjust_per_batch
@@ -602,15 +593,10 @@ class SlidingWindowSummarizer:
         if not state.bootstrapped:
             return stream
 
-        bubbles = BubbleSet(stream._store)
-        for i in range(state.num_bubbles):
-            bubbles.add_bubble(state.seeds[i]).restore_state(
-                SufficientStatistics.from_raw(
-                    int(state.ns[i]),
-                    state.linear_sums[i],
-                    float(state.square_sums[i]),
-                )
-            )
+        bubbles = BubbleSet.from_arrays(
+            stream._store, state.seeds, state.ns, state.linear_sums,
+            state.square_sums,
+        )
         check_members(bubbles, state.member_offsets, state.member_ids)
         maintainer = AdaptiveMaintainer(
             bubbles,

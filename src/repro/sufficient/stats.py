@@ -11,10 +11,12 @@ They are *additive*: inserting a point ``p`` updates them to
 ``(n + 1, LS + p, SS + p·p)`` and deleting an assigned point to
 ``(n - 1, LS - p, SS - p·p)`` — exactly the incremental update rule of
 Section 4 of the paper. Two disjoint sets' statistics merge by element-wise
-addition, which the split/merge operations rely on.
+addition.
 
-:class:`SufficientStatistics` is intentionally a mutable value object: a
-data bubble owns exactly one and mutates it as points come and go.
+:class:`SufficientStatistics` holds them for *one* point set — a BIRCH
+clustering feature grows one, and ``DataBubble.stats`` is a snapshot of a
+bubble's row; the bubbles themselves live as the arrays of a
+:class:`~repro.core.bubble_set.BubbleSet`.
 """
 
 from __future__ import annotations
@@ -91,14 +93,6 @@ class SufficientStatistics:
         stats._square_sum = float(square_sum)
         return stats
 
-    def copy(self) -> "SufficientStatistics":
-        """Independent deep copy."""
-        dup = SufficientStatistics(self._dim)
-        dup._n = self._n
-        dup._linear_sum = self._linear_sum.copy()
-        dup._square_sum = self._square_sum
-        return dup
-
     # ------------------------------------------------------------------
     # Incremental updates (Section 4 of the paper)
     # ------------------------------------------------------------------
@@ -109,58 +103,6 @@ class SufficientStatistics:
         self._linear_sum += point
         self._square_sum += float(np.dot(point, point))
 
-    def remove(self, point: Point) -> None:
-        """Release one previously absorbed point.
-
-        ``(n, LS, SS) -> (n - 1, LS - p, SS - p·p)``. Removing from empty
-        statistics is a logic error and raises :class:`EmptyBubbleError`.
-        """
-        if self._n == 0:
-            raise EmptyBubbleError("cannot remove a point from empty statistics")
-        self._check_dim(point)
-        self._n -= 1
-        self._linear_sum -= point
-        self._square_sum -= float(np.dot(point, point))
-        if self._n == 0:
-            # Snap accumulated floating point noise back to exact zero so an
-            # emptied bubble is bit-identical to a fresh one.
-            self._linear_sum[:] = 0.0
-            self._square_sum = 0.0
-
-    def insert_many(self, points: PointMatrix) -> None:
-        """Absorb a batch of points with one vectorised update."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            return
-        if points.ndim != 2 or points.shape[1] != self._dim:
-            raise DimensionMismatchError(
-                f"expected (m, {self._dim}) points, got shape {points.shape}"
-            )
-        self._n += points.shape[0]
-        self._linear_sum += points.sum(axis=0)
-        self._square_sum += float(np.einsum("ij,ij->", points, points))
-
-    def remove_many(self, points: PointMatrix) -> None:
-        """Release a batch of previously absorbed points in one update."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            return
-        if points.ndim != 2 or points.shape[1] != self._dim:
-            raise DimensionMismatchError(
-                f"expected (m, {self._dim}) points, got shape {points.shape}"
-            )
-        if points.shape[0] > self._n:
-            raise EmptyBubbleError(
-                f"cannot remove {points.shape[0]} points from statistics of "
-                f"{self._n}"
-            )
-        self._n -= points.shape[0]
-        self._linear_sum -= points.sum(axis=0)
-        self._square_sum -= float(np.einsum("ij,ij->", points, points))
-        if self._n == 0:
-            self._linear_sum[:] = 0.0
-            self._square_sum = 0.0
-
     def merge(self, other: "SufficientStatistics") -> None:
         """Absorb another statistic (disjoint point sets): element-wise addition."""
         if other._dim != self._dim:
@@ -170,12 +112,6 @@ class SufficientStatistics:
         self._n += other._n
         self._linear_sum += other._linear_sum
         self._square_sum += other._square_sum
-
-    def clear(self) -> None:
-        """Reset to the empty statistics."""
-        self._n = 0
-        self._linear_sum[:] = 0.0
-        self._square_sum = 0.0
 
     # ------------------------------------------------------------------
     # Accessors

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,27 @@ class TestPointLabels:
         store.insert(np.array([[50.0, 50.0]]))  # never summarized
         labels = snapshot.point_labels(store)
         assert labels[-1] == -1
+
+    def test_matches_a_per_point_lookup(self, world):
+        # Points owned by no bubble (owner -1) and points of bubbles
+        # without a label both come out as noise.
+        store, bubbles, _ = world
+        snapshot = ClusteringSnapshot.build(bubbles, min_pts=40)
+        ids = store.ids()
+        store.set_owners(ids[:5], np.full(5, -1))
+        unlabelled = int(store.owners_of(ids[5:6])[0])
+        labels = dict(snapshot.bubble_labels)
+        del labels[unlabelled]
+        partial = dataclasses.replace(snapshot, bubble_labels=labels)
+        got = partial.point_labels(store)
+        want = [
+            -1 if store.owner(int(p)) is None
+            else labels.get(store.owner(int(p)), -1)
+            for p in ids
+        ]
+        assert got.tolist() == want
+        assert (got[:5] == -1).all()
+        assert (got[store.owners_of(ids) == unlabelled] == -1).all()
 
 
 class TestPredict:

@@ -303,9 +303,8 @@ class TestAssignerCache:
         assert cache.misses == 2
 
     def test_cached_assigner_is_isolated_from_later_mutations(self):
-        # reps() hands out views of live cache rows; the assigner must
-        # have copied them so later bubble mutations cannot skew an
-        # in-flight (stale-keyed) assigner's geometry.
+        # Later bubble mutations must not skew an in-flight
+        # (stale-keyed) assigner's geometry.
         seeds = np.random.default_rng(0).normal(size=(4, 2))
         bubbles = self._bubble_set(seeds)
         cache = AssignerCache()
@@ -347,23 +346,24 @@ class TestBubbleSetVersioning:
         bubble.reseed(np.array([3.0, 3.0]))
         assert bubbles.version > v6
 
-    def test_reps_cache_refreshes_dirty_rows_only(self):
+    def test_reps_follow_every_mutation(self):
         bubbles = BubbleSet(PointStore(dim=2))
         a = bubbles.add_bubble(np.array([0.0, 0.0]))
-        b = bubbles.add_bubble(np.array([5.0, 5.0]))
+        bubbles.add_bubble(np.array([5.0, 5.0]))
         first = bubbles.reps()
         assert first[0].tolist() == [0.0, 0.0]
 
         a.absorb(np.array([2.0, 2.0]))
         second = bubbles.reps()
-        assert second[0].tolist() == [2.0, 2.0]  # dirty row refreshed
+        assert second[0].tolist() == [2.0, 2.0]  # the mean, not the seed
         assert second[1].tolist() == [5.0, 5.0]
-        # Same backing buffer: the refresh was in place, not a rebuild.
-        assert second.base is first.base
+        assert first[0].tolist() == [0.0, 0.0]  # earlier results stay
+        assert bubbles.reps([1, 0]).tolist() == [[5.0, 5.0], [2.0, 2.0]]
 
-    def test_reps_view_is_read_only(self):
+    def test_reps_is_a_fresh_array(self):
         bubbles = BubbleSet(PointStore(dim=2))
         bubbles.add_bubble(np.zeros(2))
         reps = bubbles.reps()
-        with pytest.raises(ValueError):
-            reps[0, 0] = 1.0
+        reps[0, 0] = 1.0  # the caller owns it ...
+        assert bubbles.reps()[0].tolist() == [0.0, 0.0]  # ... not the set
+        assert bubbles[0].seed.tolist() == [0.0, 0.0]

@@ -87,7 +87,7 @@ class TestRepairs:
         victim = bubbles.non_empty_ids()[0]
         # A phantom point in the statistics only: n/LS/SS drift away
         # from the points the owner column gives the bubble.
-        bubbles[victim].stats.insert(np.array([50.0, 50.0]))
+        bubbles[victim].absorb(np.array([50.0, 50.0]))
         assert not verify_consistency(bubbles, store).ok
 
         report = InvariantAuditor(bubbles, store).audit()
@@ -140,7 +140,7 @@ class TestRepairs:
         untouched = bubbles.non_empty_ids()[1]
         before_ls = np.asarray(bubbles[untouched].stats.linear_sum).copy()
         before_ss = bubbles[untouched].stats.square_sum
-        bubbles[victim].stats.insert(np.array([50.0, 50.0]))
+        bubbles[victim].absorb(np.array([50.0, 50.0]))
 
         report = InvariantAuditor(bubbles, store).audit()
         assert report.healthy
@@ -155,7 +155,7 @@ class TestRepairs:
     def test_repair_false_reports_without_mutating(self, world):
         store, bubbles = world
         victim = bubbles.non_empty_ids()[0]
-        bubbles[victim].stats.insert(np.array([50.0, 50.0]))
+        bubbles[victim].absorb(np.array([50.0, 50.0]))
         drifted_n = bubbles[victim].stats.n
 
         report = InvariantAuditor(bubbles, store).audit(repair=False)
@@ -227,7 +227,7 @@ class TestObservability:
 
         auditor.audit()  # clean
         victim = bubbles.non_empty_ids()[0]
-        bubbles[victim].stats.insert(np.array([50.0, 50.0]))
+        bubbles[victim].absorb(np.array([50.0, 50.0]))
         auditor.audit()  # drifted: repairs
 
         assert obs.metrics.get("repro_audit_runs_total").value == 2

@@ -1,4 +1,4 @@
-"""Unit tests for a single data bubble."""
+"""Unit tests for a single data bubble: a handle onto one set row."""
 
 from __future__ import annotations
 
@@ -7,11 +7,12 @@ import pytest
 
 from repro import PointStore
 from repro.core import BubbleSet, DataBubble
-from repro.exceptions import EmptyBubbleError
+from repro.exceptions import DimensionMismatchError, EmptyBubbleError
 
 
 def make_bubble(seed=(0.0, 0.0)) -> DataBubble:
-    return DataBubble(bubble_id=0, seed=np.asarray(seed, dtype=float))
+    seed = np.asarray(seed, dtype=float)
+    return BubbleSet(PointStore(dim=seed.shape[0])).add_bubble(seed)
 
 
 class TestLifecycle:
@@ -118,9 +119,13 @@ class TestReseed:
 
     def test_seed_defensively_copied(self):
         seed = np.array([1.0, 2.0])
-        bubble = DataBubble(bubble_id=0, seed=seed)
+        bubble = make_bubble(seed)
         seed[0] = 99.0
         assert bubble.seed == pytest.approx([1.0, 2.0])
+        # The handle hands out a copy, not a view of the set's row.
+        held = bubble.seed
+        bubble.reseed(np.array([5.0, 6.0]))
+        assert held == pytest.approx([1.0, 2.0])
 
     def test_seed_view_is_readonly(self):
         bubble = make_bubble()
@@ -132,7 +137,7 @@ class TestDerivedQuantities:
     def test_extent_matches_sufficient_stats(self):
         rng = np.random.default_rng(2)
         points = rng.normal(size=(30, 3))
-        bubble = DataBubble(bubble_id=0, seed=np.zeros(3))
+        bubble = make_bubble(np.zeros(3))
         bubble.absorb_many(points)
         from repro.sufficient import SufficientStatistics, extent
 
@@ -143,5 +148,5 @@ class TestDerivedQuantities:
         assert make_bubble().nn_dist(1) == 0.0
 
     def test_invalid_seed_shape(self):
-        with pytest.raises(ValueError):
-            DataBubble(bubble_id=0, seed=np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            make_bubble(np.zeros((2, 2)))

@@ -91,8 +91,8 @@ class TestVerifyConsistency:
         store, bubbles = consistent_world
         donor = bubbles.non_empty_ids()[0]
         # Corrupt statistics directly (simulating a missed update).
-        bubbles[donor].stats.insert(np.array([1e6, 1e6]))
-        bubbles[donor].stats.remove(np.array([0.0, 0.0]))
+        bubbles[donor].absorb(np.array([1e6, 1e6]))
+        bubbles[donor].release(np.array([0.0, 0.0]))
         report = verify_consistency(bubbles, store)
         assert not report.ok
         assert any("drifted" in v or "n=" in v for v in report.violations)

@@ -289,3 +289,78 @@ class TestScanFloor:
         assert store.ids().size == 0
         assert store.insert(np.zeros((1, 2))) == [7]
         assert store.ids().tolist() == [7]
+
+
+class TestRebase:
+    """Rows are ``id - base``; the base follows the scan floor, so a
+    sliding window keeps a bounded number of rows."""
+
+    def test_fifo_window_keeps_bounded_rows(self):
+        rng = np.random.default_rng(5)
+        window, chunk, chunks = 1000, 64, 3000
+        store = PointStore(dim=2)
+        issued = chunk * chunks
+        alive = np.zeros(issued, dtype=bool)
+        owners = np.full(issued, -1, dtype=np.int64)
+        points = rng.normal(size=(issued, 2))
+        for step in range(chunks):
+            new = np.asarray(
+                store.insert(points[step * chunk : (step + 1) * chunk])
+            )
+            alive[new] = True
+            owned = rng.integers(-1, 4, size=chunk)
+            keep = owned >= 0
+            store.set_owners(new[keep], owned[keep])
+            owners[new] = owned
+            if store.size > window:
+                gone = store.ids()[: store.size - window]
+                store.delete(gone)
+                alive[gone] = False
+                owners[gone] = -1
+            assert store._points.shape[0] <= 4096
+            if step % 97 == 0 or step == chunks - 1:
+                ids = np.flatnonzero(alive)
+                assert store.ids().tolist() == ids.tolist()
+                assert store.owners_of(ids).tolist() == owners[ids].tolist()
+                snap_ids, snap_points, _ = store.snapshot()
+                assert snap_ids.tolist() == ids.tolist()
+                assert np.array_equal(snap_points, points[ids])
+        assert store.next_id == issued
+        # Ids below the base were deleted long ago: unknown, not a crash.
+        with pytest.raises(UnknownPointError):
+            store.points_of([0])
+        with pytest.raises(UnknownPointError):
+            store.delete([5])
+        assert 5 not in store
+
+    def test_gapped_high_id_snapshot_round_trip(self):
+        ids = np.array([1_000_003, 1_000_010, 1_000_011, 1_002_000])
+        owners = np.array([0, -1, 2, 1])
+        store = PointStore.from_snapshot(
+            dim=2,
+            ids=ids,
+            points=np.arange(8.0).reshape(4, 2),
+            labels=np.array([1, 2, 3, 4]),
+            owners=owners,
+            next_id=1_002_005,
+        )
+        # Rows start at the first alive id, not at id 0.
+        assert store._points.shape[0] < 4096
+        assert store.ids().tolist() == ids.tolist()
+        assert store.owners_of(ids).tolist() == owners.tolist()
+        assert store.owned_by(2).tolist() == [1_000_011]
+        with pytest.raises(UnknownPointError):
+            store.point(1_000_002)
+        again = PointStore.from_snapshot(
+            dim=2,
+            ids=store.snapshot()[0],
+            points=store.snapshot()[1],
+            labels=store.snapshot()[2],
+            owners=store.owners_of(store.ids()),
+            next_id=store.next_id,
+        )
+        assert again.ids().tolist() == ids.tolist()
+        assert np.array_equal(again.snapshot()[1], store.snapshot()[1])
+        assert again.insert(np.zeros((2, 2))) == [1_002_005, 1_002_006]
+        again.delete(ids[:3])
+        assert again.ids().tolist() == [1_002_000, 1_002_005, 1_002_006]

@@ -214,7 +214,7 @@ class TestInternallyInconsistentSnapshot:
         victim = stream.summary.non_empty_ids()[0]
         # Bump n without owning another point: on restore n differs from
         # the count the owner column implies.
-        stream.summary[victim].stats.insert(np.zeros(DIM))
+        stream.summary[victim].absorb(np.zeros(DIM))
         stream.close()  # the goodbye checkpoint persists the damage
 
         with pytest.raises(CorruptStateError, match="inconsistent"):

@@ -30,6 +30,7 @@ from repro import (
     UpdateBatch,
 )
 from repro.core import (
+    BubbleSet,
     NaiveAssigner,
     TriangleInequalityAssigner,
     classify_values,
@@ -58,10 +59,15 @@ def point_matrices(min_rows: int = 1, max_rows: int = 30, max_dim: int = 5):
 class TestSufficientStatisticsProperties:
     @given(points=point_matrices(min_rows=2))
     def test_insert_remove_roundtrip(self, points):
+        # A bubble row of the set: the grouped update the maintainers run.
         stats = SufficientStatistics.from_points(points[:-1])
         n, ls, ss = stats.n, stats.linear_sum.copy(), stats.square_sum
-        stats.insert(points[-1])
-        stats.remove(points[-1])
+        bubbles = BubbleSet.from_arrays(
+            PointStore(dim=points.shape[1]), points[:1], [n], [ls], [ss]
+        )
+        bubbles.absorb(points[-1:], [0])
+        bubbles.release(points[-1:], [0])
+        stats = bubbles[0].stats
         assert stats.n == n
         np.testing.assert_allclose(stats.linear_sum, ls, atol=1e-3, rtol=1e-9)
         assert stats.square_sum == pytest.approx(ss, abs=1e-2, rel=1e-9)

@@ -189,7 +189,7 @@ class TestPeriodicAudit:
         for _ in range(4):
             stream.append(rng.normal(size=(60, 2)))
         victim = stream.summary.non_empty_ids()[0]
-        stream.summary[victim].stats.insert(np.array([99.0, 99.0]))
+        stream.summary[victim].absorb(np.array([99.0, 99.0]))
         stream.append(rng.normal(size=(60, 2)))
         assert stream.last_audit is not None
         assert not stream.last_audit.ok  # it saw the drift...

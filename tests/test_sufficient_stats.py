@@ -1,12 +1,30 @@
-"""Unit tests for the additive sufficient statistics (n, LS, SS)."""
+"""Unit tests for the additive sufficient statistics (n, LS, SS).
+
+Two holders keep them: :class:`SufficientStatistics` (one point set, as a
+BIRCH clustering feature grows it) and the rows of a
+:class:`~repro.core.bubble_set.BubbleSet`, whose grouped ``absorb`` /
+``release`` is the only place the data bubbles' batch insertions and
+deletions run. The update tests below exercise that grouped path.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import PointStore
+from repro.core import BubbleSet
 from repro.exceptions import DimensionMismatchError, EmptyBubbleError
 from repro.sufficient import SufficientStatistics
+
+
+def bubble_rows(dim: int, count: int = 1) -> BubbleSet:
+    """A set of ``count`` empty bubbles seeded at the origin."""
+    return BubbleSet.from_arrays(PointStore(dim=dim), np.zeros((count, dim)))
+
+
+def owners(points, bubble_id: int = 0) -> np.ndarray:
+    return np.full(len(points), bubble_id)
 
 
 class TestConstruction:
@@ -42,66 +60,90 @@ class TestIncrementalUpdates:
         assert stats.square_sum == pytest.approx(25.0)
 
     def test_insert_then_remove_is_identity(self):
-        stats = SufficientStatistics(dim=2)
-        stats.insert(np.array([1.0, 1.0]))
-        reference = stats.copy()
-        point = np.array([-2.0, 7.0])
-        stats.insert(point)
-        stats.remove(point)
-        assert stats == reference
+        bubbles = bubble_rows(2)
+        bubbles.absorb(np.array([[1.0, 1.0]]), [0])
+        reference = bubbles[0].stats
+        point = np.array([[-2.0, 7.0]])
+        bubbles.absorb(point, [0])
+        bubbles.release(point, [0])
+        assert bubbles[0].stats == reference
 
     def test_remove_from_empty_raises(self):
-        stats = SufficientStatistics(dim=2)
+        bubbles = bubble_rows(2)
         with pytest.raises(EmptyBubbleError):
-            stats.remove(np.array([1.0, 1.0]))
+            bubbles.release(np.array([[1.0, 1.0]]), [0])
 
     def test_emptied_statistics_snap_to_zero(self):
-        stats = SufficientStatistics(dim=2)
+        bubbles = bubble_rows(2)
         # Values chosen to accumulate floating point residue.
-        stats.insert(np.array([0.1, 0.2]))
-        stats.insert(np.array([0.3, 0.7]))
-        stats.remove(np.array([0.1, 0.2]))
-        stats.remove(np.array([0.3, 0.7]))
-        assert stats.is_empty()
-        assert (stats.linear_sum == 0.0).all()
-        assert stats.square_sum == 0.0
+        first, second = np.array([[0.1, 0.2]]), np.array([[0.3, 0.7]])
+        bubbles.absorb(first, [0])
+        bubbles.absorb(second, [0])
+        bubbles.release(first, [0])
+        bubbles.release(second, [0])
+        assert bubbles[0].is_empty()
+        assert (bubbles.statistics()[1] == 0.0).all()
+        assert bubbles.statistics()[2][0] == 0.0
 
     def test_dimension_mismatch(self):
         stats = SufficientStatistics(dim=2)
         with pytest.raises(DimensionMismatchError):
             stats.insert(np.array([1.0, 2.0, 3.0]))
 
+    def test_grouped_update_dimension_mismatch(self):
+        bubbles = bubble_rows(2)
+        with pytest.raises(DimensionMismatchError):
+            bubbles.absorb(np.ones((2, 3)), [0, 0])
+        with pytest.raises(DimensionMismatchError):
+            bubbles.release(np.ones(2), [0])
+        assert bubbles[0].is_empty()
+
     def test_insert_many_matches_loop(self):
         rng = np.random.default_rng(0)
         points = rng.normal(size=(50, 4))
-        bulk = SufficientStatistics(dim=4)
-        bulk.insert_many(points)
-        loop = SufficientStatistics(dim=4)
+        bulk = bubble_rows(4)
+        bulk.absorb(points, owners(points))
+        loop = bubble_rows(4)
         for p in points:
-            loop.insert(p)
-        assert bulk.n == loop.n
-        assert bulk.linear_sum == pytest.approx(loop.linear_sum)
-        assert bulk.square_sum == pytest.approx(loop.square_sum)
+            loop.absorb(p[None, :], [0])
+        assert bulk.counts()[0] == loop.counts()[0] == 50
+        assert bulk.statistics()[1] == pytest.approx(loop.statistics()[1])
+        assert bulk.statistics()[2] == pytest.approx(loop.statistics()[2])
 
     def test_insert_many_empty_is_noop(self):
-        stats = SufficientStatistics(dim=2)
-        stats.insert_many(np.empty((0, 2)))
-        assert stats.is_empty()
+        bubbles = bubble_rows(2)
+        version = bubbles.version
+        bubbles.absorb(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        assert bubbles[0].is_empty()
+        assert bubbles.version == version
 
     def test_remove_many_matches_loop(self):
         rng = np.random.default_rng(1)
         points = rng.normal(size=(30, 3))
-        stats = SufficientStatistics.from_points(points)
-        stats.remove_many(points[:10])
+        full = SufficientStatistics.from_points(points)
+        bubbles = BubbleSet.from_arrays(
+            PointStore(dim=3),
+            np.zeros((1, 3)),
+            [full.n],
+            [full.linear_sum],
+            [full.square_sum],
+        )
+        bubbles.release(points[:10], owners(points[:10]))
         expected = SufficientStatistics.from_points(points[10:])
+        stats = bubbles[0].stats
         assert stats.n == expected.n
         assert stats.linear_sum == pytest.approx(expected.linear_sum)
         assert stats.square_sum == pytest.approx(expected.square_sum)
 
     def test_remove_many_more_than_present_raises(self):
-        stats = SufficientStatistics.from_points(np.ones((2, 2)))
+        bubbles = bubble_rows(2, count=2)
+        bubbles.absorb(np.ones((4, 2)), [0, 0, 1, 1])
+        before = bubbles[0].stats, bubbles[1].stats
+        # Bubble 1 can give up two points, bubble 0 not three: the whole
+        # release is rejected before any row changes.
         with pytest.raises(EmptyBubbleError):
-            stats.remove_many(np.ones((3, 2)))
+            bubbles.release(np.ones((5, 2)), [0, 0, 0, 1, 1])
+        assert (bubbles[0].stats, bubbles[1].stats) == before
 
 
 class TestMergeAndMean:
@@ -132,16 +174,23 @@ class TestMergeAndMean:
             SufficientStatistics(dim=2).mean()
 
     def test_clear(self):
-        stats = SufficientStatistics.from_points(np.ones((5, 2)))
-        stats.clear()
-        assert stats.is_empty()
+        bubbles = bubble_rows(2, count=2)
+        bubbles.absorb(np.ones((5, 2)), [0, 0, 0, 1, 1])
+        bubbles.clear([0])
+        assert bubbles.counts().tolist() == [0, 2]
+        assert (bubbles.statistics()[1][0] == 0.0).all()
+        assert bubbles.statistics()[2][0] == 0.0
 
     def test_copy_is_independent(self):
-        stats = SufficientStatistics.from_points(np.ones((5, 2)))
-        dup = stats.copy()
-        dup.insert(np.array([9.0, 9.0]))
-        assert stats.n == 5
-        assert dup.n == 6
+        # A bubble's ``stats`` is a snapshot: neither side sees the
+        # other's later changes.
+        bubbles = bubble_rows(2)
+        bubbles.absorb(np.ones((5, 2)), owners(np.ones((5, 2))))
+        snapshot = bubbles[0].stats
+        snapshot.insert(np.array([9.0, 9.0]))
+        bubbles.absorb(np.ones((2, 2)), [0, 0])
+        assert bubbles[0].n == 7
+        assert snapshot.n == 6
 
     def test_linear_sum_view_is_readonly(self):
         stats = SufficientStatistics.from_points(np.ones((2, 2)))
