@@ -7,9 +7,14 @@ fraction of a from-scratch OPTICS walk, while producing **bitwise
 identical** state (equivalence is asserted inline here and exhaustively
 in ``tests/test_clustering_incremental.py``). This benchmark measures
 both arms on the paper-scale summary (K=500 bubbles, d=8) and gates the
-speedup at 5x.
+speedup at 5x. Every repair of that arm must have spliced.
 
-The second gate covers the anytime contract: under a deadline, the
+A repair past the splice crossover (here 25% touched, the share one
+live append touches) walks the repaired matrix in full instead; the
+second gate pins that regime: every such repair walked, is bitwise
+equal to a cold refresh, and is no slower than one.
+
+The third gate covers the anytime contract: under a deadline, the
 first staged tree (the coarse but valid answer the caller is promised)
 must be delivered within 100 ms.
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 from _results import write_bench_result
 
 from repro.clustering.incremental import ClusterCache, IncrementalClusterer
@@ -38,6 +44,8 @@ TOUCH_PER_BATCH = 5  # 1% of the bubbles
 COLD_ROUNDS = 5
 WARM_ROUNDS = 10
 SPEEDUP_FLOOR = 5.0
+WIDE_TOUCH_PER_BATCH = 125  # 25% of the bubbles
+WIDE_ROUNDS = 8
 FIRST_TREE_BUDGET_SECONDS = 0.100
 
 
@@ -63,7 +71,24 @@ def _build_bubbles():
     return bubbles, rng
 
 
-def test_warm_repair_beats_cold_walk(benchmark):
+@pytest.fixture(scope="module")
+def document():
+    """The result document every gate arm fills, written at the end."""
+    doc = {}
+    yield doc
+    if doc:
+        write_bench_result("cluster_incremental", doc)
+
+
+def _absorb_into(bubbles, rng, count):
+    """Absorb one nearby point into each of ``count`` distinct bubbles."""
+    ids = rng.choice(NUM_BUBBLES, size=count, replace=False)
+    for bid in ids:
+        bubble = bubbles[int(bid)]
+        bubble.absorb(bubble.rep + rng.normal(0, 0.3, size=DIM))
+
+
+def test_warm_repair_beats_cold_walk(benchmark, document):
     """After a 1%-touched batch, a warm fit is >= 5x a cold fit."""
     bubbles, rng = _build_bubbles()
 
@@ -88,14 +113,12 @@ def test_warm_repair_beats_cold_walk(benchmark):
     warm_best = float("inf")
     warm_times = []
     for _ in range(WARM_ROUNDS):
-        ids = rng.choice(NUM_BUBBLES, size=TOUCH_PER_BATCH, replace=False)
-        for bid in ids:
-            bubble = bubbles[int(bid)]
-            bubble.absorb(bubble.rep + rng.normal(0, 0.3, size=DIM))
+        _absorb_into(bubbles, rng, TOUCH_PER_BATCH)
         started = time.perf_counter()
         state, source = cache.refresh(bubbles)
         elapsed = time.perf_counter() - started
         assert source == "repair"
+        assert cache.last_splice.spliced > 0
         warm_times.append(elapsed)
         warm_best = min(warm_best, elapsed)
         fresh, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
@@ -107,7 +130,7 @@ def test_warm_repair_beats_cold_walk(benchmark):
     speedup = cold_best / warm_best
     benchmark.pedantic(cold_fit, rounds=1, iterations=1)
 
-    document = {
+    document.update({
         "workload": {
             "num_bubbles": NUM_BUBBLES,
             "dim": DIM,
@@ -123,13 +146,58 @@ def test_warm_repair_beats_cold_walk(benchmark):
         "speedup": speedup,
         "speedup_floor": SPEEDUP_FLOOR,
         "first_tree_budget_seconds": FIRST_TREE_BUDGET_SECONDS,
-    }
-    write_bench_result("cluster_incremental", document)
+    })
 
     assert speedup >= SPEEDUP_FLOOR, (
         f"warm repair speedup {speedup:.1f}x is below the "
         f"{SPEEDUP_FLOOR:.0f}x floor (cold {cold_best * 1e3:.1f} ms, "
         f"warm {warm_best * 1e3:.1f} ms)"
+    )
+
+
+def test_wide_repair_walks_no_slower_than_cold(document):
+    """After a 25%-touched batch, the repair walks and is <= a cold fit.
+
+    Each round times the warm repair and then the cold refresh of the
+    same bubbles that its bitwise check needs anyway, so both sides see
+    identical states.
+    """
+    bubbles, rng = _build_bubbles()
+    cache = ClusterCache(min_pts=MIN_PTS)
+    cache.refresh(bubbles)
+    ClusterCache(min_pts=MIN_PTS).refresh(bubbles)  # warm numpy caches
+    warm_times, cold_times = [], []
+    for _ in range(WIDE_ROUNDS):
+        _absorb_into(bubbles, rng, WIDE_TOUCH_PER_BATCH)
+        started = time.perf_counter()
+        state, source = cache.refresh(bubbles)
+        warm_times.append(time.perf_counter() - started)
+        assert source == "repair"
+        assert cache.last_splice.spliced == 0
+        started = time.perf_counter()
+        fresh, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
+        cold_times.append(time.perf_counter() - started)
+        assert np.array_equal(state.plot.ordering, fresh.plot.ordering)
+        assert np.array_equal(
+            state.plot.reachability, fresh.plot.reachability
+        )
+        assert np.array_equal(state.cores, fresh.cores)
+        assert np.array_equal(state.dist, fresh.dist)
+
+    warm_best, cold_best = min(warm_times), min(cold_times)
+    document["wide_touch"] = {
+        "touched_per_batch": WIDE_TOUCH_PER_BATCH,
+        "rounds": WIDE_ROUNDS,
+        "cold_best_seconds": cold_best,
+        "warm_best_seconds": warm_best,
+        "warm_median_seconds": float(np.median(warm_times)),
+        "speedup": cold_best / warm_best,
+        "speedup_floor": 1.0,
+    }
+
+    assert warm_best <= cold_best, (
+        f"a 25%-touched repair ({warm_best * 1e3:.1f} ms) is slower "
+        f"than a cold fit ({cold_best * 1e3:.1f} ms)"
     )
 
 

@@ -19,10 +19,17 @@ only ever *decrease*, so at any moment each object has at most one
 non-stale heap entry — its most recent improving push, carrying the global
 push counter as tiebreaker. The heap's next pop is therefore the
 lexicographic minimum of ``(reachability, last-push counter)`` over the
-unprocessed objects that have ever been pushed, which an ``argmin`` over
-two arrays computes directly. Every pop, every tiebreak, and every float
-is identical to the heap walk; there is just no heap to churn, which makes
-both a full walk and a replayed one mostly vectorised.
+unprocessed objects that have ever been pushed.
+
+Two derived arrays make each step a few whole-array numpy calls. The *pop
+key* holds the reachability of pushed, unprocessed objects and ``inf``
+everywhere else, so one ``argmin`` finds the smallest reachability; only
+when another object ties it does the step fall back to the last-push
+counter. The *push comparand* holds the reachability of unprocessed
+objects and ``-inf`` once an object is placed, so one masked compare
+``max(dist, core) < comparand`` finds every improved neighbour without a
+separate processed test. Every pop, every tiebreak, and every float is
+identical to the heap walk; there is just no heap to churn.
 
 :class:`OpticsWalk` exposes the walk as a resumable object so the
 incremental layer (:mod:`repro.clustering.incremental`) can *replay*
@@ -38,6 +45,7 @@ tiebreakers, same floats).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -62,7 +70,8 @@ class OpticsWalk:
 
     The walk owns the full algorithm state: the processed flags, the
     per-object best reachability, the per-object counter of its last
-    improving push (the pop tiebreaker), and the ordering built so far.
+    improving push (the pop tiebreaker), the pop key and push comparand
+    derived from them, and the ordering built so far.
     :meth:`run` drives it to completion exactly like the classical loop;
     :meth:`step` performs a single expansion so a caller can interleave
     its own checks (the incremental repair's divergence tracking);
@@ -105,6 +114,12 @@ class OpticsWalk:
         #: unprocessed pushed objects — exactly a lazy-deletion heap's
         #: next non-stale pop.
         self.counter_by_obj = np.full(self._num, -1, dtype=np.int64)
+        #: Pop key: reachability of pushed, unprocessed objects; ``inf``
+        #: for objects never pushed or already placed.
+        self._key = np.full(self._num, np.inf)
+        #: Push comparand: reachability of unprocessed objects (``inf``
+        #: until pushed); ``-inf`` once placed, so no push improves it.
+        self._cmp = np.full(self._num, np.inf)
         self._ordering = np.empty(self._num, dtype=np.int64)
         self._reach_in_order = np.empty(self._num, dtype=np.float64)
         self._placed = 0
@@ -143,9 +158,25 @@ class OpticsWalk:
     # ------------------------------------------------------------------
     def _place(self, obj: int, reach: float) -> None:
         self.processed[obj] = True
+        self._key[obj] = np.inf
+        self._cmp[obj] = -np.inf
         self._ordering[self._placed] = obj
         self._reach_in_order[self._placed] = reach
         self._placed += 1
+
+    def _push(self, targets: np.ndarray, values: np.ndarray) -> None:
+        """Apply improving pushes, in order, to unprocessed ``targets``.
+
+        Counters advance one per push, in the given order — ascending
+        target within an expansion, the order the classical loop's
+        heappushes happen in.
+        """
+        self.reach_by_obj[targets] = values
+        self._key[targets] = values
+        self._cmp[targets] = values
+        start = self._counter + 1
+        self._counter += int(targets.size)
+        self.counter_by_obj[targets] = np.arange(start, self._counter + 1)
 
     def _expand(self, obj: int) -> None:
         """Mark ``obj`` processed and push reachability updates from it."""
@@ -153,25 +184,20 @@ class OpticsWalk:
         dists = self._distances_from(obj)
         core = self._core_distance(obj, dists)
         self.core_by_obj[obj] = core
-        if np.isfinite(core):
+        if math.isfinite(core):
             new_reach = np.maximum(dists, core)
-            improved = np.flatnonzero(
-                ~self.processed
-                & (dists <= self._eps)
-                & (new_reach < self.reach_by_obj)
-            )
+            # Placed objects compare against -inf, so this one compare
+            # also skips them; a NaN never improves anything. (Array
+            # methods here and in _pop: the np.* wrappers cost more
+            # than the work at these sizes.)
+            improved = (new_reach < self._cmp).nonzero()[0]
+            if self._eps != np.inf and improved.size:
+                improved = improved[dists[improved] <= self._eps]
             if improved.size:
-                values = new_reach[improved]
-                self.reach_by_obj[improved] = values
-                # Counters advance one per push, in ascending target
-                # order — the order the classical loop's heappushes
-                # happen in.
-                self.counter_by_obj[improved] = self._counter + np.arange(
-                    1, improved.size + 1
-                )
-                self._counter += int(improved.size)
+                values = new_reach[improved]  # fancy indexing copies
+                self._push(improved, values)
                 if self.trace is not None:
-                    self.trace.append((improved, values.copy()))
+                    self.trace.append((improved, values))
                 return
         if self.trace is not None:
             self.trace.append(EMPTY_PUSHES)
@@ -181,19 +207,21 @@ class OpticsWalk:
 
         Among unprocessed objects that have been pushed, the one with the
         smallest ``(reachability, last-push counter)``; -1 when no pushed
-        object remains (heap exhausted → a new component opens).
+        object remains (heap exhausted → a new component opens). One
+        ``argmin`` over the pop key finds the smallest reachability;
+        pushes are always finite, so an ``inf`` minimum means nothing is
+        waiting. Only a tie at that value needs the counters.
         """
-        eligible = ~self.processed & (self.counter_by_obj >= 0)
-        if not eligible.any():
+        key = self._key
+        obj = int(key.argmin())
+        best = key[obj]
+        if best == np.inf:
             return -1
-        reach = np.where(eligible, self.reach_by_obj, np.inf)
-        best = reach.min()
-        if not np.isfinite(best):  # pragma: no cover - pushes are finite
-            return -1
-        ties = np.flatnonzero(reach == best)
-        if ties.size == 1:
-            return int(ties[0])
-        return int(ties[np.argmin(self.counter_by_obj[ties])])
+        tied = key == best
+        if np.count_nonzero(tied) == 1:
+            return obj
+        ties = tied.nonzero()[0]
+        return int(ties[self.counter_by_obj[ties].argmin()])
 
     def peek_pop(self) -> int:
         """What :meth:`step` would pop next, without performing it.
@@ -244,11 +272,7 @@ class OpticsWalk:
         self._place(int(obj), float(reach))
         self.core_by_obj[obj] = core
         if targets.size:
-            self.reach_by_obj[targets] = values
-            self.counter_by_obj[targets] = self._counter + np.arange(
-                1, targets.size + 1
-            )
-            self._counter += int(targets.size)
+            self._push(targets, values)
         if self.trace is not None:
             self.trace.append((targets, values))
 
@@ -283,17 +307,17 @@ class OpticsWalk:
         count = int(objs.size)
         if count == 0:
             return
-        self.processed[objs] = True
         self._ordering[self._placed : self._placed + count] = objs
         self._reach_in_order[self._placed : self._placed + count] = reaches
         self._placed += count
         self.core_by_obj[objs] = cores
         if targets.size:
-            self.reach_by_obj[targets] = values
-            self.counter_by_obj[targets] = self._counter + np.arange(
-                1, targets.size + 1
-            )
-            self._counter += int(targets.size)
+            self._push(targets, values)
+        # After the pushes: an object pushed earlier in the segment and
+        # placed later in it must end with the placed key and comparand.
+        self.processed[objs] = True
+        self._key[objs] = np.inf
+        self._cmp[objs] = -np.inf
         if self.trace is not None:
             if batches is None or len(batches) != count:
                 raise ValueError(

@@ -37,7 +37,10 @@ ground truth for the next expansion, heap tiebreaks included. Bulk
 segment replay additionally checks a small *suspect* set — columns whose
 last push may sit at a different position than in the old walk — for
 reachability ties against the segment's bars. Worst case the repair
-walks everything and is still exact.
+walks everything and is still exact. Splicing pays off only while few
+bubbles changed: past :data:`SPLICE_CROSSOVER` of them touched, the
+repair refreshes the touched rows and cores and then runs one full walk
+of the repaired matrix instead.
 
 **Anytime mode** — ``fit(deadline_seconds=...)`` clusters nested subsets
 of the bubbles (largest point counts first), yielding a valid — coarse —
@@ -80,6 +83,12 @@ __all__ = [
 ]
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
+
+#: Share of the clustered bubbles a repair may touch and still splice the
+#: old ordering. Above it, one full walk over the repaired matrix is
+#: cheaper than the splice: at K = 250–500, d = 8 their median times
+#: cross at 2–3% touched (docs/CLUSTERING.md has the table).
+SPLICE_CROSSOVER = 0.025
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +201,6 @@ class _CacheState:
         "cores",
         "plot",
         "trace",
-        "push_idx",
-        "push_val",
-        "push_off",
         "virtual",
         "tree",
     )
@@ -212,9 +218,6 @@ class _CacheState:
         self.cores = np.empty(0)
         self.plot: ReachabilityPlot | None = None
         self.trace: list[PushBatch] = []
-        self.push_idx = np.empty(0, dtype=np.int64)
-        self.push_val = np.empty(0, dtype=np.float64)
-        self.push_off = np.zeros(1, dtype=np.int64)
         self.virtual = np.empty(0)
         self.tree: ClusterTree | None = None
 
@@ -225,7 +228,11 @@ class _CacheState:
 
 @dataclass(frozen=True)
 class SpliceStats:
-    """How much of a repair was replayed rather than walked live."""
+    """How much of a repair was replayed rather than walked live.
+
+    A repair past :data:`SPLICE_CROSSOVER` walks in full and reports
+    ``spliced=0, live=K``.
+    """
 
     spliced: int
     live: int
@@ -461,21 +468,25 @@ class ClusterCache:
                 state.dist[small], state.counts, self._min_pts, self._eps
             )
         state.cores = cores
+        state.plot, state.trace = self._walk(state)
+        state.virtual = self._virtual(state)
+        return state
 
+    def _walk(
+        self, state: _CacheState
+    ) -> tuple[ReachabilityPlot, list[PushBatch]]:
+        """One full recorded walk over the cached matrix and cores."""
+        dist, cores = state.dist, state.cores
         walk = OpticsWalk(
-            num,
-            lambda obj: state.dist[obj],
+            state.num,
+            lambda obj: dist[obj],
             lambda obj, dists: float(cores[obj]),
             eps=self._eps,
             record_trace=True,
         )
-        state.plot = walk.run()
-        state.trace = walk.trace if walk.trace is not None else []
-        state.push_idx, state.push_val, state.push_off = _flatten_trace(
-            state.trace
-        )
-        state.virtual = self._virtual(state)
-        return state
+        plot = walk.run()
+        assert walk.trace is not None
+        return plot, walk.trace
 
     # ------------------------------------------------------------------
     # Repair (same id set)
@@ -486,6 +497,13 @@ class ClusterCache:
         bubbles: BubbleSet,
         touched_ids: set[int],
     ) -> None:
+        """Refresh the touched rows and the cores they move, then reorder.
+
+        The ordering is spliced from the previous walk
+        (:meth:`_repair_walk`) when at most :data:`SPLICE_CROSSOVER` of
+        the clustered bubbles were touched, and re-walked in full
+        otherwise; both are exactly a cold walk of the repaired state.
+        """
         num = state.num
         if num == 0:
             # An empty set stayed empty across versions: the empty plot
@@ -538,29 +556,45 @@ class ClusterCache:
         # Untouched small rows: only their touched columns moved. If
         # every changed column value — old *and* new — sits strictly
         # above the old core, the (value, count) multiset up to the old
-        # crossing is unchanged and the core stands; otherwise recompute.
+        # crossing is unchanged and the core stands. If the lowest of
+        # them sits exactly on it, the mass strictly below the core is
+        # still unchanged (and short of MinPts), so the core stands
+        # while the mass at or below it still reaches MinPts — with
+        # overlapping bubbles many distances tie at the core, so this
+        # spares most recomputations. Otherwise recompute.
         cand = np.flatnonzero(small & ~touched_mask)
         if cand.size:
+            core_c = old_cores[cand]
             changed_min = np.minimum(
                 old_cols[cand], state.dist[np.ix_(cand, touched_c)]
             ).min(axis=1)
-            redo = cand[~(changed_min > old_cores[cand])]
+            stands = changed_min > core_c
+            at = np.flatnonzero(changed_min == core_c)
+            if at.size:
+                within = state.dist[cand[at]] <= core_c[at, None]
+                stands[at] = within @ state.counts >= self._min_pts
+            redo = cand[~stands]
             if redo.size:
                 state.cores[redo] = _weighted_cores(
                     state.dist[redo], state.counts, self._min_pts, self._eps
                 )
 
-        dirty = touched_mask.copy()
-        dirty |= state.cores != old_cores
-        # NaN never equals itself; treat any NaN core as dirty outright.
-        dirty |= np.isnan(state.cores) | np.isnan(old_cores)
-
-        plot, trace, splice = self._repair_walk(state, dirty, touched_mask)
+        if touched_c.size > SPLICE_CROSSOVER * num:
+            # Past the crossover one full walk is cheaper than splicing.
+            # It still records its push trace, so a later small batch
+            # can splice from it.
+            plot, trace = self._walk(state)
+            splice = SpliceStats(spliced=0, live=num)
+        else:
+            dirty = touched_mask.copy()
+            dirty |= state.cores != old_cores
+            # NaN never equals itself; treat any NaN core as dirty.
+            dirty |= np.isnan(state.cores) | np.isnan(old_cores)
+            plot, trace, splice = self._repair_walk(
+                state, dirty, touched_mask
+            )
         state.plot = plot
         state.trace = trace
-        state.push_idx, state.push_val, state.push_off = _flatten_trace(
-            trace
-        )
         state.virtual = self._virtual(state)
         state.tree = None
         self.last_splice = splice
@@ -590,9 +624,7 @@ class ClusterCache:
         old_ordering = state.plot.ordering
         old_reach = state.plot.reachability
         old_trace = state.trace
-        push_idx = state.push_idx
-        push_val = state.push_val
-        push_off = state.push_off
+        push_idx, push_val, push_off = _flatten_trace(old_trace)
         cores = state.cores
         dist = state.dist
         eps = self._eps

@@ -355,7 +355,9 @@ class BubbleSet:
         Bubble ``b`` owns ``ids[offsets[b]:offsets[b + 1]]``, ascending
         (one stable sort of the ascending alive ids by owner);
         ``offsets`` has ``K + 1`` entries. Alive points whose owner is
-        not a bubble of this set are left out.
+        not a bubble of this set are left out. Up to 65,536 bubbles the
+        owners are sorted as ``uint16``, which numpy radix-sorts; a
+        stable sort's order does not depend on the key's dtype.
         """
         num = len(self)
         ids = self._store.ids()
@@ -364,7 +366,8 @@ class BubbleSet:
         ids, owners = ids[owned], owners[owned]
         offsets = np.zeros(num + 1, dtype=np.int64)
         np.cumsum(np.bincount(owners, minlength=num), out=offsets[1:])
-        return offsets, ids[np.argsort(owners, kind="stable")]
+        keys = owners.astype(np.uint16) if num <= 1 << 16 else owners
+        return offsets, ids[np.argsort(keys, kind="stable")]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

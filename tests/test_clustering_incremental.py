@@ -10,14 +10,18 @@ differently from the classical loop shows up here as a hard failure.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.clustering import incremental
 from repro.clustering.bubble_optics import BubbleOptics
 from repro.clustering.engine import OpticsWalk
 from repro.clustering.incremental import (
+    SPLICE_CROSSOVER,
     ClusterCache,
     ClusterLineage,
     IncrementalClusterer,
@@ -85,6 +89,26 @@ def apply_move(bubbles, bid: int, move: int, rng):
 
 MIN_PTS = 12
 
+#: Crossover values that force every repair down one path: no repair
+#: touches more than all of the bubbles, and every one touches some.
+FORCED_CROSSOVER = {"splice": 1.0, "walk": 0.0}
+
+
+@contextlib.contextmanager
+def forced_repair_path(path: str):
+    """Make every repair in the block splice, or walk in full."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            incremental, "SPLICE_CROSSOVER", FORCED_CROSSOVER[path]
+        )
+        yield
+
+
+@pytest.fixture
+def force_splice():
+    with forced_repair_path("splice"):
+        yield
+
 
 class TestCacheSources:
     def test_cold_then_hit_is_same_object(self):
@@ -150,36 +174,54 @@ class TestCacheSources:
 
 
 class TestRepairEquivalence:
-    """repair/rebuild ≡ cold, bitwise, across mutation schedules."""
+    """repair/rebuild ≡ cold, bitwise, across mutation schedules.
 
-    def run_schedule(self, bubbles, schedule, rng):
-        cache = ClusterCache(min_pts=MIN_PTS)
-        cache.refresh(bubbles)
-        for moves in schedule:
-            for bid, move in moves:
-                apply_move(bubbles, bid % len(bubbles), move, rng)
-            state, src = cache.refresh(bubbles)
-            fresh_state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
-            assert_states_equal(state, fresh_state)
-        return cache
+    Every schedule runs twice, from the same bubbles and random stream:
+    once with every repair forced to splice and once with every repair
+    forced to walk in full, so both paths stay under the bitwise check
+    whatever share of the bubbles a schedule touches.
+    """
+
+    def run_schedule(self, make_bubbles, schedule, rng):
+        caches = {}
+        start = rng.bit_generator.state
+        for path in FORCED_CROSSOVER:
+            bubbles = make_bubbles()
+            rng.bit_generator.state = start
+            cache = ClusterCache(min_pts=MIN_PTS)
+            cache.refresh(bubbles)
+            with forced_repair_path(path):
+                for moves in schedule:
+                    for bid, move in moves:
+                        apply_move(bubbles, bid % len(bubbles), move, rng)
+                    state, src = cache.refresh(bubbles)
+                    fresh_state, _ = ClusterCache(
+                        min_pts=MIN_PTS
+                    ).refresh(bubbles)
+                    assert_states_equal(state, fresh_state)
+                    if src == "repair" and path == "walk":
+                        assert cache.last_splice.spliced == 0
+                        assert cache.last_splice.live == state.num
+            caches[path] = cache
+        return caches
 
     def test_absorb_only_schedule(self):
-        bubbles = build_bubbles(32, 3, 1200)
         rng = np.random.default_rng(1)
         schedule = [[(i, 0) for i in rng.integers(0, 32, size=3)]
                     for _ in range(6)]
-        cache = self.run_schedule(bubbles, schedule, rng)
-        assert cache.repairs == len(schedule)
+        caches = self.run_schedule(
+            lambda: build_bubbles(32, 3, 1200), schedule, rng
+        )
+        for cache in caches.values():
+            assert cache.repairs == len(schedule)
 
     def test_release_only_schedule(self):
-        bubbles = build_bubbles(32, 3, 1200)
         rng = np.random.default_rng(2)
         schedule = [[(i, 1) for i in rng.integers(0, 32, size=3)]
                     for _ in range(6)]
-        self.run_schedule(bubbles, schedule, rng)
+        self.run_schedule(lambda: build_bubbles(32, 3, 1200), schedule, rng)
 
     def test_mixed_schedule_with_drifters(self):
-        bubbles = build_bubbles(32, 3, 1200)
         rng = np.random.default_rng(3)
         schedule = [
             [
@@ -190,8 +232,43 @@ class TestRepairEquivalence:
             ]
             for _ in range(8)
         ]
-        self.run_schedule(bubbles, schedule, rng)
+        self.run_schedule(lambda: build_bubbles(32, 3, 1200), schedule, rng)
 
+    def test_release_tied_at_a_neighbours_core(self):
+        """Bubble 15's distance to an untouched small bubble equals that
+        bubble's core; a release drops the mass at that distance below
+        MinPts, so the neighbour's core moves although no changed value
+        fell below it."""
+        self.run_schedule(
+            lambda: build_bubbles(24, 3, 800, data_seed=7),
+            [[(15, 1)]],
+            np.random.default_rng(7),
+        )
+
+    def test_crossover_selects_the_repair_path(self):
+        """At most the crossover's share touched splices; one more walks.
+
+        At K = 40 the crossover's share is exactly one bubble, which
+        pins "more than" against "at least".
+        """
+        num = 40
+        limit = int(SPLICE_CROSSOVER * num)
+        assert limit >= 1
+        for touched, spliced in ((limit, True), (limit + 1, False)):
+            bubbles = build_bubbles(num, 3, 1500)
+            cache = ClusterCache(min_pts=MIN_PTS)
+            cache.refresh(bubbles)
+            rng = np.random.default_rng(12)
+            for bid in range(7, 7 + touched):
+                apply_move(bubbles, bid, 0, rng)
+            state, src = cache.refresh(bubbles)
+            assert src == "repair"
+            assert (cache.last_splice.spliced > 0) is spliced
+            assert cache.last_splice.total == num
+            fresh_state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
+            assert_states_equal(state, fresh_state)
+
+    @pytest.mark.usefixtures("force_splice")
     def test_repair_replays_most_of_the_ordering(self):
         bubbles = build_bubbles(40, 3, 1500)
         cache = ClusterCache(min_pts=MIN_PTS)
@@ -240,9 +317,11 @@ class TestRepairEquivalence:
         ),
     )
     def test_random_chained_schedules(self, data_seed, schedule):
-        bubbles = build_bubbles(24, 3, 800, data_seed=data_seed)
-        rng = np.random.default_rng(data_seed)
-        self.run_schedule(bubbles, schedule, rng)
+        self.run_schedule(
+            lambda: build_bubbles(24, 3, 800, data_seed=data_seed),
+            schedule,
+            np.random.default_rng(data_seed),
+        )
 
 
 class TestDegenerates:
@@ -383,6 +462,7 @@ class TestAnytime:
 
 
 class TestClustererWiring:
+    @pytest.mark.usefixtures("force_splice")
     def test_fit_sources_and_stats_rollup(self):
         bubbles = build_bubbles(32, 3, 1200)
         clusterer = IncrementalClusterer(min_pts=MIN_PTS)

@@ -118,6 +118,29 @@ class TestInvariant:
         assert not verify_consistency(bubbles, store).ok
 
 
+class TestMemberCsr:
+    """The owner sort against ``np.argsort(owners, kind="stable")`` on
+    either side of the 65,536-bubble bound of the ``uint16`` keys."""
+
+    @pytest.mark.parametrize("num", [3, 1 << 16, (1 << 16) + 1])
+    def test_matches_a_stable_argsort_of_the_owners(self, num):
+        rng = np.random.default_rng(num)
+        store = PointStore(dim=1)
+        ids = np.asarray(store.insert(np.zeros((5_000, 1))))
+        owners = rng.integers(-1, num, size=ids.size)
+        # Owner -1 (unowned), the extremes, and an owner outside the set.
+        owners[:4] = [-1, 0, num - 1, num]
+        store.set_owners(ids, owners)
+        bubbles = BubbleSet.from_arrays(store, np.zeros((num, 1)))
+        offsets, members = bubbles.member_csr()
+        owned = (owners >= 0) & (owners < num)
+        want = ids[owned][np.argsort(owners[owned], kind="stable")]
+        assert np.array_equal(members, want)
+        assert np.array_equal(
+            np.diff(offsets), np.bincount(owners[owned], minlength=num)
+        )
+
+
 def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
