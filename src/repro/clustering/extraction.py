@@ -60,13 +60,14 @@ def clusters_at_threshold(
     num = reachability.shape[0]
     if num == 0:
         return []
-    breaks = np.flatnonzero(reachability > threshold)
-    starts = np.concatenate(([0], breaks)) if breaks.size == 0 or breaks[0] != 0 else breaks
-    starts = np.unique(starts)
-    ends = np.concatenate((starts[1:], [num]))
-    return [
-        (int(s), int(e)) for s, e in zip(starts, ends) if e - s >= min_size
-    ]
+    # Sorted and distinct: the breaks come in order, and position 0 is
+    # added only when it is not one of them.
+    starts = np.flatnonzero(reachability > threshold)
+    if starts.size == 0 or starts[0] != 0:
+        starts = np.concatenate(([0], starts))
+    ends = np.append(starts[1:], num)
+    keep = ends - starts >= min_size
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
 def local_maxima(reachability: np.ndarray) -> list[int]:

@@ -16,9 +16,10 @@ candidate), on top of a precomputed seed-to-seed distance matrix. Its
 row tiles of at most ``_TI_TILE_ELEMENTS`` row×seed elements draw their
 points' probing permutations in one call each and run the Figure 2 loop
 in lockstep, one probe per row per round at a fixed number of numpy
-calls per round. It returns bit-identical assignments — and identical
-computed/pruned totals — to the scalar :meth:`assign` loop under the
-same RNG (see the class docstring for how that equivalence is kept).
+calls per round, until the last few rows finish one by one. It returns
+bit-identical assignments — and identical computed/pruned totals — to
+the scalar :meth:`assign` loop under the same RNG (see the class
+docstring for how that equivalence is kept).
 
 :class:`NaiveAssigner` is the unpruned baseline that compares against every
 seed; the complete-rebuild experiments of Figure 11 use it.
@@ -60,10 +61,19 @@ _NAIVE_BLOCK_ELEMENTS = 1 << 22
 
 #: Row×seed element budget of one lockstep tile of
 #: :meth:`TriangleInequalityAssigner.assign_many`. Every ``(rows, B)``
-#: array of the kernel (permutations, live mask, Lemma 1 gather: 2 MiB
-#: of int64 or float64 each) is tile-sized, so memory stays bounded
-#: whatever the batch size; results do not depend on it.
+#: array of the kernel (permutations, probe key, Lemma 1 gather: at most
+#: 2 MiB each) is tile-sized, so memory stays bounded whatever the batch
+#: size; results do not depend on it.
 _TI_TILE_ELEMENTS = 1 << 18
+
+#: Live rows at or below which a tile leaves its lockstep rounds and
+#: finishes each row with its own Figure 2 loop. The rows that outlast
+#: the rest are mostly points Lemma 1 cannot prune for (noise far from
+#: every seed probes nearly all of them), and a lockstep round costs a
+#: fixed number of numpy calls however few rows it serves. On captured
+#: ``cluster_live`` calls (32 points, 250 seeds, d = 8), values from 2
+#: to 8 were within 12% of each other; results do not depend on it.
+_TI_SERIAL_ROWS = 4
 
 
 class Assigner:
@@ -241,12 +251,12 @@ class TriangleInequalityAssigner(Assigner):
     point's random probing permutation from the shared RNG (one
     Fisher–Yates draw per point, in point order — exactly the stream the
     scalar loop consumes, so scalar and batch calls interleave
-    reproducibly, whatever the tile size), then alternates a vectorised
-    Lemma 1 prune (a gather from the cached seed-to-seed matrix,
-    compared and ANDed into a live-slot mask kept in permutation order)
-    with a vectorised probe (each row's rightmost live slot, one exact
-    distance per row) until every point's candidate set is exhausted.
-    Every round costs a fixed number of numpy calls.
+    reproducibly, whatever the tile size), turns them into a per-row
+    probe key indexed by seed id, then alternates a vectorised Lemma 1
+    prune (a row of the cached seed-to-seed matrix, compared and masked
+    into the key) with a vectorised probe (each row's key ``argmax``,
+    one exact distance per row). Every round costs a fixed number of
+    numpy calls; the last few rows finish one by one.
     Assignments are bit-identical to the scalar loop and the
     computed/pruned totals — accumulated per tile, recorded once per
     call — match the scalar accounting exactly (see
@@ -381,27 +391,31 @@ class TriangleInequalityAssigner(Assigner):
     ) -> tuple[np.ndarray, int, int]:
         """The lockstep rounds of Figure 2 over one tile of rows.
 
-        ``live[r, k]`` says whether slot ``k`` of row ``r``'s permutation
-        ``cand[r]`` is still in the scalar loop's candidate list. The
-        scalar loop compacts that list in permutation order and pops its
-        tail, so its next probe is the row's *rightmost live slot*. Each
-        round therefore costs a fixed number of numpy calls, whatever
-        the gaps between live slots: ``any`` retires rows with no
-        candidate left, ``argmax`` over the reversed rows finds the
-        probe, one exact distance per surviving row updates
-        ``(current, minDist)``. The number of rounds is the largest
-        probe count in the tile.
+        ``key[r, s]`` is seed ``s``'s slot in row ``r``'s probing
+        permutation while ``s`` is still in the scalar loop's candidate
+        list, and −1 once it was probed or pruned. The scalar loop keeps
+        that list in permutation order and pops its tail, so its next
+        probe is the candidate with the highest slot: one ``argmax`` per
+        round finds every row's probe (a row whose maximum is −1 has no
+        candidate left and is done), and one exact distance per live row
+        updates ``(current, minDist)``.
 
         The Lemma 1 prune runs on the rows whose probe just *improved*
         ``minDist`` (plus every row once, after the first probe): the
-        seed-matrix row of ``current`` gathered in permutation order,
-        compared against ``2 · minDist`` and ANDed into ``live``. A row
-        whose ``(current, minDist)`` did not change would repeat a test
-        every live candidate already passed, so skipping it changes
-        nothing. A cleared slot never returns, so each prune counts
-        exactly the live candidates it clears, and a probed slot leaves
-        ``live`` at probe time — accounting matches the scalar loop pass
-        for pass.
+        seed-matrix row of ``current`` is compared against ``2 · minDist``
+        with the scalar loop's ``<``, and every seed that fails leaves
+        the key. A row whose ``(current, minDist)`` did not change would
+        repeat a test every candidate already passed, so skipping it
+        changes nothing, and a seed that is out stays out.
+
+        Finished rows leave the key only once the live rows have halved,
+        so most rounds index it whole. Rounds go on while more than
+        ``_TI_SERIAL_ROWS`` rows are live; each row still live then
+        finishes with its own loop (:meth:`_finish_row`), because a
+        lockstep round for a few rows costs more than their probes do.
+
+        Every seed of a row is probed or pruned exactly once, as in the
+        scalar loop, so the tile's pruned total is ``rows · B − computed``.
 
         Returns:
             ``(indices, computed, pruned)`` — the tile's assignments and
@@ -409,7 +423,6 @@ class TriangleInequalityAssigner(Assigner):
         """
         rows = points.shape[0]
         num = self._locations.shape[0]
-        last = num - 1
         locations = self._locations
         seed_dists = self._seed_dists
 
@@ -420,53 +433,99 @@ class TriangleInequalityAssigner(Assigner):
         cand = np.empty((rows, num), dtype=np.int64)
         cand[:] = np.arange(num)
         rng.permuted(cand, axis=1, out=cand)
+        tile_rows = np.arange(rows)
+        key = np.empty((rows, num), dtype=np.int32)
+        key[tile_rows[:, None], cand] = np.arange(num, dtype=np.int32)
 
         # "select and remove a random seed s_i": the scalar loop pops the
         # permutation's last element first.
-        current = cand[:, last].copy()
+        current = cand[:, -1].copy()
+        del cand
+        key[tile_rows, current] = -1
         min_dist = row_norms(locations[current] - points)
         computed = rows
-        pruned = 0
+        np.putmask(
+            key, ~(seed_dists[current] < 2.0 * min_dist[:, None]), -1
+        )
 
-        live = np.ones((rows, num), dtype=bool)
-        live[:, last] = False
-        alive = np.arange(rows)
-        to_prune = alive
-
+        # ``index[k]`` is the tile row held in key row ``k``.
+        index = key_rows = tile_rows
         while True:
-            if to_prune.size:
-                # Lemma 1 in permutation order: slot k survives while
-                # dist(s_cand[k], s_c) < 2 · minDist.
-                keep = (
-                    seed_dists[current[to_prune, None], cand[to_prune]]
-                    < 2.0 * min_dist[to_prune, None]
-                )
-                lv = live[to_prune]
-                pruned += int(np.count_nonzero(lv & ~keep))
-                live[to_prune] = lv & keep
-
-            # Rows with no live slot left are done (their scalar loop
-            # would see an empty candidate list).
-            lv = live[alive]
-            has = lv.any(axis=1)
-            alive = alive[has]
-            if alive.size == 0:
+            probes = key.argmax(axis=1)
+            live = key[key_rows, probes] >= 0
+            count = int(np.count_nonzero(live))
+            if count <= _TI_SERIAL_ROWS:
+                for k in np.flatnonzero(live):
+                    r = index[k]
+                    current[r], probed = self._finish_row(
+                        points[r : r + 1], current[r], min_dist[r], key[k]
+                    )
+                    computed += probed
                 break
+            if count < key_rows.size:
+                sel = live.nonzero()[0]
+                probes = probes[sel]
+                if 2 * count <= key_rows.size:
+                    key = key[sel]
+                    index = index[sel]
+                    sel = key_rows = np.arange(count)
+            else:
+                sel = key_rows
+            owner = index[sel]
 
-            # Probe each survivor's rightmost live slot — the tail the
-            # scalar loop pops.
-            pos = last - np.argmax(lv[has, ::-1], axis=1)
-            probes = cand[alive, pos]
-            live[alive, pos] = False
-            dists = row_norms(locations[probes] - points[alive])
-            computed += alive.size
-            better = dists < min_dist[alive]
-            improved = alive[better]
-            current[improved] = probes[better]
-            min_dist[improved] = dists[better]
-            to_prune = improved
+            key[sel, probes] = -1
+            dists = row_norms(locations[probes] - points[owner])
+            computed += count
+            better = dists < min_dist[owner]
+            if np.count_nonzero(better):
+                improved = owner[better]
+                best = probes[better]
+                best_dist = dists[better]
+                current[improved] = best
+                min_dist[improved] = best_dist
+                at = sel[better]
+                key[at] = np.where(
+                    seed_dists[best] < 2.0 * best_dist[:, None], key[at], -1
+                )
 
-        return current, int(computed), int(pruned)
+        return current, int(computed), int(rows * num - computed)
+
+    def _finish_row(
+        self,
+        point: np.ndarray,
+        current: int,
+        min_dist: float,
+        key_row: np.ndarray,
+    ) -> tuple[int, int]:
+        """Figure 2's loop for one row, from its lockstep state.
+
+        ``point`` is the row's ``(1, d)`` point and ``key_row`` holds its
+        candidates as :meth:`_assign_tile` keeps them. They are probed
+        from the highest slot down — the scalar loop's tail pop — at one
+        exact distance each, and Lemma 1 prunes after each improvement.
+
+        Returns:
+            ``(current, computed)`` — the row's assignment and the
+            distances its probes computed.
+        """
+        locations = self._locations
+        seed_dists = self._seed_dists
+        candidates = np.flatnonzero(key_row >= 0)
+        remaining = candidates[np.argsort(key_row[candidates])]
+        computed = 0
+        while remaining.size:
+            # A Python int slices faster than a numpy one.
+            probe = int(remaining[-1])
+            remaining = remaining[:-1]
+            dist = float(row_norms(locations[probe : probe + 1] - point)[0])
+            computed += 1
+            if dist < min_dist:
+                current = probe
+                min_dist = dist
+                remaining = remaining[
+                    seed_dists[current, remaining] < 2.0 * min_dist
+                ]
+        return current, computed
 
 
 class AssignerCache:

@@ -74,13 +74,21 @@ def pairwise(points: PointMatrix) -> np.ndarray:
     inequality pruning of Section 3. The number of seeds is small (the
     paper's argument for why the matrix is cheap), so the dense ``(m, m)``
     representation is appropriate.
+
+    ``‖x‖² + ‖y‖² − 2·x·y`` is evaluated in that order in one ``(m, m)``
+    buffer besides the Gram matrix: doubling the Gram matrix in place is
+    exact, so every entry is the float the three-temporary expression
+    gives.
     """
+    points = np.asarray(points, dtype=np.float64)
     sq_norms = np.einsum("ij,ij->i", points, points)
     gram = points @ points.T
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
+    gram *= 2.0
+    dists = np.add.outer(sq_norms, sq_norms)
+    dists -= gram
     # Clamp tiny negative values produced by floating point cancellation.
-    np.maximum(sq, 0.0, out=sq)
-    dists = np.sqrt(sq)
+    np.maximum(dists, 0.0, out=dists)
+    np.sqrt(dists, out=dists)
     np.fill_diagonal(dists, 0.0)
     return dists
 

@@ -37,6 +37,19 @@ class TestClustersAtThreshold:
         # Positions 3 and 4 form singleton groups and are dropped; the
         # group starting at 5 has size 3.
         assert spans == [(0, 3), (5, 8)]
+        # Short runs first, in the middle and last.
+        reach = np.array([INF, 9.0, 0.1, 0.1, 9.0, 9.0, 0.1, 0.1, 9.0])
+        assert clusters_at_threshold(reach, 1.0, min_size=2) == [
+            (1, 4),
+            (5, 8),
+        ]
+        assert clusters_at_threshold(reach, 1.0, min_size=1) == [
+            (0, 1),
+            (1, 4),
+            (4, 5),
+            (5, 8),
+            (8, 9),
+        ]
 
     def test_all_below_threshold_single_cluster(self):
         reach = np.array([INF, 0.1, 0.2, 0.1])

@@ -11,6 +11,9 @@ These tests pin that contract, plus the :class:`AssignerCache` /
 
 from __future__ import annotations
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,6 +34,22 @@ BOUNDARY_SEEDS = 1024
 BOUNDARY_POINTS = (
     16 * (assignment._TI_TILE_ELEMENTS // BOUNDARY_SEEDS) + 6
 )
+
+
+#: Crossover values that force every row of a tile through one finish:
+#: lockstep rounds to the end, or its own loop right after the first
+#: probe.
+FORCED_SERIAL_ROWS = {"lockstep": 0, "serial": sys.maxsize}
+
+
+@contextlib.contextmanager
+def forced_finish(path: str):
+    """Make every row of every tile finish in lockstep, or serially."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            assignment, "_TI_SERIAL_ROWS", FORCED_SERIAL_ROWS[path]
+        )
+        yield
 
 
 def _paired_assigners(seeds, seed=0):
@@ -124,8 +143,6 @@ class TestBatchScalarEquivalence:
         on_seed = rng.random(num_points) < 0.5
         points = np.where(on_seed[:, None], first, (first + second) / 2.0)
 
-        scalar, batch = _paired_assigners(seeds, seed=data_seed)
-        expected = _scalar_loop(scalar, points)
         # tile_rows rows per tile (None: the default budget), so a few
         # points still run as a multi-tile call.
         elements = (
@@ -133,16 +150,20 @@ class TestBatchScalarEquivalence:
             if tile_rows is None
             else tile_rows * num_seeds
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(assignment, "_TI_TILE_ELEMENTS", elements)
-            actual = batch.assign_many(points)
+        for path in FORCED_SERIAL_ROWS:
+            scalar, batch = _paired_assigners(seeds, seed=data_seed)
+            expected = _scalar_loop(scalar, points)
+            with forced_finish(path), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(assignment, "_TI_TILE_ELEMENTS", elements)
+                actual = batch.assign_many(points)
 
-        assert actual.tolist() == expected.tolist()
-        assert batch.assign_computed == scalar.assign_computed
-        assert batch.assign_pruned == scalar.assign_pruned
-        assert (
-            batch._rng.bit_generator.state == scalar._rng.bit_generator.state
-        )
+            assert actual.tolist() == expected.tolist(), path
+            assert batch.assign_computed == scalar.assign_computed, path
+            assert batch.assign_pruned == scalar.assign_pruned, path
+            assert (
+                batch._rng.bit_generator.state
+                == scalar._rng.bit_generator.state
+            ), path
 
     def test_clustered_data_heavy_pruning(self):
         rng = np.random.default_rng(5)
@@ -165,6 +186,36 @@ class TestBatchScalarEquivalence:
         assert batch.assign_pruned == scalar.assign_pruned
         assert batch.pruned_fraction > 0.3  # pruning actually engaged
 
+    def test_outliers_prune_nothing(self):
+        # Points far outside the seeds' hull: 2 · minDist exceeds every
+        # seed-to-seed distance, so Lemma 1 prunes nothing and every row
+        # probes all B seeds — the rows that outlast a tile's lockstep.
+        rng = np.random.default_rng(31)
+        seeds = rng.uniform(-1.0, 1.0, size=(30, 3))
+        directions = rng.normal(size=(45, 3))
+        points = 1000.0 * directions / np.linalg.norm(
+            directions, axis=1, keepdims=True
+        )
+        for path in (None, *FORCED_SERIAL_ROWS):
+            scalar, batch = _paired_assigners(seeds, seed=4)
+            expected = _scalar_loop(scalar, points)
+            finish = (
+                contextlib.nullcontext()
+                if path is None
+                else forced_finish(path)
+            )
+            with finish:
+                actual = batch.assign_many(points)
+            assert actual.tolist() == expected.tolist(), path
+            assert scalar.assign_computed == 45 * 30
+            assert scalar.assign_pruned == 0
+            assert batch.assign_computed == scalar.assign_computed, path
+            assert batch.assign_pruned == scalar.assign_pruned, path
+            assert (
+                batch._rng.bit_generator.state
+                == scalar._rng.bit_generator.state
+            ), path
+
     def test_small_tiles_multi_tile(self, monkeypatch):
         # Eight-row tiles force many tiles; totals and indices must be
         # independent of the tiling.
@@ -183,17 +234,22 @@ class TestBatchScalarEquivalence:
         rng = np.random.default_rng(23)
         seeds = rng.normal(size=(20, 2)) * 6.0
         points = rng.normal(size=(150, 2)) * 6.0
-        a, b = _paired_assigners(seeds, seed=2)
-        # One row per tile against one tile for the whole call.
-        monkeypatch.setattr(assignment, "_TI_TILE_ELEMENTS", 1)
-        one_row = a.assign_many(points)
-        monkeypatch.setattr(assignment, "_TI_TILE_ELEMENTS", 150 * 20)
-        assert one_row.tolist() == b.assign_many(points).tolist()
-        assert a.assign_computed == b.assign_computed
-        assert a.assign_pruned == b.assign_pruned
-        assert (
-            a._rng.bit_generator.state == b._rng.bit_generator.state
-        )
+        for path in FORCED_SERIAL_ROWS:
+            a, b = _paired_assigners(seeds, seed=2)
+            with forced_finish(path):
+                # One row per tile against one tile for the whole call.
+                monkeypatch.setattr(assignment, "_TI_TILE_ELEMENTS", 1)
+                one_row = a.assign_many(points)
+                monkeypatch.setattr(
+                    assignment, "_TI_TILE_ELEMENTS", 150 * 20
+                )
+                whole = b.assign_many(points)
+            assert one_row.tolist() == whole.tolist(), path
+            assert a.assign_computed == b.assign_computed, path
+            assert a.assign_pruned == b.assign_pruned, path
+            assert (
+                a._rng.bit_generator.state == b._rng.bit_generator.state
+            ), path
 
     def test_empty_batch(self):
         seeds = np.random.default_rng(0).normal(size=(5, 2))

@@ -73,6 +73,25 @@ class TestPairwise:
         matrix = pairwise(points)
         assert matrix == pytest.approx(matrix.T)
 
+    def test_bytes_equal_three_temporary_formula(self):
+        # The in-place evaluation must give the exact floats of the
+        # plain expression, duplicate rows (cancellation to zero or just
+        # below it) included.
+        rng = np.random.default_rng(5)
+        for scale, dim in ((1.0, 2), (12.0, 8), (1e6, 3)):
+            points = rng.normal(size=(40, dim)) * scale
+            points[7] = points[3]
+            points[20:24] = points[11]
+            sq_norms = np.einsum("ij,ij->i", points, points)
+            sq = (
+                sq_norms[:, None]
+                + sq_norms[None, :]
+                - 2.0 * (points @ points.T)
+            )
+            expected = np.sqrt(np.maximum(sq, 0.0))
+            np.fill_diagonal(expected, 0.0)
+            assert pairwise(points).tobytes() == expected.tobytes()
+
     def test_no_negative_entries_for_near_duplicates(self):
         # Cancellation in x·x + y·y - 2·x·y can go slightly negative.
         base = np.full((5, 3), 1e8)
