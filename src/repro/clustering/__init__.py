@@ -30,7 +30,6 @@ from .incremental import (
     ClusterLineage,
     IncrementalClusterer,
     LineageEvent,
-    SpliceStats,
     StageResult,
 )
 from .kmeans import KMeansResult, WeightedKMeans
@@ -68,7 +67,6 @@ __all__ = [
     "PointOptics",
     "ReachabilityPlot",
     "SingleLink",
-    "SpliceStats",
     "StageResult",
     "WeightedKMeans",
     "XiCluster",

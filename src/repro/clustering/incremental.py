@@ -7,40 +7,17 @@ The paper makes *summarization* incremental; this module makes the
 :attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>` (the
 same contract as :class:`~repro.core.assignment.AssignerCache`): the
 bubble feature arrays, the K×K bubble distance matrix, the core-distance
-vector, and the last reachability plot *with its push trace*. A batch
-that touched ``T`` of ``K`` bubbles (absorb/release/reseed/split/merge —
-surfaced by :meth:`BubbleSet.touched_since
+vector, and the last reachability plot. A batch that touched ``T`` of
+``K`` bubbles (absorb/release/reseed/split/merge — surfaced by
+:meth:`BubbleSet.touched_since
 <repro.core.bubble_set.BubbleSet.touched_since>` and by maintainer batch
 callbacks) invalidates exactly the ``T`` rows and columns: repaired rows
 are bit-identical to a cold rebuild (see
 :func:`~repro.clustering.bubble_optics.bubble_distance_rows`), repaired
 core distances equal the from-scratch weighted computation float for
-float, and the repaired plot equals a from-scratch
+float, and one walk of the repaired matrix equals a from-scratch
 :func:`~repro.clustering.engine.run_optics` **exactly** — same ordering,
-same reachability floats, same cores, same trace.
-
-**Reachability repair** — the new walk replays the previous ordering
-while tracking the *divergence set* ``D``: the unprocessed bubbles whose
-distance column changed (touched) or whose current reachability differs
-from the old walk's at the same point. A position splices when its
-expander is clean and its reachability bar beats every diverged
-reachability (so the pop is forced); its recorded pushes replay verbatim
-to non-diverged targets, while pushes into ``D`` are recomputed from the
-repaired matrix — push values depend only on the (expander, target)
-pair, so this is exact, and a diverged target whose reachability returns
-to the recorded value *heals* out of ``D``. When a pop cannot be forced
-the walk goes live — the live walk *is* the from-scratch algorithm — and
-splicing resumes once the processed sets realign. Every replayed pop is
-*verified* against the walk's own pop rule: the replay advances the same
-push counters a live walk would, so :meth:`OpticsWalk.peek_pop` is
-ground truth for the next expansion, heap tiebreaks included. Bulk
-segment replay additionally checks a small *suspect* set — columns whose
-last push may sit at a different position than in the old walk — for
-reachability ties against the segment's bars. Worst case the repair
-walks everything and is still exact. Splicing pays off only while few
-bubbles changed: past :data:`SPLICE_CROSSOVER` of them touched, the
-repair refreshes the touched rows and cores and then runs one full walk
-of the repaired matrix instead.
+same reachability floats, same cores.
 
 **Anytime mode** — ``fit(deadline_seconds=...)`` clusters nested subsets
 of the bubbles (largest point counts first), yielding a valid — coarse —
@@ -59,7 +36,7 @@ window slides.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +46,7 @@ from ..geometry.counting import DistanceCounter
 from ..observability.spans import maybe_span
 from .bubble_optics import _nn_dist_arrays, bubble_distance_rows
 from .cluster_tree import ClusterNode, ClusterTree
-from .engine import OpticsWalk, PushBatch
+from .engine import run_optics
 from .extraction import extract_cluster_tree
 from .reachability import ExpandedPlot, ReachabilityPlot
 
@@ -81,15 +58,6 @@ __all__ = [
     "LineageEvent",
     "StageResult",
 ]
-
-_EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
-
-#: Share of the clustered bubbles a repair may touch and still splice the
-#: old ordering. Above it, one full walk over the repaired matrix is
-#: cheaper than the splice: at K = 250–500, d = 8 their median times
-#: cross at 2–3% touched (docs/CLUSTERING.md has the table).
-SPLICE_CROSSOVER = 0.025
-
 
 # ----------------------------------------------------------------------
 # Weighted core distances, many rows at once (satellite: hoist the
@@ -148,30 +116,6 @@ def _weighted_cores(
         head = min(head * 4, num_cols)
 
 
-def _flatten_trace(
-    trace: list[PushBatch],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate a push trace into flat arrays plus offsets.
-
-    Returns ``(targets, values, offsets)``: position ``p``'s pushes are
-    ``targets[offsets[p]:offsets[p+1]]`` (and the matching values),
-    which lets the repair replay or window the old walk's pushes with
-    array slices instead of per-batch Python loops.
-    """
-    lens = np.fromiter(
-        (batch[0].size for batch in trace), dtype=np.int64, count=len(trace)
-    )
-    offsets = np.zeros(len(trace) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    if offsets[-1]:
-        targets = np.concatenate([b[0] for b in trace if b[0].size])
-        values = np.concatenate([b[1] for b in trace if b[1].size])
-    else:
-        targets = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-    return targets, values, offsets
-
-
 def _sanitize_extents(extents: np.ndarray) -> np.ndarray:
     """Clamp degenerate extents exactly like ``optics_over_summaries``."""
     return np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
@@ -200,7 +144,6 @@ class _CacheState:
         "dist",
         "cores",
         "plot",
-        "trace",
         "virtual",
         "tree",
     )
@@ -217,33 +160,12 @@ class _CacheState:
         self.dist = np.empty((0, 0))
         self.cores = np.empty(0)
         self.plot: ReachabilityPlot | None = None
-        self.trace: list[PushBatch] = []
         self.virtual = np.empty(0)
         self.tree: ClusterTree | None = None
 
     @property
     def num(self) -> int:
         return int(self.bubble_ids.shape[0])
-
-
-@dataclass(frozen=True)
-class SpliceStats:
-    """How much of a repair was replayed rather than walked live.
-
-    A repair past :data:`SPLICE_CROSSOVER` walks in full and reports
-    ``spliced=0, live=K``.
-    """
-
-    spliced: int
-    live: int
-
-    @property
-    def total(self) -> int:
-        return self.spliced + self.live
-
-    @property
-    def spliced_fraction(self) -> float:
-        return self.spliced / self.total if self.total else 1.0
 
 
 class ClusterCache:
@@ -256,8 +178,8 @@ class ClusterCache:
 
     * same version → **hit**: nothing recomputed, zero distances.
     * same non-empty id set → **repair**: only the touched rows/columns
-      of the distance matrix, the cores they can actually affect, and the
-      dirty region of the reachability ordering are recomputed.
+      of the distance matrix and the cores they can actually affect are
+      recomputed, then the ordering is walked once.
     * different id set (bubbles inserted/retired) → **rebuild**: full
       walk, but distance entries between surviving untouched bubbles are
       reused from the old matrix (bit-identical to recomputing them).
@@ -292,7 +214,6 @@ class ClusterCache:
         self.repairs = 0
         self.rebuilds = 0
         self.cold_fits = 0
-        self.last_splice: SpliceStats | None = None
 
     @property
     def min_pts(self) -> int:
@@ -410,7 +331,6 @@ class ClusterCache:
                 reachability=np.empty(0),
                 core_distances=np.empty(0),
             )
-            state.trace = []
             state.virtual = np.empty(0)
             return state
 
@@ -468,25 +388,19 @@ class ClusterCache:
                 state.dist[small], state.counts, self._min_pts, self._eps
             )
         state.cores = cores
-        state.plot, state.trace = self._walk(state)
+        state.plot = self._walk(state)
         state.virtual = self._virtual(state)
         return state
 
-    def _walk(
-        self, state: _CacheState
-    ) -> tuple[ReachabilityPlot, list[PushBatch]]:
-        """One full recorded walk over the cached matrix and cores."""
+    def _walk(self, state: _CacheState) -> ReachabilityPlot:
+        """One full walk over the cached matrix and cores."""
         dist, cores = state.dist, state.cores
-        walk = OpticsWalk(
+        return run_optics(
             state.num,
             lambda obj: dist[obj],
             lambda obj, dists: float(cores[obj]),
             eps=self._eps,
-            record_trace=True,
         )
-        plot = walk.run()
-        assert walk.trace is not None
-        return plot, walk.trace
 
     # ------------------------------------------------------------------
     # Repair (same id set)
@@ -497,18 +411,16 @@ class ClusterCache:
         bubbles: BubbleSet,
         touched_ids: set[int],
     ) -> None:
-        """Refresh the touched rows and the cores they move, then reorder.
+        """Refresh the touched rows and the cores they move, then re-walk.
 
-        The ordering is spliced from the previous walk
-        (:meth:`_repair_walk`) when at most :data:`SPLICE_CROSSOVER` of
-        the clustered bubbles were touched, and re-walked in full
-        otherwise; both are exactly a cold walk of the repaired state.
+        The walk is the one :meth:`_rebuild` ends with, so the repaired
+        plot is exactly a cold walk of the repaired state; the repair
+        saves the untouched distances and the untouched cores.
         """
         num = state.num
         if num == 0:
             # An empty set stayed empty across versions: the empty plot
             # is already exact, and a walk over zero objects is illegal.
-            self.last_splice = SpliceStats(spliced=0, live=0)
             return
         touched_c = np.asarray(
             sorted(
@@ -522,13 +434,11 @@ class ClusterCache:
             # Every touched bubble is outside the clustered id set (all
             # empty): the cached plot is already exact, verbatim.
             self._counter.record_pruned(num * (num - 1) // 2)
-            self.last_splice = SpliceStats(spliced=num, live=0)
             return
 
         # Snapshot the touched columns *before* overwriting them: the
         # core relevance test below needs both the old and new values.
         old_cols = state.dist[:, touched_c].copy()
-        old_cores = state.cores.copy()
 
         self._refresh_features(state, bubbles, touched_c)
         rows = bubble_distance_rows(
@@ -564,7 +474,7 @@ class ClusterCache:
         # spares most recomputations. Otherwise recompute.
         cand = np.flatnonzero(small & ~touched_mask)
         if cand.size:
-            core_c = old_cores[cand]
+            core_c = state.cores[cand]
             changed_min = np.minimum(
                 old_cols[cand], state.dist[np.ix_(cand, touched_c)]
             ).min(axis=1)
@@ -579,505 +489,9 @@ class ClusterCache:
                     state.dist[redo], state.counts, self._min_pts, self._eps
                 )
 
-        if touched_c.size > SPLICE_CROSSOVER * num:
-            # Past the crossover one full walk is cheaper than splicing.
-            # It still records its push trace, so a later small batch
-            # can splice from it.
-            plot, trace = self._walk(state)
-            splice = SpliceStats(spliced=0, live=num)
-        else:
-            dirty = touched_mask.copy()
-            dirty |= state.cores != old_cores
-            # NaN never equals itself; treat any NaN core as dirty.
-            dirty |= np.isnan(state.cores) | np.isnan(old_cores)
-            plot, trace, splice = self._repair_walk(
-                state, dirty, touched_mask
-            )
-        state.plot = plot
-        state.trace = trace
+        state.plot = self._walk(state)
         state.virtual = self._virtual(state)
         state.tree = None
-        self.last_splice = splice
-
-    def _repair_walk(
-        self,
-        state: _CacheState,
-        dirty: np.ndarray,
-        permanent: np.ndarray,
-    ) -> tuple[ReachabilityPlot, list[PushBatch], SpliceStats]:
-        """Replay the previous ordering, walking live only where needed.
-
-        ``dirty`` marks expanders whose *outgoing* pushes changed
-        (touched rows or changed cores) — those positions always run
-        live. ``permanent`` marks the touched bubbles themselves: their
-        distance *columns* changed, so every push into them is recomputed
-        from the repaired matrix for as long as they are unprocessed
-        (they never heal out of the divergence set the way a merely
-        diverged-reachability column does). See the module docstring and
-        ``docs/CLUSTERING.md`` for the full splice-validity argument.
-        The result is exactly what a cold
-        :func:`~repro.clustering.engine.run_optics` would produce on the
-        repaired state.
-        """
-        num = state.num
-        assert state.plot is not None
-        old_ordering = state.plot.ordering
-        old_reach = state.plot.reachability
-        old_trace = state.trace
-        push_idx, push_val, push_off = _flatten_trace(old_trace)
-        cores = state.cores
-        dist = state.dist
-        eps = self._eps
-
-        pos_of = np.empty(num, dtype=np.int64)
-        pos_of[old_ordering] = np.arange(num)
-        dirty_positions = np.sort(pos_of[np.flatnonzero(dirty)])
-        dp = 0  # pointer into dirty_positions
-
-        walk = OpticsWalk(
-            num,
-            lambda obj: dist[obj],
-            lambda obj, dists: float(cores[obj]),
-            eps=eps,
-            record_trace=True,
-        )
-
-        # The old walk's reachability state, replayed position by
-        # position alongside the new walk; a non-diverged column always
-        # has walk.reach_by_obj equal to this.
-        old_reach_state = np.full(num, np.inf)
-        in_divergence = permanent.copy()
-        diverged = np.flatnonzero(in_divergence)
-        # Ordering position of each column's most recent push, in the old
-        # walk and in the new one. Counters advance per push in ascending
-        # target order within a position — in both walks — so the pop
-        # tiebreak (argmin counter) between any two columns is exactly
-        # the lexicographic order of ``(last-push position, column id)``.
-        # That turns reachability *ties* against diverged columns from a
-        # splice blocker into a direct comparison.
-        old_last_push = np.full(num, -1, dtype=np.int64)
-        old_last_push[push_idx] = np.repeat(
-            np.arange(num), np.diff(push_off)
-        )
-        new_last_push = np.full(num, -1, dtype=np.int64)
-        # A column is *suspect* when its latest push in the new walk may
-        # have happened at a different ordering position than in the old
-        # walk: every column in the divergence set (its pushes are
-        # recomputed rather than replayed — touched columns from the
-        # start), healed columns, and anything pushed during a live
-        # burst. Counter tiebreaks are only guaranteed to replay for
-        # non-suspect columns, so a splice additionally requires that no
-        # suspect's reachability ties the bar(s) involved; a verbatim
-        # push at the recorded position clears the mark. The divergence
-        # set stays a subset of the suspect set throughout (D columns
-        # are never verbatim-cleansed).
-        suspect = permanent.copy()
-        spliced = 0
-        live = 0
-        only_live: set[int] = set()
-        only_old: set[int] = set()
-
-        q = 0
-        while q < num:
-            e = int(old_ordering[q])
-            while dp < dirty_positions.size and dirty_positions[dp] < q:
-                dp += 1
-            sus = np.flatnonzero(suspect & ~walk.processed)
-
-            if not dirty[e] and not in_divergence[e]:
-                # Bulk phase: a run of positions splices in a handful of
-                # vector ops when, throughout the run, (a) no expander
-                # is dirty or diverged, (b) no diverged column's
-                # evolving reachability drops *below* a bar — it would
-                # pop first; a non-diverged column's reachability equals
-                # the old walk's and can therefore never be below a bar
-                # the old walk popped — and (c) every reachability *tie*
-                # against a bar resolves in the expander's favour by
-                # last-push event order, and no non-diverged suspect
-                # ties a bar. Pushes *into* diverged columns do not end
-                # the run: their evolution across the run is a running
-                # minimum of the would-be push values, so tests (b) and
-                # (c) come out in closed form, and the few positions
-                # whose pushes differ from the recorded trace get their
-                # batches rewritten before the splice.
-                limit = (
-                    int(dirty_positions[dp])
-                    if dp < dirty_positions.size
-                    else num
-                )
-                pushed = None
-                if diverged.size and limit > q:
-                    limit = min(limit, q + 256)
-                    exp_div = np.flatnonzero(
-                        in_divergence[old_ordering[q:limit]]
-                    )
-                    if exp_div.size:
-                        limit = q + int(exp_div[0])
-                if diverged.size and limit > q:
-                    # Row-0 gate: the window computation is pointless
-                    # when the first row already fails the pop test,
-                    # which is the common state while a diverged column
-                    # with a low reachability waits to pop. The per-row
-                    # masks below repeat this test for every row.
-                    cur = walk.reach_by_obj[diverged]
-                    bar0 = float(old_reach[q])
-                    viol0 = cur < bar0
-                    tie0 = cur == bar0
-                    if tie0.any():
-                        pos_e0 = int(old_last_push[e])
-                        pd0 = new_last_push[diverged]
-                        viol0 |= tie0 & ~(
-                            (pos_e0 < pd0)
-                            | ((pos_e0 == pd0) & (e < diverged))
-                        )
-                    if viol0.any():
-                        limit = q
-                if diverged.size and limit > q:
-                    objs = old_ordering[q:limit]
-                    sub = dist[np.ix_(objs, diverged)]
-                    veff = np.maximum(sub, cores[objs][:, None])
-                    if np.isfinite(eps):
-                        veff[sub > eps] = np.inf
-                    # Reachability of each diverged column *entering*
-                    # each row: the starting value overlaid with the
-                    # running minimum of the pushes above the row.
-                    before = np.empty_like(veff)
-                    before[0] = walk.reach_by_obj[diverged]
-                    if veff.shape[0] > 1:
-                        np.minimum(
-                            before[0],
-                            np.minimum.accumulate(veff[:-1], axis=0),
-                            out=before[1:],
-                        )
-                    pushed = veff < before
-                    bars = old_reach[q:limit]
-                    viol = before < bars[:, None]
-                    tie = before == bars[:, None]
-                    if tie.any():
-                        # Ties resolve by last-push event order —
-                        # ``(position, column id)``, matching counter
-                        # order in both walks. A diverged column's
-                        # last-push position entering a row is its
-                        # running maximum over the window's pushes.
-                        span = veff.shape[0]
-                        rowpos = np.where(
-                            pushed,
-                            np.arange(q, q + span)[:, None],
-                            np.int64(-1),
-                        )
-                        ppos = np.empty_like(rowpos)
-                        ppos[0] = new_last_push[diverged]
-                        if span > 1:
-                            np.maximum(
-                                ppos[0],
-                                np.maximum.accumulate(
-                                    rowpos[:-1], axis=0
-                                ),
-                                out=ppos[1:],
-                            )
-                        pos_e = old_last_push[objs][:, None]
-                        ewin = (pos_e < ppos) | (
-                            (pos_e == ppos)
-                            & (objs[:, None] < diverged[None, :])
-                        )
-                        viol |= tie & ~ewin
-                    bad = np.flatnonzero(viol.any(axis=1))
-                    if bad.size:
-                        limit = q + int(bad[0])
-                        pushed = pushed[: int(bad[0])]
-                        veff = veff[: int(bad[0])]
-                if limit > q and sus.size:
-                    # Non-diverged suspects hold their window-entry
-                    # reachability until a verbatim push (which realigns
-                    # them); a bar tying one cannot be resolved without
-                    # its true event order, so cut there.
-                    sus_nd = sus[~in_divergence[sus]]
-                    if sus_nd.size:
-                        tie_nd = np.flatnonzero(
-                            np.isin(
-                                old_reach[q:limit],
-                                walk.reach_by_obj[sus_nd],
-                            )
-                        )
-                        if tie_nd.size:
-                            limit = q + int(tie_nd[0])
-                            if pushed is not None:
-                                pushed = pushed[: int(tie_nd[0])]
-                                veff = veff[: int(tie_nd[0])]
-                if limit > q:
-                    seg_t = push_idx[push_off[q] : push_off[limit]]
-                    seg_v = push_val[push_off[q] : push_off[limit]]
-                    if pushed is None:
-                        adjust = _EMPTY_POSITIONS
-                    else:
-                        adjust = np.flatnonzero(pushed.any(axis=1))
-                        hits = np.flatnonzero(in_divergence[seg_t])
-                        if hits.size:
-                            hit_rows = (
-                                np.searchsorted(
-                                    push_off,
-                                    int(push_off[q]) + hits,
-                                    side="right",
-                                )
-                                - 1
-                                - q
-                            )
-                            adjust = np.union1d(adjust, hit_rows)
-                    if adjust.size == 0 and limit >= num:
-                        # Terminal verbatim tail — assemble the plot
-                        # directly, no walk state to maintain.
-                        ordering = np.concatenate(
-                            (walk.ordering, old_ordering[q:])
-                        )
-                        reach = np.concatenate(
-                            (walk.reach_in_order, old_reach[q:])
-                        )
-                        trace = list(walk.trace or []) + list(
-                            old_trace[q:]
-                        )
-                        spliced += num - q
-                        plot = ReachabilityPlot(
-                            ordering=ordering,
-                            reachability=reach,
-                            core_distances=cores,
-                        )
-                        return plot, trace, SpliceStats(spliced, live)
-                    objs = old_ordering[q:limit]
-                    if adjust.size == 0:
-                        walk.splice_segment(
-                            objs,
-                            old_reach[q:limit],
-                            cores[objs],
-                            seg_t,
-                            seg_v,
-                            batches=old_trace[q:limit],
-                        )
-                        if seg_t.size:
-                            new_last_push[seg_t] = np.repeat(
-                                np.arange(q, limit),
-                                np.diff(push_off[q : limit + 1]),
-                            )
-                    else:
-                        batches = list(old_trace[q:limit])
-                        for row in adjust:
-                            pos = q + int(row)
-                            t_old = push_idx[
-                                push_off[pos] : push_off[pos + 1]
-                            ]
-                            v_old = push_val[
-                                push_off[pos] : push_off[pos + 1]
-                            ]
-                            keep = ~in_divergence[t_old]
-                            row_push = pushed[row]
-                            merged_t = np.concatenate(
-                                (t_old[keep], diverged[row_push])
-                            )
-                            merged_v = np.concatenate(
-                                (v_old[keep], veff[row][row_push])
-                            )
-                            order = np.argsort(merged_t, kind="stable")
-                            batches[int(row)] = (
-                                merged_t[order],
-                                merged_v[order],
-                            )
-                        all_t = np.concatenate([b[0] for b in batches])
-                        walk.splice_segment(
-                            objs,
-                            old_reach[q:limit],
-                            cores[objs],
-                            all_t,
-                            np.concatenate([b[1] for b in batches]),
-                            batches=batches,
-                        )
-                        if all_t.size:
-                            new_last_push[all_t] = np.repeat(
-                                np.arange(q, limit),
-                                np.fromiter(
-                                    (b[0].size for b in batches),
-                                    dtype=np.int64,
-                                    count=len(batches),
-                                ),
-                            )
-                    if seg_t.size:
-                        # The *old* walk's state advances by its own
-                        # recorded pushes (including those into diverged
-                        # columns); verbatim pushes — to non-diverged
-                        # targets — realign their counter provenance.
-                        old_reach_state[seg_t] = seg_v
-                        if adjust.size == 0:
-                            suspect[seg_t] = False
-                        else:
-                            suspect[seg_t[~in_divergence[seg_t]]] = False
-                    if pushed is not None and adjust.size:
-                        affected = diverged[pushed.any(axis=0)]
-                        if affected.size:
-                            healed = affected[
-                                (
-                                    walk.reach_by_obj[affected]
-                                    == old_reach_state[affected]
-                                )
-                                & ~permanent[affected]
-                            ]
-                            if healed.size:
-                                in_divergence[healed] = False
-                                diverged = diverged[
-                                    in_divergence[diverged]
-                                ]
-                                suspect[healed] = True
-                    spliced += limit - q
-                    q = limit
-                    continue
-
-            # Verified single position: splice when the pop at this
-            # position provably replays. A non-suspect expander's
-            # ``(reachability, counter)`` relative order against every
-            # other non-suspect column is exactly the old walk's — which
-            # popped it here — so only a suspect could beat or tie it:
-            # compare lexicographically against the (small) unprocessed
-            # suspect set, whose reachabilities and counters are the
-            # live algorithm's. A suspect expander falls back to the
-            # walk's own pop rule (:meth:`OpticsWalk.peek_pop` is ground
-            # truth for the same reason). A clean expander replays its
-            # recorded pushes verbatim; pushes into diverged columns are
-            # recomputed from the repaired matrix.
-            if not dirty[e]:
-                bar_e = float(walk.reach_by_obj[e])
-                if suspect[e]:
-                    pop = walk.peek_pop()
-                    if pop < 0:
-                        # Heap exhausted: a component reopens at the
-                        # lowest unprocessed id, as in the classical
-                        # loop.
-                        verified = int(np.argmax(~walk.processed)) == e
-                    else:
-                        verified = pop == e
-                elif np.isfinite(bar_e):
-                    r_x = walk.reach_by_obj[sus]
-                    c_x = walk.counter_by_obj[sus]
-                    c_e = int(walk.counter_by_obj[e])
-                    worse = (r_x < bar_e) | (
-                        (r_x == bar_e) & (c_x < c_e)
-                    )
-                    verified = not worse.any()
-                else:
-                    # Component start in the old walk: it replays iff no
-                    # unprocessed object has been pushed and ``e`` is
-                    # the lowest unprocessed id. Non-suspect columns
-                    # mirror the old walk's (empty) heap — a finite
-                    # reachability the old walk lacked would have marked
-                    # them suspect — so only suspects need checking.
-                    verified = not np.isfinite(
-                        walk.reach_by_obj[sus]
-                    ).any() and int(np.argmax(~walk.processed)) == e
-            else:
-                verified = False
-            if verified:
-                bar = float(walk.reach_by_obj[e])
-                if in_divergence[e]:
-                    in_divergence[e] = False
-                    diverged = diverged[diverged != e]
-                t_old = push_idx[push_off[q] : push_off[q + 1]]
-                v_old = push_val[push_off[q] : push_off[q + 1]]
-                if diverged.size:
-                    keep = ~in_divergence[t_old]
-                    dcol = dist[e, diverged]
-                    veff = np.maximum(dcol, cores[e])
-                    pushed = (dcol <= eps) & (
-                        veff < walk.reach_by_obj[diverged]
-                    )
-                    if keep.all() and not pushed.any():
-                        merged_t, merged_v = t_old, v_old
-                    else:
-                        merged_t = np.concatenate(
-                            (t_old[keep], diverged[pushed])
-                        )
-                        merged_v = np.concatenate(
-                            (v_old[keep], veff[pushed])
-                        )
-                        order = np.argsort(merged_t, kind="stable")
-                        merged_t = merged_t[order]
-                        merged_v = merged_v[order]
-                else:
-                    keep = None
-                    merged_t, merged_v = t_old, v_old
-                walk.splice(e, bar, float(cores[e]), merged_t, merged_v)
-                if merged_t.size:
-                    new_last_push[merged_t] = q
-                if t_old.size:
-                    old_reach_state[t_old] = v_old
-                spliced += 1
-                q += 1
-                if keep is None:
-                    if t_old.size:
-                        suspect[t_old] = False
-                else:
-                    suspect[t_old[keep]] = False
-                    affected = np.concatenate(
-                        (t_old[~keep], diverged[pushed])
-                    )
-                    if affected.size:
-                        healed = affected[
-                            (
-                                walk.reach_by_obj[affected]
-                                == old_reach_state[affected]
-                            )
-                            & ~permanent[affected]
-                        ]
-                        if healed.size:
-                            in_divergence[healed] = False
-                            diverged = diverged[in_divergence[diverged]]
-                            suspect[healed] = True
-                continue
-
-            # Live burst: the walk *is* the from-scratch algorithm here.
-            # Keep stepping until the processed sets realign, then
-            # re-derive the divergence set and resume splicing.
-            burst_start = q
-            while not walk.done():
-                obj = walk.step()
-                live += 1
-                assert walk.trace is not None
-                stepped = walk.trace[-1][0]
-                if stepped.size:
-                    new_last_push[stepped] = q
-                o_old = int(old_ordering[q])
-                if obj != o_old:
-                    if obj in only_old:
-                        only_old.discard(obj)
-                    else:
-                        only_live.add(obj)
-                    if o_old in only_live:
-                        only_live.discard(o_old)
-                    else:
-                        only_old.add(o_old)
-                q += 1
-                if q >= num:
-                    break
-                if not only_live and not only_old:
-                    old_reach_state[
-                        push_idx[push_off[burst_start] : push_off[q]]
-                    ] = push_val[push_off[burst_start] : push_off[q]]
-                    mask = ~walk.processed & (
-                        (walk.reach_by_obj != old_reach_state) | permanent
-                    )
-                    in_divergence = mask
-                    diverged = np.flatnonzero(mask)
-                    # Anything pushed during the burst — by either walk —
-                    # may carry a counter from a different position.
-                    suspect[
-                        push_idx[push_off[burst_start] : push_off[q]]
-                    ] = True
-                    assert walk.trace is not None
-                    for batch in walk.trace[burst_start:q]:
-                        if batch[0].size:
-                            suspect[batch[0]] = True
-                    break
-
-        return (
-            walk.plot(),
-            list(walk.trace or []),
-            SpliceStats(spliced=spliced, live=live),
-        )
 
     def _virtual(self, state: _CacheState) -> np.ndarray:
         """Virtual reachability per compact index (expansion estimate)."""
@@ -1262,7 +676,6 @@ class ClusterFit:
             clustered subset (1.0 for complete fits).
         stages: completed anytime stages (empty for direct fits).
         elapsed_seconds: wall time by the clusterer's clock.
-        splice: repair replay statistics (``None`` unless repaired).
     """
 
     version: int
@@ -1275,11 +688,19 @@ class ClusterFit:
     quality: float
     stages: tuple[StageResult, ...] = ()
     elapsed_seconds: float = 0.0
-    splice: SpliceStats | None = None
 
     @property
     def num_bubbles(self) -> int:
         return int(self.bubble_ids.shape[0])
+
+    @property
+    def splice(self) -> None:
+        """Always ``None``: a repair re-walks and replays nothing.
+
+        Read-only; perfbench's ledger reads it to report
+        ``cluster.spliced_frac``.
+        """
+        return None
 
     def expanded(self) -> ExpandedPlot:
         """One plot entry per summarized point, attributed to bubble ids."""
@@ -1384,11 +805,6 @@ class IncrementalClusterer:
             "repro_cluster_leaves",
             help="Leaf clusters in the most recent full-quality tree.",
         )
-        self._g_spliced = m.gauge(
-            "repro_cluster_spliced_fraction",
-            help="Fraction of the last repaired ordering replayed "
-            "rather than re-walked.",
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1423,11 +839,6 @@ class IncrementalClusterer:
             "last_quality": last.quality if last is not None else None,
             "last_leaves": (
                 len(last.tree.leaves()) if last is not None else 0
-            ),
-            "last_spliced_fraction": (
-                cache.last_splice.spliced_fraction
-                if cache.last_splice is not None
-                else None
             ),
             "lineage_events": len(self._lineage.events),
             "live_clusters": self._lineage.live_clusters,
@@ -1511,8 +922,6 @@ class IncrementalClusterer:
                 self._m_stages.inc(len(fit.stages))
             if fit.quality >= 1.0:
                 self._g_leaves.set(len(fit.tree.leaves()))
-            if fit.splice is not None:
-                self._g_spliced.set(fit.splice.spliced_fraction)
         if fit.quality >= 1.0 and fit.num_bubbles > 0:
             events = self._lineage.observe(fit)
             if self._obs is not None and events:
@@ -1532,18 +941,6 @@ class IncrementalClusterer:
             cache.hits += 1
             return self._fit_from_state(state, "hit")
 
-        anytime_eligible = deadline_seconds is not None and not (
-            state is not None
-            and state.plot is not None
-            and np.array_equal(
-                state.bubble_ids,
-                np.asarray(bubbles.non_empty_ids(), dtype=np.int64),
-            )
-        )
-        if anytime_eligible:
-            return self._fit_anytime(bubbles, deadline_seconds, started)
-
-        extra = tuple(self._callback_touched)
         repairable = (
             state is not None
             and state.plot is not None
@@ -1552,6 +949,10 @@ class IncrementalClusterer:
                 np.asarray(bubbles.non_empty_ids(), dtype=np.int64),
             )
         )
+        if deadline_seconds is not None and not repairable:
+            return self._fit_anytime(bubbles, deadline_seconds, started)
+
+        extra = tuple(self._callback_touched)
         if repairable:
             with maybe_span(
                 self._obs, "cluster_repair", touched=len(extra)
@@ -1591,9 +992,6 @@ class IncrementalClusterer:
             tree=state.tree,
             source=source,
             quality=1.0,
-            splice=(
-                self._cache.last_splice if source == "repair" else None
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -1728,5 +1126,4 @@ def _with_elapsed(fit: ClusterFit, elapsed: float) -> ClusterFit:
         quality=fit.quality,
         stages=fit.stages,
         elapsed_seconds=elapsed,
-        splice=fit.splice,
     )

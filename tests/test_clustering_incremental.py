@@ -3,25 +3,20 @@
 The load-bearing claim under test is *exact equivalence*: every cache
 outcome — hit, repair, rebuild — must produce state bitwise equal to a
 cold fit of the current bubbles (ordering, reachability bars, core
-distances, the distance matrix, and the full push trace). The repair
-path replays verified prefixes of the previous walk, so any tie broken
-differently from the classical loop shows up here as a hard failure.
+distances and the distance matrix). The repair reuses the untouched
+distances and cores, so any of them that a batch should have moved
+shows up here as a hard failure.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import incremental
 from repro.clustering.bubble_optics import BubbleOptics
-from repro.clustering.engine import OpticsWalk
 from repro.clustering.incremental import (
-    SPLICE_CROSSOVER,
     ClusterCache,
     ClusterLineage,
     IncrementalClusterer,
@@ -69,10 +64,6 @@ def assert_states_equal(state, fresh_state):
     )
     assert np.array_equal(state.cores, fresh_state.cores)
     assert np.array_equal(state.dist, fresh_state.dist)
-    assert len(state.trace) == len(fresh_state.trace)
-    for (t_a, v_a), (t_b, v_b) in zip(state.trace, fresh_state.trace):
-        assert np.array_equal(t_a, t_b)
-        assert np.array_equal(v_a, v_b)
 
 
 def apply_move(bubbles, bid: int, move: int, rng):
@@ -88,27 +79,6 @@ def apply_move(bubbles, bid: int, move: int, rng):
 
 
 MIN_PTS = 12
-
-#: Crossover values that force every repair down one path: no repair
-#: touches more than all of the bubbles, and every one touches some.
-FORCED_CROSSOVER = {"splice": 1.0, "walk": 0.0}
-
-
-@contextlib.contextmanager
-def forced_repair_path(path: str):
-    """Make every repair in the block splice, or walk in full."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            incremental, "SPLICE_CROSSOVER", FORCED_CROSSOVER[path]
-        )
-        yield
-
-
-@pytest.fixture
-def force_splice():
-    with forced_repair_path("splice"):
-        yield
-
 
 class TestCacheSources:
     def test_cold_then_hit_is_same_object(self):
@@ -149,12 +119,21 @@ class TestCacheSources:
         cache.refresh(bubbles)
         cold_cost = counter.snapshot().computed
         rng = np.random.default_rng(0)
-        apply_move(bubbles, 5, 0, rng)
-        before = counter.snapshot().computed
-        _, src = cache.refresh(bubbles)
+        touched = (5, 11, 23)
+        for bid in touched:
+            apply_move(bubbles, bid, 0, rng)
+        before = counter.snapshot()
+        state, src = cache.refresh(bubbles)
         assert src == "repair"
-        repair_cost = counter.snapshot().computed - before
+        after = counter.snapshot()
+        repair_cost = after.computed - before.computed
         assert 0 < repair_cost < cold_cost
+        # Exactly the touched rows: each touched bubble against every
+        # untouched one, plus the pairs among the touched; every other
+        # pair of the matrix is reused and counts as pruned.
+        k, t = state.num, len(touched)
+        assert repair_cost == t * (k - t) + t * (t - 1) // 2
+        assert repair_cost + after.pruned - before.pruned == k * (k - 1) // 2
 
     def test_invalidate_forces_cold(self):
         bubbles = build_bubbles(24, 3, 900)
@@ -174,46 +153,28 @@ class TestCacheSources:
 
 
 class TestRepairEquivalence:
-    """repair/rebuild ≡ cold, bitwise, across mutation schedules.
-
-    Every schedule runs twice, from the same bubbles and random stream:
-    once with every repair forced to splice and once with every repair
-    forced to walk in full, so both paths stay under the bitwise check
-    whatever share of the bubbles a schedule touches.
-    """
+    """repair/rebuild ≡ cold, bitwise, across mutation schedules."""
 
     def run_schedule(self, make_bubbles, schedule, rng):
-        caches = {}
-        start = rng.bit_generator.state
-        for path in FORCED_CROSSOVER:
-            bubbles = make_bubbles()
-            rng.bit_generator.state = start
-            cache = ClusterCache(min_pts=MIN_PTS)
-            cache.refresh(bubbles)
-            with forced_repair_path(path):
-                for moves in schedule:
-                    for bid, move in moves:
-                        apply_move(bubbles, bid % len(bubbles), move, rng)
-                    state, src = cache.refresh(bubbles)
-                    fresh_state, _ = ClusterCache(
-                        min_pts=MIN_PTS
-                    ).refresh(bubbles)
-                    assert_states_equal(state, fresh_state)
-                    if src == "repair" and path == "walk":
-                        assert cache.last_splice.spliced == 0
-                        assert cache.last_splice.live == state.num
-            caches[path] = cache
-        return caches
+        bubbles = make_bubbles()
+        cache = ClusterCache(min_pts=MIN_PTS)
+        cache.refresh(bubbles)
+        for moves in schedule:
+            for bid, move in moves:
+                apply_move(bubbles, bid % len(bubbles), move, rng)
+            state, _ = cache.refresh(bubbles)
+            fresh_state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
+            assert_states_equal(state, fresh_state)
+        return cache
 
     def test_absorb_only_schedule(self):
         rng = np.random.default_rng(1)
         schedule = [[(i, 0) for i in rng.integers(0, 32, size=3)]
                     for _ in range(6)]
-        caches = self.run_schedule(
+        cache = self.run_schedule(
             lambda: build_bubbles(32, 3, 1200), schedule, rng
         )
-        for cache in caches.values():
-            assert cache.repairs == len(schedule)
+        assert cache.repairs == len(schedule)
 
     def test_release_only_schedule(self):
         rng = np.random.default_rng(2)
@@ -244,43 +205,6 @@ class TestRepairEquivalence:
             [[(15, 1)]],
             np.random.default_rng(7),
         )
-
-    def test_crossover_selects_the_repair_path(self):
-        """At most the crossover's share touched splices; one more walks.
-
-        At K = 40 the crossover's share is exactly one bubble, which
-        pins "more than" against "at least".
-        """
-        num = 40
-        limit = int(SPLICE_CROSSOVER * num)
-        assert limit >= 1
-        for touched, spliced in ((limit, True), (limit + 1, False)):
-            bubbles = build_bubbles(num, 3, 1500)
-            cache = ClusterCache(min_pts=MIN_PTS)
-            cache.refresh(bubbles)
-            rng = np.random.default_rng(12)
-            for bid in range(7, 7 + touched):
-                apply_move(bubbles, bid, 0, rng)
-            state, src = cache.refresh(bubbles)
-            assert src == "repair"
-            assert (cache.last_splice.spliced > 0) is spliced
-            assert cache.last_splice.total == num
-            fresh_state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
-            assert_states_equal(state, fresh_state)
-
-    @pytest.mark.usefixtures("force_splice")
-    def test_repair_replays_most_of_the_ordering(self):
-        bubbles = build_bubbles(40, 3, 1500)
-        cache = ClusterCache(min_pts=MIN_PTS)
-        cache.refresh(bubbles)
-        rng = np.random.default_rng(4)
-        apply_move(bubbles, 7, 0, rng)
-        _, src = cache.refresh(bubbles)
-        assert src == "repair"
-        splice = cache.last_splice
-        assert splice is not None
-        assert splice.total == 40
-        assert splice.spliced_fraction > 0.5
 
     def test_idset_change_rebuild_equivalence(self):
         bubbles = build_bubbles(24, 3, 900)
@@ -462,7 +386,6 @@ class TestAnytime:
 
 
 class TestClustererWiring:
-    @pytest.mark.usefixtures("force_splice")
     def test_fit_sources_and_stats_rollup(self):
         bubbles = build_bubbles(32, 3, 1200)
         clusterer = IncrementalClusterer(min_pts=MIN_PTS)
@@ -479,7 +402,6 @@ class TestClustererWiring:
         assert stats["last_source"] == "repair"
         assert stats["last_quality"] == 1.0
         assert stats["last_leaves"] >= 1
-        assert 0.0 < stats["last_spliced_fraction"] <= 1.0
 
     def test_repair_equivalence_survives_maintainer_batches(self):
         """End-to-end: maintainer-applied batches, then repair ≡ cold."""
@@ -615,78 +537,6 @@ class TestLineage:
         drift = next(e for e in events if e.kind == "drifted")
         assert drift.gained_bubbles == (14,)
         assert lineage.live_clusters == 1
-
-
-class TestEngineRepairContract:
-    """The engine pieces the repair leans on."""
-
-    @staticmethod
-    def make_walk(dist, record_trace=False, min_pts_count=2):
-        def distances_from(i):
-            return dist[i]
-
-        def core_distance(i, d):
-            return float(np.partition(d, min_pts_count)[min_pts_count])
-
-        return OpticsWalk(
-            dist.shape[0],
-            distances_from,
-            core_distance,
-            record_trace=record_trace,
-        )
-
-    def test_peek_pop_predicts_step(self):
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(12, 2))
-        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        walk = self.make_walk(dist)
-        assert walk.peek_pop() == -1  # nothing pushed yet
-        first = walk.step()
-        assert first == 0  # component opens at the lowest id
-        while not walk.done():
-            peeked = walk.peek_pop()
-            stepped = walk.step()
-            if peeked >= 0:
-                assert stepped == peeked
-
-    def test_splice_segment_on_tracing_walk_needs_batches(self):
-        dist = np.array(
-            [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]
-        )
-        walk = self.make_walk(dist, record_trace=True, min_pts_count=1)
-        with pytest.raises(ValueError, match="push batch per replayed"):
-            walk.splice_segment(
-                np.array([0]),
-                np.array([np.inf]),
-                np.array([1.0]),
-                np.empty(0, dtype=np.int64),
-                np.empty(0),
-                batches=None,
-            )
-
-    def test_splice_replay_matches_live_walk(self):
-        rng = np.random.default_rng(10)
-        pts = rng.normal(size=(15, 2))
-        dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        live = self.make_walk(dist, record_trace=True)
-        plot = live.run()
-        assert live.trace is not None
-        replay = self.make_walk(dist)
-        for pos, obj in enumerate(plot.ordering):
-            targets, values = live.trace[pos]
-            replay.splice(
-                int(obj),
-                float(plot.reachability[pos]),
-                float(plot.core_distances[obj]),
-                targets,
-                values,
-            )
-        replayed = replay.plot()
-        assert np.array_equal(replayed.ordering, plot.ordering)
-        assert np.array_equal(replayed.reachability, plot.reachability)
-        assert np.array_equal(
-            replay.counter_by_obj, live.counter_by_obj
-        )
 
 
 class TestObservabilityWiring:

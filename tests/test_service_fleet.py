@@ -152,17 +152,19 @@ class TestRollup:
             ):
                 fleet.submit(event)
             rollup = fleet.rollup()
+            # Read the buckets at the rollup's moment: leaving the block
+            # drains the queued tail, which adds its waits to them.
+            histograms = [
+                fleet.shard(tenant)._h_ingest for tenant in fleet.tenants
+            ]
+            merged = [
+                sum(bucket)
+                for bucket in zip(*(h.bucket_counts() for h in histograms))
+            ]
         assert rollup["schema"] == 1
         assert rollup["fleet"]["tenants"] == 4
         assert rollup["fleet"]["enqueued_points"] == 300
         # The fleet p95 is the quantile of the shards' summed buckets.
-        histograms = [
-            fleet.shard(tenant)._h_ingest for tenant in fleet.tenants
-        ]
-        merged = [
-            sum(bucket)
-            for bucket in zip(*(h.bucket_counts() for h in histograms))
-        ]
         assert sum(merged) > 0
         assert rollup["fleet"]["ingest_p95_seconds"] == bucket_quantile(
             histograms[0].bounds, merged, 0.95
