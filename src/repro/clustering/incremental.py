@@ -4,8 +4,7 @@ The paper makes *summarization* incremental; this module makes the
 *clustering on top of it* incremental too. Three pieces:
 
 **ClusterCache** — derived clustering state keyed on
-:attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>` (the
-same contract as :class:`~repro.core.assignment.AssignerCache`): the
+:attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>`: the
 bubble feature arrays, the K×K bubble distance matrix, the core-distance
 vector, and the last reachability plot. A batch that touched ``T`` of
 ``K`` bubbles (absorb/release/reseed/split/merge — surfaced by
@@ -171,8 +170,7 @@ class _CacheState:
 class ClusterCache:
     """Version-keyed cache of the bubble clustering state.
 
-    Mirrors the :class:`~repro.core.assignment.AssignerCache` contract:
-    the key is the :attr:`BubbleSet.version` mutation counter, any
+    The key is the :attr:`BubbleSet.version` mutation counter: any
     mutation moves the version, and the refresh decides *how much* of the
     derived state that movement actually invalidates:
 
@@ -239,6 +237,7 @@ class ClusterCache:
         self,
         bubbles: BubbleSet,
         extra_touched: Sequence[int] = (),
+        non_empty: np.ndarray | None = None,
     ) -> tuple[_CacheState, str]:
         """Bring the cache up to date with ``bubbles``.
 
@@ -249,6 +248,8 @@ class ClusterCache:
                 :meth:`BubbleSet.touched_since`, which is authoritative —
                 the callbacks only ever narrow *nothing*, they are a
                 second witness.
+            non_empty: ``bubbles.non_empty_ids()`` as an int64 array, when
+                the caller already has it; computed here otherwise.
 
         Returns:
             ``(state, source)`` with source one of ``"hit"``,
@@ -260,12 +261,10 @@ class ClusterCache:
             self.hits += 1
             return state, "hit"
 
-        non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
-        if (
-            state is not None
-            and state.plot is not None
-            and np.array_equal(state.bubble_ids, non_empty)
-        ):
+        if non_empty is None:
+            non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
+        # Every cached state has a plot: _rebuild and _repair both set it.
+        if state is not None and np.array_equal(state.bubble_ids, non_empty):
             touched = bubbles.touched_since(state.version)
             touched.update(int(i) for i in extra_touched)
             self._repair(state, bubbles, touched)
@@ -941,13 +940,9 @@ class IncrementalClusterer:
             cache.hits += 1
             return self._fit_from_state(state, "hit")
 
-        repairable = (
-            state is not None
-            and state.plot is not None
-            and np.array_equal(
-                state.bubble_ids,
-                np.asarray(bubbles.non_empty_ids(), dtype=np.int64),
-            )
+        non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
+        repairable = state is not None and np.array_equal(
+            state.bubble_ids, non_empty
         )
         if deadline_seconds is not None and not repairable:
             return self._fit_anytime(bubbles, deadline_seconds, started)
@@ -957,9 +952,13 @@ class IncrementalClusterer:
             with maybe_span(
                 self._obs, "cluster_repair", touched=len(extra)
             ):
-                state, source = cache.refresh(bubbles, extra_touched=extra)
+                state, source = cache.refresh(
+                    bubbles, extra_touched=extra, non_empty=non_empty
+                )
         else:
-            state, source = cache.refresh(bubbles, extra_touched=extra)
+            state, source = cache.refresh(
+                bubbles, extra_touched=extra, non_empty=non_empty
+            )
         self._callback_touched.clear()
         return self._fit_from_state(state, source)
 
@@ -1015,7 +1014,7 @@ class IncrementalClusterer:
         non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
         num = int(non_empty.shape[0])
         if num == 0:
-            state, source = self._cache.refresh(bubbles)
+            state, source = self._cache.refresh(bubbles, non_empty=non_empty)
             return self._fit_from_state(state, source)
 
         counts_all = bubbles.counts()[non_empty]
@@ -1033,7 +1032,7 @@ class IncrementalClusterer:
                 extra = tuple(self._callback_touched)
                 with maybe_span(self._obs, "cluster_stage", size=size):
                     state, source = self._cache.refresh(
-                        bubbles, extra_touched=extra
+                        bubbles, extra_touched=extra, non_empty=non_empty
                     )
                 self._callback_touched.clear()
                 fit = self._fit_from_state(state, source)

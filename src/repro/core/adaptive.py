@@ -124,8 +124,8 @@ class AdaptiveMaintainer(IncrementalMaintainer):
         """Insertions only ever target active (non-retired) bubbles.
 
         The inherited batch insertion path maps the assigner's indices
-        back through this id list and shares the assigner cache, so the
-        vectorized engine and seed-matrix reuse apply here unchanged.
+        back through this id list and reads the kept seed matrix's block
+        for it, so the vectorized engine applies here unchanged.
         """
         return self._active_ids()
 

@@ -31,10 +31,13 @@ seed matrix is tracked separately (:attr:`setup_computed`) because the
 paper reports the assignment-phase pruning factor net of that (small)
 overhead while still acknowledging it.
 
-:class:`AssignerCache` memoizes one assigner (and therefore its O(B²) seed
-matrix) across consecutive batch assignments, invalidating only when the
-:class:`~repro.core.bubble_set.BubbleSet` actually mutates; the maintainers
-use it so a quiet summary never pays the seed matrix twice.
+:class:`AssignerCache` keeps one seed matrix per maintainer across
+batches: exact distances between base representatives, and lower bounds
+corrected for how far each representative drifted since (Elkan's
+centre-drift bound). Lemma 1 against those bounds prunes a subset of what
+the exact matrix prunes and picks the same closest seed, so a maintainer
+pays a distance per moved representative, and a row now and then,
+instead of the O(B²) matrix per batch.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ _TI_TILE_ELEMENTS = 1 << 18
 #: to 8 were within 12% of each other; results do not depend on it.
 _TI_SERIAL_ROWS = 4
 
+#: Share of a kept row's nearest-seed distance its representative may
+#: drift before :class:`AssignerCache` rebases the row. A drift ``δ``
+#: loosens each of the row's bounds by ``δ``: rebasing early spends
+#: distances on rows, rebasing late on probes, which cost kernel time
+#: too. ``perfbench`` ``cluster_live`` (seed 1) at ⅛ / ¼ / ½ / 1 / never
+#: counted 460.7 / 438.9 / 432.0 / 431.2 / 441.1 distances per point,
+#: and the probes' pruned share read 0.840 at ¼, 0.837 at ½, 0.834 at 1
+#: and 0.791 never. Assignments do not depend on it.
+_REBASE_FRACTION = 0.25
+
 
 class Assigner:
     """Common interface: map points to the index of their closest location.
@@ -88,8 +101,6 @@ class Assigner:
             when omitted.
         obs: observability handle; batch kernels run each block or tile
             under an ``assign_block`` span when span tracing is enabled.
-            Mutable (:attr:`obs`) so a cached assigner can follow its
-            owner's handle without invalidating the cache.
     """
 
     def __init__(
@@ -246,6 +257,14 @@ class TriangleInequalityAssigner(Assigner):
     ``dist(s_j, s_c) >= 2 · minDist`` cannot be closer than ``s_c`` and is
     discarded without a distance computation.
 
+    **The seed matrix** is exact for an assigner built here. One served by
+    :class:`AssignerCache` holds lower bounds of the seed distances
+    instead, which the cache keeps across batches and neither this class
+    recomputes nor counts (``setup_computed`` is 0). The test
+    ``bound >= 2 · minDist`` still implies Lemma 1's premise, so it prunes
+    a subset of what the exact matrix prunes and every point still gets
+    its closest seed; the kernel reads either matrix alike.
+
     **Batch engine.** :meth:`assign_many` runs the same Figure 2 loop
     over the points in lockstep, tile by tile: per tile it draws each
     point's random probing permutation from the shared RNG (one
@@ -253,10 +272,10 @@ class TriangleInequalityAssigner(Assigner):
     scalar loop consumes, so scalar and batch calls interleave
     reproducibly, whatever the tile size), turns them into a per-row
     probe key indexed by seed id, then alternates a vectorised Lemma 1
-    prune (a row of the cached seed-to-seed matrix, compared and masked
-    into the key) with a vectorised probe (each row's key ``argmax``,
-    one exact distance per row). Every round costs a fixed number of
-    numpy calls; the last few rows finish one by one.
+    prune (a row of the seed matrix, compared and masked into the key)
+    with a vectorised probe (each row's key ``argmax``, one exact
+    distance per row). Every round costs a fixed number of numpy calls;
+    the last few rows finish one by one.
     Assignments are bit-identical to the scalar loop and the
     computed/pruned totals — accumulated per tile, recorded once per
     call — match the scalar accounting exactly (see
@@ -295,12 +314,32 @@ class TriangleInequalityAssigner(Assigner):
         if count_setup:
             self._counter.record_computed(self._setup_computed)
 
+    @classmethod
+    def _with_bounds(
+        cls,
+        locations: np.ndarray,
+        seed_dists: np.ndarray,
+        counter: DistanceCounter,
+        rng: np.random.Generator | None,
+        obs,
+    ) -> "TriangleInequalityAssigner":
+        """An assigner pruning on ``seed_dists``, an :class:`AssignerCache`'s
+        lower bounds, read in place: valid until the cache's next ``get``."""
+        self = cls.__new__(cls)
+        Assigner.__init__(self, locations, counter, obs=obs)
+        self._rng = rng if rng is not None else np.random.default_rng()
+        self._seed_dists = seed_dists
+        self._setup_computed = 0
+        return self
+
     @property
     def setup_computed(self) -> int:
         """Distance computations spent on the seed-to-seed matrix.
 
         Reported unconditionally — the matrix is always built — even when
-        ``count_setup=False`` kept the cost out of the shared counter.
+        ``count_setup=False`` kept the cost out of the shared counter; 0
+        for an assigner served by :class:`AssignerCache`, whose distances
+        the cache counts.
         """
         return self._setup_computed
 
@@ -529,38 +568,66 @@ class TriangleInequalityAssigner(Assigner):
 
 
 class AssignerCache:
-    """Reuses one assigner while the bubble set it reflects is unchanged.
+    """One Lemma 1 seed matrix per maintainer, kept across batches.
 
-    Building a :class:`TriangleInequalityAssigner` costs the ``B·(B-1)/2``
-    seed-to-seed matrix; a caller that assigns twice against an unchanged
-    summary and candidate set pays it once. The cache keys on the
-    :attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>`
-    mutation counter plus the candidate id subset and the pruning flag,
-    ``(version, active_ids, use_triangle_inequality)``, so any mutation
-    of any bubble — absorb, release, reseed, clear, add — invalidates
-    it. On the maintenance path every ``get`` follows such a mutation (a
-    batch's deletions, a merge's emptied donor), so there it rebuilds
-    each time.
+    A maintainer assigns right after mutating its set (a batch's
+    deletions release statistics before its insertions are assigned, a
+    merge empties its donor first), so an exact seed matrix is stale at
+    every call and would cost ``K·(K−1)/2`` distances each time. The
+    keeper holds, for all ``K`` bubbles of the set:
 
-    The shared ``counter`` and ``rng`` are captured at construction of the
-    cached assigner; callers must pass the same objects on every ``get``
-    (the maintainers do — both live for the maintainer's lifetime).
-    Accounting note: a cache *hit* spends no setup distance computations,
-    and honestly records none.
+    * the base representatives ``R0`` and their exact distances ``D0``;
+    * each row's drift ``δ_i = ‖r_i − R0_i‖`` from its base;
+    * the lower bounds ``L[i, j] = D0[i, j] − (δ_i + δ_j)``, at most
+      ``dist(r_i, r_j)`` by the triangle inequality (Elkan's centre-drift
+      bound), and symmetric like ``D0``;
+    * each row's nearest-seed distance ``nn_i`` from when it was last
+      based, and the representatives the last :meth:`get` saw.
+
+    Lemma 1 run against ``L`` prunes a subset of what it prunes against
+    the exact matrix, and a seed the exact matrix prunes cannot strictly
+    improve ``minDist`` when probed: every assignment, RNG draw and split
+    is the one an exact matrix gives, at a few more probes.
+
+    A :meth:`get` compares the representatives with the last call's (no
+    distance), recomputes ``δ`` for the rows that moved (one counted
+    distance each), rebases every moved row whose drift passed
+    ``_REBASE_FRACTION · nn_i`` (``R0_i = r_i``, ``δ_i = 0``, and the
+    row's ``K − 1`` distances against ``R0``, counted, pairs among rows
+    rebased together once) and rewrites ``L`` in place on the moved rows
+    and columns. Only an empty keeper, a changed ``K`` (``add_bubble``)
+    or :meth:`invalidate` make it rebuild in full (``K·(K−1)/2`` counted
+    distances): that is a *miss*, every other ``get`` a *hit*.
+    :attr:`matrix_computed` totals every distance the keeper counted.
+
+    The returned assigner reads ``L`` (for an id subset, a copy of its
+    block) in place, so it is valid until the next ``get``; the
+    maintainers use it at once. ``counter`` and ``rng`` are the caller's,
+    passed on every call.
     """
 
-    __slots__ = ("_key", "_assigner", "hits", "misses")
+    __slots__ = (
+        "_base",
+        "_base_dists",
+        "_drift",
+        "_lower",
+        "_nearest",
+        "_last",
+        "hits",
+        "misses",
+        "matrix_computed",
+    )
 
     def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._assigner: Assigner | None = None
+        self.invalidate()
         self.hits = 0
         self.misses = 0
+        self.matrix_computed = 0
 
     def invalidate(self) -> None:
-        """Drop the cached assigner unconditionally."""
-        self._key = None
-        self._assigner = None
+        """Drop the kept matrix; the next :meth:`get` rebuilds it."""
+        self._base = self._base_dists = self._drift = None
+        self._lower = self._nearest = self._last = None
 
     def get(
         self,
@@ -571,42 +638,98 @@ class AssignerCache:
         active_ids: np.ndarray | list | None = None,
         obs=None,
     ) -> Assigner:
-        """The cached assigner, rebuilt only when the bubble set changed.
+        """An assigner over the current representatives, pruning on ``L``.
 
         Args:
             bubbles: the :class:`~repro.core.bubble_set.BubbleSet` whose
                 representatives are the candidate locations.
             counter, use_triangle_inequality, rng: as for
-                :func:`make_assigner`.
-            active_ids: optional id subset to assign among (e.g. the
-                adaptive maintainer's non-retired bubbles, or a merge's
-                everything-but-the-donor set); ``None`` means all bubbles.
-            obs: observability handle stamped onto the assigner (hit or
-                miss) so its spans follow the caller; deliberately NOT
-                part of the cache key — instrumentation must never change
-                cache behaviour.
+                :func:`make_assigner`; the keeper's own distances go to
+                ``counter`` too.
+            active_ids: optional id subset to assign among (the adaptive
+                maintainer's non-retired bubbles, a merge's
+                everything-but-the-donor set); ``None`` means all.
+            obs: observability handle stamped onto the assigner.
+
+        A naive assigner, or one over a single location, needs no matrix:
+        it is built as :func:`make_assigner` builds it and the keeper is
+        left as it is.
         """
-        key = (
-            bubbles.version,
-            None
-            if active_ids is None
-            else tuple(int(i) for i in active_ids),
-            bool(use_triangle_inequality),
-        )
-        if self._assigner is not None and key == self._key:
+        reps = bubbles.reps()
+        num = reps.shape[0]
+        ids = None if active_ids is None else np.asarray(active_ids, np.int64)
+        if ids is not None and np.array_equal(ids, np.arange(num)):
+            ids = None
+        locations = reps if ids is None else reps[ids]
+        if not use_triangle_inequality or locations.shape[0] < 2:
             self.hits += 1
-            self._assigner.obs = obs
-            return self._assigner
-        self._assigner = make_assigner(
-            bubbles.reps(active_ids),
-            counter=counter,
-            use_triangle_inequality=use_triangle_inequality,
-            rng=rng,
-            obs=obs,
+            return make_assigner(
+                locations, counter, use_triangle_inequality, rng, obs
+            )
+        if self._lower is None or self._lower.shape[0] != num:
+            computed = self._rebuild(reps)
+            self.misses += 1
+        else:
+            computed = self._follow(reps)
+            self.hits += 1
+        counter.record_computed(computed)
+        self.matrix_computed += computed
+        # Rows then columns: a few times faster than one np.ix_ gather.
+        lower = self._lower if ids is None else self._lower[ids][:, ids]
+        return TriangleInequalityAssigner._with_bounds(
+            locations, lower, counter, rng, obs
         )
-        self._key = key
-        self.misses += 1
-        return self._assigner
+
+    def _rebuild(self, reps: np.ndarray) -> int:
+        """Base every row on ``reps``; the distances it computed."""
+        num = reps.shape[0]
+        dists = pairwise(reps)
+        np.fill_diagonal(dists, np.inf)
+        self._nearest = dists.min(axis=1)
+        np.fill_diagonal(dists, 0.0)
+        self._base = reps.copy()
+        self._base_dists = dists
+        self._lower = dists.copy()
+        self._drift = np.zeros(num)
+        self._last = reps
+        return num * (num - 1) // 2
+
+    def _follow(self, reps: np.ndarray) -> int:
+        """Bring the kept rows up to ``reps``; the distances it computed."""
+        moved = np.flatnonzero((reps != self._last).any(axis=1))
+        self._last = reps
+        if not moved.size:
+            return 0
+        computed = int(moved.size)
+        drift = row_norms(reps[moved] - self._base[moved])
+        far = drift > _REBASE_FRACTION * self._nearest[moved]
+        if far.any():
+            computed += self._rebase(reps, moved[far])
+            drift[far] = 0.0
+        self._drift[moved] = drift
+        rows = self._base_dists[moved]
+        rows -= drift[:, None] + self._drift
+        self._lower[moved] = rows
+        self._lower[:, moved] = rows.T
+        return computed
+
+    def _rebase(self, reps: np.ndarray, rebased: np.ndarray) -> int:
+        """Move the ``rebased`` rows' bases to ``reps`` and recompute
+        their ``D0`` rows and columns; the distances it computed. Each is
+        one exact ``row_norms`` of a difference, so a pair of rebased rows
+        gets the same float both ways round."""
+        base = self._base
+        fresh = reps[rebased]
+        base[rebased] = fresh
+        num, dim = base.shape
+        count = int(rebased.size)
+        diffs = fresh[:, None, :] - base
+        rows = row_norms(diffs.reshape(-1, dim)).reshape(count, num)
+        self._base_dists[rebased] = rows
+        self._base_dists[:, rebased] = rows.T
+        rows[np.arange(count), rebased] = np.inf
+        self._nearest[rebased] = rows.min(axis=1)
+        return count * (num - 1) - count * (count - 1) // 2
 
 
 def make_assigner(

@@ -43,11 +43,13 @@ class BubbleSet:
             the membership record of every bubble in the set.
 
     The set tracks a monotonic :attr:`version` counter, bumped by every
-    mutation (absorb/release/reseed/clear/add). Consumers key on it to
-    reuse derived state — the clustering
-    :class:`~repro.clustering.incremental.ClusterCache` and the
-    :class:`~repro.core.assignment.AssignerCache` — and
-    :meth:`touched_since` names the bubbles a version change covers.
+    mutation (absorb/release/reseed/clear/add). The clustering
+    :class:`~repro.clustering.incremental.ClusterCache` keys on it to
+    reuse derived state, and :meth:`touched_since` names the bubbles a
+    version change covers. The
+    :class:`~repro.core.assignment.AssignerCache` keeps its seed matrix
+    by comparing :meth:`reps` with the last call's instead: a row whose
+    representative did not move costs nothing, whatever touched it.
     """
 
     def __init__(self, store: PointStore) -> None:

@@ -224,13 +224,20 @@ class IncrementalMaintainer:
         )
         self._m_assigner_cache_hits = m.counter(
             "repro_assigner_cache_hits_total",
-            help="Batch assignments served by a cached assigner "
-            "(seed matrix reused; bubble set unchanged).",
+            help="Batch assignments served by the kept seed matrix.",
         )
         self._m_assigner_cache_misses = m.counter(
             "repro_assigner_cache_misses_total",
-            help="Batch assignments that had to (re)build the assigner "
-            "because the bubble set mutated.",
+            help="Full rebuilds of the kept seed matrix: batch "
+            "assignments that found it empty, invalidated or with a "
+            "different bubble count.",
+        )
+        self._m_matrix_distances = m.counter(
+            "repro_assignment_matrix_distances_total",
+            help="Distances the kept seed matrix counted: full rebuilds, "
+            "drifts and row rebases (part of "
+            "repro_distance_computed_total).",
+            unit="distances",
         )
 
     # ------------------------------------------------------------------
@@ -263,7 +270,7 @@ class IncrementalMaintainer:
 
     @property
     def assigner_cache(self) -> AssignerCache:
-        """The cache serving this maintainer's batch assigners."""
+        """The kept seed matrix serving this maintainer's assigners."""
         return self._assigner_cache
 
     def classify(self) -> QualityReport:
@@ -334,6 +341,7 @@ class IncrementalMaintainer:
             report = self._apply_batch_inner(batch)
         else:
             before = self._counter.snapshot()
+            matrix_before = self._assigner_cache.matrix_computed
             started = time.perf_counter()
             with maybe_span(
                 self._obs,
@@ -349,6 +357,9 @@ class IncrementalMaintainer:
             # registry must stay in lockstep with the DistanceCounter.
             delta = self._counter.snapshot() - before
             self._record_batch(report, delta.computed, delta.pruned, elapsed)
+            self._m_matrix_distances.inc(
+                self._assigner_cache.matrix_computed - matrix_before
+            )
         for callback in self._batch_callbacks:
             callback(batch, report)
         return report
@@ -514,28 +525,22 @@ class IncrementalMaintainer:
         points = batch.insertions
         active = self._assignable_ids()
         assigner = self._batch_assigner(active)
-        pruned_before = assigner.assign_pruned
-        computed_before = assigner.assign_computed
         assignment = self._timed_assign(assigner, points)
         if active is not None:
             assignment = np.asarray(active, dtype=np.int64)[assignment]
         self._bubbles.absorb(points, assignment)
         self._store.set_owners(new_ids, assignment)
-        # Per-batch fraction from the assigner's counter deltas, not its
-        # lifetime totals — the cached assigner may outlive this batch.
-        computed = assigner.assign_computed - computed_before
-        pruned = assigner.assign_pruned - pruned_before
-        considered = computed + pruned
-        return pruned / considered if considered else 0.0
+        # Every get returns a fresh assigner: its totals are this batch's.
+        return assigner.pruned_fraction
 
     def _batch_assigner(
         self, active_ids: list[BubbleId] | None
     ) -> Assigner:
         """The batch assignment engine for the current bubble set.
 
-        Served from :class:`~repro.core.assignment.AssignerCache`, so the
-        seed-to-seed matrix is rebuilt only when the bubble set actually
-        mutated since the last assignment.
+        Served from :class:`~repro.core.assignment.AssignerCache`, whose
+        seed matrix follows the moved representatives instead of being
+        rebuilt every batch.
         """
         hits = self._assigner_cache.hits
         assigner = self._assigner_cache.get(

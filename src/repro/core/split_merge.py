@@ -79,9 +79,9 @@ def merge_bubble(
     Args:
         exclude: bubble ids that must not receive points (used by the
             adaptive maintainer to keep retired bubbles empty).
-        assigner_cache: optional shared cache; when given, the assigner
-            (and its seed-to-seed matrix) is reused across calls for as
-            long as the bubble set and candidate ids stay unchanged.
+        assigner_cache: optional kept seed matrix; when given, the merge
+            prunes on its block for the candidate ids instead of
+            building a seed matrix of its own.
         obs: observability handle; the merge runs under a
             ``merge_bubble`` span when span tracing is enabled.
     """

@@ -1106,13 +1106,21 @@ class DurableSummarizer:
         self._maybe_checkpoint()
 
     def _maybe_checkpoint(self) -> None:
+        if self._seq % self._manager.interval:
+            return
+        maintainer = self._inner.maintainer
+        if maintainer is not None:
+            # The kept seed matrix is not persisted, so a recovery starts
+            # without one. Dropping it at every scheduled position, in
+            # replay too, makes a recovered run count the distances an
+            # uninterrupted one counts.
+            maintainer.assigner_cache.invalidate()
         if self._replaying:
             # Checkpointing mid-replay would truncate WAL records that are
             # not yet reflected in any snapshot; recover() writes one
             # checkpoint after the whole tail is applied instead.
             return
-        if self._seq % self._manager.interval == 0:
-            self.checkpoint()
+        self.checkpoint()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

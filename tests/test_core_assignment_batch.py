@@ -4,9 +4,10 @@ The vectorized :meth:`TriangleInequalityAssigner.assign_many` promises
 *bit-identical* results to the scalar Figure 2 loop under the same RNG:
 same indices, same computed/pruned totals, and the same RNG stream
 position afterwards (so scalar and batch calls can interleave freely).
-These tests pin that contract, plus the :class:`AssignerCache` /
-``BubbleSet.version`` machinery that lets maintainers reuse one assigner
-(and its O(B²) seed matrix) across batches.
+These tests pin that contract, plus the hit/miss accounting of the seed
+matrix :class:`AssignerCache` keeps across batches
+(``tests/test_core_kept_matrix.py`` covers its bounds) and the
+``BubbleSet.version`` counter.
 """
 
 from __future__ import annotations
@@ -311,27 +312,37 @@ class TestAssignerCache:
         return bubbles
 
     def test_hit_while_unchanged(self):
+        # An unchanged set is a hit that counts no distance.
         seeds = np.random.default_rng(0).normal(size=(6, 2))
         bubbles = self._bubble_set(seeds)
         cache = AssignerCache()
         counter = DistanceCounter()
         rng = np.random.default_rng(0)
-        a1 = cache.get(bubbles, counter, rng=rng)
-        a2 = cache.get(bubbles, counter, rng=rng)
-        assert a1 is a2
-        assert cache.misses == 1
-        assert cache.hits == 1
+        cache.get(bubbles, counter, rng=rng)
+        assert (cache.hits, cache.misses, counter.computed) == (0, 1, 15)
+        cache.get(bubbles, counter, rng=rng)
+        assert (cache.hits, cache.misses, counter.computed) == (1, 1, 15)
+        assert cache.matrix_computed == 15
 
     def test_miss_after_mutation(self):
+        # Moving representatives is a hit at one distance per moved row;
+        # a change of K, or invalidate(), is a miss at K(K-1)/2.
         seeds = np.random.default_rng(0).normal(size=(6, 2))
         bubbles = self._bubble_set(seeds)
         cache = AssignerCache()
         counter = DistanceCounter()
-        a1 = cache.get(bubbles, counter)
-        bubbles[0].absorb(np.array([1.0, 1.0]))
-        a2 = cache.get(bubbles, counter)
-        assert a1 is not a2
-        assert cache.misses == 2
+        cache.get(bubbles, counter)
+        bubbles[0].absorb(seeds[0] + 1e-3)
+        bubbles[3].absorb(seeds[3] - 1e-3)
+        cache.get(bubbles, counter)
+        assert (cache.hits, cache.misses, counter.computed) == (1, 1, 17)
+        bubbles.add_bubble(np.array([5.0, 5.0]))
+        cache.get(bubbles, counter)
+        assert (cache.hits, cache.misses, counter.computed) == (1, 2, 38)
+        cache.invalidate()
+        cache.get(bubbles, counter)
+        assert (cache.hits, cache.misses, counter.computed) == (1, 3, 59)
+        assert cache.matrix_computed == counter.computed
 
     def test_key_includes_active_ids_and_flag(self):
         seeds = np.random.default_rng(0).normal(size=(6, 2))

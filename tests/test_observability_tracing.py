@@ -161,6 +161,30 @@ class TestMaintainerInstrumentation:
         assert snapshot.value("repro_maintenance_batches_total") == 3
         assert snapshot.value("repro_maintenance_insertions_total") == 120
 
+    def test_matrix_distances_are_shown_apart(self, rng):
+        obs = Observability()
+        store, counter, maintainer = make_world(rng, obs)
+        before = counter.computed
+        for _ in range(3):
+            maintainer.apply_batch(
+                UpdateBatch(
+                    deletions=tuple(int(i) for i in store.ids()[:20]),
+                    insertions=rng.normal([0, 0], 0.5, size=(40, 2)),
+                    insertion_labels=tuple([0] * 40),
+                )
+            )
+        snapshot = obs.metrics.snapshot()
+        cache = maintainer.assigner_cache
+        matrix = snapshot.value("repro_assignment_matrix_distances_total")
+        # The kept matrix's distances are part of the computed total.
+        assert matrix == cache.matrix_computed > 0
+        assert matrix < snapshot.value("repro_distance_computed_total")
+        assert snapshot.value("repro_distance_computed_total") == (
+            counter.computed - before
+        )
+        assert snapshot.value("repro_assigner_cache_misses_total") == 1
+        assert snapshot.value("repro_assigner_cache_hits_total") == 2
+
     def test_rebuild_emits_split_and_migration_events(self, rng):
         obs = Observability(tracer=EventTracer())
         store, counter, maintainer = make_world(rng, obs)

@@ -232,3 +232,83 @@ class TestKillAndRecover:
         assert [r.seq for r in recovered.tail] == [5, 6, 7]
         assert recovered.last_seq == 8
         manager.close()
+
+
+def _drifting_chunks(count=50, size=40):
+    """Two drifting clusters and a third that appears halfway: enough
+    movement for splits, merges and rebased matrix rows."""
+    generator = np.random.default_rng(2026)
+    out = []
+    for index in range(count):
+        centres = np.array(
+            [[0.0, 0.0], [6.0 + 0.2 * index, 2.0], [-4.0, 7.0]]
+        )
+        labels = generator.integers(2 if index < count // 2 else 3, size=size)
+        out.append(centres[labels] + generator.normal(size=(size, 2)))
+    return out
+
+
+def assert_states_equal(a, b):
+    """Every field of two captured states, counters included."""
+    for name in a.__dataclass_fields__:
+        ours, theirs = getattr(a, name), getattr(b, name)
+        if isinstance(ours, np.ndarray):
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
+        else:
+            assert ours == theirs, name
+
+
+class TestKeptMatrixRecovery:
+    """The kept seed matrix is not persisted. It is dropped at every
+    scheduled checkpoint position, in replay too, so a run recovered
+    between two checkpoints counts the distances of an uninterrupted
+    one."""
+
+    CHECKPOINT_EVERY = 8
+
+    def _open(self, state_dir):
+        return DurableSummarizer(
+            state_dir,
+            dim=2,
+            window_size=400,
+            points_per_bubble=20,
+            seed=3,
+            checkpoint_every=self.CHECKPOINT_EVERY,
+            fsync=False,
+        )
+
+    @pytest.mark.parametrize(
+        "crash_after, bitrot",
+        # Between checkpoints, at one, and once with the newest snapshot
+        # damaged, so that replay runs through a scheduled position.
+        [(37, False), (40, False), (45, False), (45, True)],
+    )
+    def test_counters_match_uninterrupted_run(
+        self, tmp_path, crash_after, bitrot
+    ):
+        chunks = _drifting_chunks()
+        reference = self._open(tmp_path / "reference")
+        for chunk in chunks:
+            reference.append(chunk)
+        cache = reference.maintainer.assigner_cache
+        assert cache.hits > cache.misses  # the matrix was kept
+
+        stream = self._open(tmp_path / "state")
+        for chunk in chunks[:crash_after]:
+            stream.append(chunk)
+        stream.checkpoints.close()  # crash: no goodbye checkpoint
+        if bitrot:
+            manager = CheckpointManager(tmp_path / "state", fsync=False)
+            newest = manager.snapshot_paths()[0]
+            manager.close()
+            newest.write_bytes(b"bitrot")
+        stream = DurableSummarizer.recover(tmp_path / "state", fsync=False)
+        for chunk in chunks[crash_after:]:
+            stream.append(chunk)
+        assert_states_equal(
+            reference.inner.capture_state(reference.batches_applied),
+            stream.inner.capture_state(stream.batches_applied),
+        )
+        reference.close()
+        stream.close()
