@@ -6,25 +6,29 @@ The paper makes *summarization* incremental; this module makes the
 **ClusterCache** — derived clustering state keyed on
 :attr:`BubbleSet.version <repro.core.bubble_set.BubbleSet.version>`: the
 bubble feature arrays, the K×K bubble distance matrix, the core-distance
-vector, and the last reachability plot. A batch that touched ``T`` of
-``K`` bubbles (absorb/release/reseed/split/merge — surfaced by
+vector, and the last reachability plot. Every refresh runs one update.
+A row whose bubble was clustered before and not touched since
+(absorb/release/reseed/split/merge — surfaced by
 :meth:`BubbleSet.touched_since
 <repro.core.bubble_set.BubbleSet.touched_since>` and by maintainer batch
-callbacks) invalidates exactly the ``T`` rows and columns: repaired rows
-are bit-identical to a cold rebuild (see
-:func:`~repro.clustering.bubble_optics.bubble_distance_rows`), repaired
-core distances equal the from-scratch weighted computation float for
-float, and one walk of the repaired matrix equals a from-scratch
+callbacks) is *kept*: its features, its distances to the other kept rows
+and, under the core tie rule, its core distance carry over. Every other
+row — touched, or new to the id set — is *fresh*: its distance row is
+bit-identical to a cold build (see
+:func:`~repro.clustering.bubble_optics.bubble_distance_rows`), its core
+equals the from-scratch weighted computation float for float, and one
+walk of the updated matrix equals a from-scratch
 :func:`~repro.clustering.engine.run_optics` **exactly** — same ordering,
 same reachability floats, same cores.
 
 **Anytime mode** — ``fit(deadline_seconds=...)`` clusters nested subsets
 of the bubbles (largest point counts first), yielding a valid — coarse —
 :class:`~repro.clustering.cluster_tree.ClusterTree` after the first
-stage and refining while the deadline allows. Quality (the fraction of
-summarized points covered by the clustered subset) is monotone over
-stages by construction. The clock is injectable, which makes deadline
-behaviour deterministic under test.
+stage and refining while the deadline allows. Each subset stage is the
+same update with no prior state, kept out of the cache. Quality (the
+fraction of summarized points covered by the clustered subset) is
+monotone over stages by construction. The clock is injectable, which
+makes deadline behaviour deterministic under test.
 
 **ClusterLineage** — vineyard-style tracking of leaf clusters across
 fits: clusters are matched by shared summarized points, and ``born`` /
@@ -35,7 +39,7 @@ window slides.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +47,11 @@ import numpy as np
 from ..core.bubble_set import BubbleSet
 from ..geometry.counting import DistanceCounter
 from ..observability.spans import maybe_span
-from .bubble_optics import _nn_dist_arrays, bubble_distance_rows
+from .bubble_optics import (
+    _MATRIX_BLOCK_ROWS,
+    _nn_dist_arrays,
+    bubble_distance_rows,
+)
 from .cluster_tree import ClusterNode, ClusterTree
 from .engine import run_optics
 from .extraction import extract_cluster_tree
@@ -134,7 +142,6 @@ class _CacheState:
     __slots__ = (
         "version",
         "bubble_ids",
-        "id_to_compact",
         "reps",
         "extents",
         "counts",
@@ -147,10 +154,12 @@ class _CacheState:
         "tree",
     )
 
+    #: The per-row arrays a kept row carries over to a new state.
+    ROWS = ("reps", "extents", "counts", "internal_core", "nn1", "cores")
+
     def __init__(self) -> None:
         self.version: int = -1
         self.bubble_ids = np.empty(0, dtype=np.int64)
-        self.id_to_compact: dict[int, int] = {}
         self.reps = np.empty((0, 0))
         self.extents = np.empty(0)
         self.counts = np.empty(0, dtype=np.int64)
@@ -175,16 +184,19 @@ class ClusterCache:
     derived state that movement actually invalidates:
 
     * same version → **hit**: nothing recomputed, zero distances.
-    * same non-empty id set → **repair**: only the touched rows/columns
-      of the distance matrix and the cores they can actually affect are
-      recomputed, then the ordering is walked once.
-    * different id set (bubbles inserted/retired) → **rebuild**: full
-      walk, but distance entries between surviving untouched bubbles are
-      reused from the old matrix (bit-identical to recomputing them).
-    * no prior state → **cold**.
+    * same non-empty id set → **repair**: the cached state is updated in
+      place.
+    * different id set (bubbles inserted/retired) → **rebuild**: the
+      update fills a new state.
+    * no prior state → **cold**: every row is computed.
 
-    Every outcome yields state *exactly* equal to a cold fit of the
-    current bubbles; the cache only changes how much work that takes.
+    Repairs, rebuilds and cold fits are one update (:meth:`_update`): a
+    bubble clustered before and not touched since keeps its features,
+    its distances to the other such bubbles and, under the core tie
+    rule, its core distance; everything else is recomputed, and one walk
+    orders the result. Every outcome yields state *exactly* equal to a
+    cold fit of the current bubbles; the cache only changes how much
+    work that takes.
 
     Args:
         min_pts: MinPts in points (summed over bubbles).
@@ -263,33 +275,149 @@ class ClusterCache:
 
         if non_empty is None:
             non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
-        # Every cached state has a plot: _rebuild and _repair both set it.
-        if state is not None and np.array_equal(state.bubble_ids, non_empty):
-            touched = bubbles.touched_since(state.version)
-            touched.update(int(i) for i in extra_touched)
-            self._repair(state, bubbles, touched)
-            state.version = version
-            self.repairs += 1
-            return state, "repair"
-
         touched = (
             bubbles.touched_since(state.version)
             if state is not None
             else set()
         )
         touched.update(int(i) for i in extra_touched)
-        fresh = self._rebuild(state, bubbles, non_empty, touched)
-        fresh.version = version
-        self._state = fresh
-        if state is None:
+        state, source = self._update(state, bubbles, non_empty, touched)
+        state.version = version
+        self._state = state
+        if source == "repair":
+            self.repairs += 1
+        elif source == "rebuild":
+            self.rebuilds += 1
+        else:
             self.cold_fits += 1
-            return fresh, "cold"
-        self.rebuilds += 1
-        return fresh, "rebuild"
+        return state, source
 
     # ------------------------------------------------------------------
-    # Feature gathering
+    # The update
     # ------------------------------------------------------------------
+    def _update(
+        self,
+        old: _CacheState | None,
+        bubbles: BubbleSet,
+        ids: np.ndarray,
+        touched: set[int],
+    ) -> tuple[_CacheState, str]:
+        """Derive the state of ``ids`` (sorted bubble ids) from ``old``.
+
+        A row is *kept* when its bubble is in both id sets and not in
+        ``touched``: it keeps ``old``'s features, its distances to the
+        other kept rows and, under the tie rule below, its core. Every
+        other row is *fresh* and recomputed. The state is ``old`` itself
+        when the id set is unchanged (``"repair"``), a new one otherwise
+        (``"rebuild"``, or ``"cold"`` without ``old``). Unless no row is
+        fresh, it ends with the one walk a cold fit ends with.
+        """
+        num = int(ids.shape[0])
+        kept = np.zeros(num, dtype=bool)
+        if old is not None and old.num:
+            where = np.minimum(
+                old.bubble_ids.searchsorted(ids), old.num - 1
+            )
+            kept = old.bubble_ids[where] == ids
+        same = old is not None and old.num == num and bool(kept.all())
+        if touched and kept.any():
+            t = np.fromiter(touched, dtype=np.int64, count=len(touched))
+            at = np.minimum(ids.searchsorted(t), num - 1)
+            kept[at[ids[at] == t]] = False
+        keep = np.flatnonzero(kept)
+        fresh = np.flatnonzero(~kept)
+        kept_pairs = keep.size * (keep.size - 1) // 2
+        self._counter.record_computed(num * (num - 1) // 2 - kept_pairs)
+        self._counter.record_pruned(kept_pairs)
+        if same and not fresh.size:
+            # Only bubbles outside the id set (all empty) were touched:
+            # the cached plot is already exact, verbatim.
+            return old, "repair"
+
+        if same:
+            state, source = old, "repair"
+        else:
+            state = _CacheState()
+            state.bubble_ids = ids
+            state.reps = np.empty((num, bubbles.dim))
+            state.counts = np.empty(num, dtype=np.int64)
+            state.extents, state.internal_core, state.nn1, state.cores = (
+                np.empty(num) for _ in range(4)
+            )
+            state.dist = np.empty((num, num))
+            if keep.size:
+                src = where[keep]
+                for name in _CacheState.ROWS:
+                    getattr(state, name)[keep] = getattr(old, name)[src]
+                state.dist[np.ix_(keep, keep)] = old.dist[np.ix_(src, src)]
+            source = "cold" if old is None else "rebuild"
+
+        # A kept small row's changed values are its old distances to
+        # every old row that is not kept (touched or departed), read
+        # before any fresh row is written, and its new distances to
+        # every fresh row (touched or entered).
+        cand = keep[state.counts[keep] < self._min_pts]
+        if cand.size:
+            # The old rows not kept: with the id set unchanged, these
+            # are the fresh rows themselves.
+            gone = fresh
+            if not same:
+                gone = np.ones(old.num, dtype=bool)
+                gone[where[keep]] = False
+                gone = gone.nonzero()[0]
+            left = old.dist[np.ix_(where[cand], gone)]
+
+        if fresh.size:
+            self._refresh_features(state, bubbles, fresh)
+        for lo in range(0, fresh.size, _MATRIX_BLOCK_ROWS):
+            block = fresh[lo : lo + _MATRIX_BLOCK_ROWS]
+            rows = bubble_distance_rows(
+                block, state.reps, state.extents, state.nn1
+            )
+            state.dist[block, :] = rows
+            state.dist[:, block] = rows.T
+
+        # Fresh rows: a bubble holding MinPts points is core within
+        # itself; a small one goes to the weighted kernel. Kept small
+        # rows: every entry at or below the old core sits in a kept
+        # column, whose distance and count did not move. If every
+        # changed value lies strictly above the old core, the core
+        # stands. If the lowest ties it, the mass strictly below is
+        # unchanged (and short of MinPts), so the core stands while the
+        # new mass at or below it still reaches MinPts — with
+        # overlapping bubbles many distances tie at the core, so this
+        # spares most recomputations. Otherwise it is recomputed.
+        small = state.counts[fresh] < self._min_pts
+        big = fresh[~small]
+        state.cores[big] = state.internal_core[big]
+        redo = fresh[small]
+        if cand.size:
+            core = state.cores[cand]
+            entered = state.dist[np.ix_(cand, fresh)]
+            if left.shape == entered.shape:
+                # The min over an elementwise min is the min over both.
+                lowest = np.minimum(left, entered)
+                lowest = lowest.min(axis=1, initial=np.inf)
+            else:
+                lowest = np.minimum(
+                    left.min(axis=1, initial=np.inf),
+                    entered.min(axis=1, initial=np.inf),
+                )
+            stands = lowest > core
+            at = np.flatnonzero(lowest == core)
+            if at.size:
+                within = state.dist[cand[at]] <= core[at, None]
+                stands[at] = within @ state.counts >= self._min_pts
+            redo = np.concatenate((redo, cand[~stands]))
+        if redo.size:
+            state.cores[redo] = _weighted_cores(
+                state.dist[redo], state.counts, self._min_pts, self._eps
+            )
+        state.plot = self._walk(state)
+        state.virtual = self._virtual(state)
+        state.tree = None
+        return state, source
+
     def _refresh_features(
         self, state: _CacheState, bubbles: BubbleSet, compact: np.ndarray
     ) -> None:
@@ -308,91 +436,15 @@ class ClusterCache:
             k=1,
         )
 
-    # ------------------------------------------------------------------
-    # Rebuild (cold / id-set changed)
-    # ------------------------------------------------------------------
-    def _rebuild(
-        self,
-        old: _CacheState | None,
-        bubbles: BubbleSet,
-        non_empty: np.ndarray,
-        touched: set[int],
-    ) -> _CacheState:
-        state = _CacheState()
-        state.bubble_ids = non_empty
-        state.id_to_compact = {
-            int(bid): c for c, bid in enumerate(non_empty)
-        }
-        num = state.num
-        if num == 0:
-            state.plot = ReachabilityPlot(
+    def _walk(self, state: _CacheState) -> ReachabilityPlot:
+        """One full walk over the cached matrix and cores."""
+        if state.num == 0:
+            # A walk over zero objects is illegal; the empty plot is exact.
+            return ReachabilityPlot(
                 ordering=np.empty(0, dtype=np.int64),
                 reachability=np.empty(0),
                 core_distances=np.empty(0),
             )
-            state.virtual = np.empty(0)
-            return state
-
-        state.reps = np.empty((num, bubbles.dim), dtype=np.float64)
-        state.extents = np.empty(num)
-        state.counts = np.empty(num, dtype=np.int64)
-        state.internal_core = np.empty(num)
-        state.nn1 = np.empty(num)
-        self._refresh_features(state, bubbles, np.arange(num))
-
-        # Distance matrix: reuse entries between surviving *untouched*
-        # bubbles from the old matrix (bit-identical, per-pair values);
-        # recompute rows for inserted and touched bubbles.
-        state.dist = np.empty((num, num), dtype=np.float64)
-        reuse_new = np.empty(0, dtype=np.int64)
-        reuse_old = np.empty(0, dtype=np.int64)
-        if old is not None and old.num > 0:
-            pairs = [
-                (c, old.id_to_compact[int(bid)])
-                for c, bid in enumerate(non_empty)
-                if int(bid) in old.id_to_compact
-                and int(bid) not in touched
-            ]
-            if len(pairs) >= 2:
-                reuse_new = np.asarray([p[0] for p in pairs], dtype=np.int64)
-                reuse_old = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        reuse_set = set(int(c) for c in reuse_new)
-        fresh_rows = np.asarray(
-            [c for c in range(num) if c not in reuse_set], dtype=np.int64
-        )
-        if reuse_new.size:
-            state.dist[np.ix_(reuse_new, reuse_new)] = old.dist[
-                np.ix_(reuse_old, reuse_old)
-            ]
-        if fresh_rows.size:
-            rows = bubble_distance_rows(
-                fresh_rows, state.reps, state.extents, state.nn1
-            )
-            state.dist[fresh_rows, :] = rows
-            state.dist[:, fresh_rows] = rows.T
-        total_pairs = num * (num - 1) // 2
-        reused_pairs = reuse_new.size * (reuse_new.size - 1) // 2
-        self._counter.record_computed(total_pairs - reused_pairs)
-        self._counter.record_pruned(reused_pairs)
-
-        # Core distances up front: a bubble holding MinPts points is core
-        # within itself; the rest go through the vectorised weighted
-        # kernel over their (cached) distance rows.
-        cores = np.where(
-            state.counts >= self._min_pts, state.internal_core, np.inf
-        )
-        small = np.flatnonzero(state.counts < self._min_pts)
-        if small.size:
-            cores[small] = _weighted_cores(
-                state.dist[small], state.counts, self._min_pts, self._eps
-            )
-        state.cores = cores
-        state.plot = self._walk(state)
-        state.virtual = self._virtual(state)
-        return state
-
-    def _walk(self, state: _CacheState) -> ReachabilityPlot:
-        """One full walk over the cached matrix and cores."""
         dist, cores = state.dist, state.cores
         return run_optics(
             state.num,
@@ -400,97 +452,6 @@ class ClusterCache:
             lambda obj, dists: float(cores[obj]),
             eps=self._eps,
         )
-
-    # ------------------------------------------------------------------
-    # Repair (same id set)
-    # ------------------------------------------------------------------
-    def _repair(
-        self,
-        state: _CacheState,
-        bubbles: BubbleSet,
-        touched_ids: set[int],
-    ) -> None:
-        """Refresh the touched rows and the cores they move, then re-walk.
-
-        The walk is the one :meth:`_rebuild` ends with, so the repaired
-        plot is exactly a cold walk of the repaired state; the repair
-        saves the untouched distances and the untouched cores.
-        """
-        num = state.num
-        if num == 0:
-            # An empty set stayed empty across versions: the empty plot
-            # is already exact, and a walk over zero objects is illegal.
-            return
-        touched_c = np.asarray(
-            sorted(
-                state.id_to_compact[int(i)]
-                for i in touched_ids
-                if int(i) in state.id_to_compact
-            ),
-            dtype=np.int64,
-        )
-        if touched_c.size == 0:
-            # Every touched bubble is outside the clustered id set (all
-            # empty): the cached plot is already exact, verbatim.
-            self._counter.record_pruned(num * (num - 1) // 2)
-            return
-
-        # Snapshot the touched columns *before* overwriting them: the
-        # core relevance test below needs both the old and new values.
-        old_cols = state.dist[:, touched_c].copy()
-
-        self._refresh_features(state, bubbles, touched_c)
-        rows = bubble_distance_rows(
-            touched_c, state.reps, state.extents, state.nn1
-        )
-        state.dist[touched_c, :] = rows
-        state.dist[:, touched_c] = rows.T
-        computed = touched_c.size * (num - touched_c.size)
-        computed += touched_c.size * (touched_c.size - 1) // 2
-        self._counter.record_computed(computed)
-        self._counter.record_pruned(num * (num - 1) // 2 - computed)
-
-        touched_mask = np.zeros(num, dtype=bool)
-        touched_mask[touched_c] = True
-        small = state.counts < self._min_pts
-        # Touched rows: anything about them may have changed.
-        t_big = touched_c[~small[touched_c]]
-        t_small = touched_c[small[touched_c]]
-        if t_big.size:
-            state.cores[t_big] = state.internal_core[t_big]
-        if t_small.size:
-            state.cores[t_small] = _weighted_cores(
-                state.dist[t_small], state.counts, self._min_pts, self._eps
-            )
-        # Untouched small rows: only their touched columns moved. If
-        # every changed column value — old *and* new — sits strictly
-        # above the old core, the (value, count) multiset up to the old
-        # crossing is unchanged and the core stands. If the lowest of
-        # them sits exactly on it, the mass strictly below the core is
-        # still unchanged (and short of MinPts), so the core stands
-        # while the mass at or below it still reaches MinPts — with
-        # overlapping bubbles many distances tie at the core, so this
-        # spares most recomputations. Otherwise recompute.
-        cand = np.flatnonzero(small & ~touched_mask)
-        if cand.size:
-            core_c = state.cores[cand]
-            changed_min = np.minimum(
-                old_cols[cand], state.dist[np.ix_(cand, touched_c)]
-            ).min(axis=1)
-            stands = changed_min > core_c
-            at = np.flatnonzero(changed_min == core_c)
-            if at.size:
-                within = state.dist[cand[at]] <= core_c[at, None]
-                stands[at] = within @ state.counts >= self._min_pts
-            redo = cand[~stands]
-            if redo.size:
-                state.cores[redo] = _weighted_cores(
-                    state.dist[redo], state.counts, self._min_pts, self._eps
-                )
-
-        state.plot = self._walk(state)
-        state.virtual = self._virtual(state)
-        state.tree = None
 
     def _virtual(self, state: _CacheState) -> np.ndarray:
         """Virtual reachability per compact index (expansion estimate)."""
@@ -849,11 +810,11 @@ class IncrementalClusterer:
     def attach(self, maintainer) -> None:
         """Subscribe to a maintainer's batch callbacks.
 
-        Each applied batch eagerly marks its rebuilt bubbles as touched,
-        so a later :meth:`fit` repairs exactly those rows even if the
-        mutation log has been compacted. ``BubbleSet.touched_since``
-        remains the authoritative source; the callback is a second
-        witness, never a narrower one.
+        Each applied batch marks its rebuilt bubbles as touched for the
+        next :meth:`fit`. ``BubbleSet.touched_since`` already names every
+        one of them (it keeps one version per bubble and is never
+        compacted), so the callback is a second witness, never a
+        narrower one.
         """
 
         def _on_batch(batch, report) -> None:
@@ -906,7 +867,7 @@ class IncrementalClusterer:
         ):
             fit = self._fit_inner(bubbles, deadline_seconds, started)
         elapsed = self._clock() - started
-        fit = _with_elapsed(fit, elapsed)
+        fit = replace(fit, elapsed_seconds=elapsed)
         self.last_fit = fit
         if self._obs is not None:
             self._m_fits.inc()
@@ -945,22 +906,28 @@ class IncrementalClusterer:
             state.bubble_ids, non_empty
         )
         if deadline_seconds is not None and not repairable:
-            return self._fit_anytime(bubbles, deadline_seconds, started)
-
-        extra = tuple(self._callback_touched)
-        if repairable:
-            with maybe_span(
-                self._obs, "cluster_repair", touched=len(extra)
-            ):
-                state, source = cache.refresh(
-                    bubbles, extra_touched=extra, non_empty=non_empty
-                )
-        else:
-            state, source = cache.refresh(
-                bubbles, extra_touched=extra, non_empty=non_empty
+            return self._fit_anytime(
+                bubbles, non_empty, deadline_seconds, started
             )
-        self._callback_touched.clear()
+        with maybe_span(
+            self._obs if repairable else None,
+            "cluster_repair",
+            touched=len(self._callback_touched),
+        ):
+            state, source = self._refresh(bubbles, non_empty)
         return self._fit_from_state(state, source)
+
+    def _refresh(
+        self, bubbles: BubbleSet, non_empty: np.ndarray
+    ) -> tuple[_CacheState, str]:
+        """Refresh the cache with the callback witnesses, then drop them."""
+        state, source = self._cache.refresh(
+            bubbles,
+            extra_touched=tuple(self._callback_touched),
+            non_empty=non_empty,
+        )
+        self._callback_touched.clear()
+        return state, source
 
     def _fit_from_state(
         self, state: _CacheState, source: str
@@ -1008,14 +975,13 @@ class IncrementalClusterer:
     def _fit_anytime(
         self,
         bubbles: BubbleSet,
+        non_empty: np.ndarray,
         deadline_seconds: float,
         started: float,
     ) -> ClusterFit:
-        non_empty = np.asarray(bubbles.non_empty_ids(), dtype=np.int64)
         num = int(non_empty.shape[0])
         if num == 0:
-            state, source = self._cache.refresh(bubbles, non_empty=non_empty)
-            return self._fit_from_state(state, source)
+            return self._fit_from_state(*self._refresh(bubbles, non_empty))
 
         counts_all = bubbles.counts()[non_empty]
         total_points = int(counts_all.sum())
@@ -1028,26 +994,20 @@ class IncrementalClusterer:
         for size in self._stage_sizes(num):
             if stages and self._clock() - started >= deadline_seconds:
                 break
-            if size == num:
-                extra = tuple(self._callback_touched)
-                with maybe_span(self._obs, "cluster_stage", size=size):
-                    state, source = self._cache.refresh(
-                        bubbles, extra_touched=extra, non_empty=non_empty
+            with maybe_span(self._obs, "cluster_stage", size=size):
+                if size == num:
+                    state, source = self._refresh(bubbles, non_empty)
+                    quality = 1.0
+                else:
+                    # A subset stage is the cache's update from nothing,
+                    # kept out of the cache.
+                    subset = np.sort(by_weight[:size])
+                    state, _ = self._cache._update(
+                        None, bubbles, non_empty[subset], set()
                     )
-                self._callback_touched.clear()
-                fit = self._fit_from_state(state, source)
-                quality = 1.0
-            else:
-                subset = np.sort(by_weight[:size])
-                with maybe_span(self._obs, "cluster_stage", size=size):
-                    fit = self._subset_fit(
-                        bubbles, non_empty[subset], counts_all[subset]
-                    )
-                quality = (
-                    float(counts_all[subset].sum()) / total_points
-                    if total_points
-                    else 1.0
-                )
+                    source = "anytime"
+                    quality = float(counts_all[subset].sum()) / total_points
+                best = self._fit_from_state(state, source)
             stages.append(
                 StageResult(
                     size=size,
@@ -1055,74 +1015,10 @@ class IncrementalClusterer:
                     elapsed_seconds=self._clock() - started,
                 )
             )
-            best = fit
         assert best is not None
-        return ClusterFit(
-            version=best.version,
-            bubble_ids=best.bubble_ids,
-            counts=best.counts,
-            virtual_reachability=best.virtual_reachability,
-            plot=best.plot,
-            tree=best.tree,
-            source="anytime" if best.quality < 1.0 or len(stages) > 1
-            else best.source,
+        return replace(
+            best,
+            source="anytime" if len(stages) > 1 else best.source,
             quality=stages[-1].quality,
             stages=tuple(stages),
         )
-
-    def _subset_fit(
-        self,
-        bubbles: BubbleSet,
-        subset_ids: np.ndarray,
-        subset_counts: np.ndarray,
-    ) -> ClusterFit:
-        """A complete cold fit of one bubble subset (no caching)."""
-        num = int(subset_ids.shape[0])
-        _, reps, extents, core = bubbles.features(subset_ids, self.min_pts)
-        extents = _sanitize_extents(extents)
-        internal_core = _sanitize_internal_cores(core)
-        from .bubble_optics import optics_over_summaries
-
-        plot = optics_over_summaries(
-            reps,
-            extents,
-            subset_counts,
-            internal_core,
-            min_pts=self.min_pts,
-            eps=self._cache.eps,
-        )
-        self._cache._counter.record_computed(num * (num - 1) // 2)
-        virtual = plot.core_distances.copy()
-        fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-        virtual[fallback] = extents[fallback]
-        tree = extract_cluster_tree(
-            plot.reachability,
-            min_size=self._min_size,
-            significance=self._significance,
-        )
-        return ClusterFit(
-            version=-1,
-            bubble_ids=subset_ids,
-            counts=subset_counts,
-            virtual_reachability=virtual,
-            plot=plot,
-            tree=tree,
-            source="anytime",
-            quality=0.0,
-        )
-
-
-def _with_elapsed(fit: ClusterFit, elapsed: float) -> ClusterFit:
-    """Stamp the elapsed time onto a (frozen) fit."""
-    return ClusterFit(
-        version=fit.version,
-        bubble_ids=fit.bubble_ids,
-        counts=fit.counts,
-        virtual_reachability=fit.virtual_reachability,
-        plot=fit.plot,
-        tree=fit.tree,
-        source=fit.source,
-        quality=fit.quality,
-        stages=fit.stages,
-        elapsed_seconds=elapsed,
-    )

@@ -8,10 +8,11 @@ One durable summarizer owns one state directory::
         snapshot-000000000024.npz   state after the first 24 batches
         snapshot-000000000016.npz   an older snapshot kept as fallback
 
-The manager snapshots every ``interval`` applied batches and then truncates
-the WAL. The ordering is what makes this crash-safe without any atomicity
-across the two files: the snapshot (written atomically, see
-``snapshot.py``) lands first, and only then is the log reset. A crash in
+The durable summarizer snapshots through the manager every ``interval``
+applied batches, and each snapshot then truncates the WAL. The ordering
+is what makes this crash-safe without any atomicity across the two
+files: the snapshot (written atomically, see ``snapshot.py``) lands
+first, and only then is the log reset. A crash in
 between leaves old records whose ``seq`` precedes the snapshot's
 ``batches_applied`` — recovery simply skips them.
 
@@ -74,7 +75,8 @@ class CheckpointManager:
 
     Args:
         wal_dir: the state directory; created when missing.
-        interval: snapshot every this many applied batches.
+        interval: snapshot every this many applied batches (the cadence
+            :class:`~repro.streaming.DurableSummarizer` applies).
         keep: how many snapshots to retain (newest first).
         fsync: whether WAL appends and snapshot writes flush to disk.
         retry: backoff policy for transient IO errors on WAL appends and
@@ -247,15 +249,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def maybe_checkpoint(self, state: SummarizerState) -> bool:
-        """Snapshot if the cadence says so; returns whether it did."""
-        if state.batches_applied == 0:
-            return False
-        if state.batches_applied % self._interval != 0:
-            return False
-        self.checkpoint(state)
-        return True
-
     def checkpoint(self, state: SummarizerState) -> pathlib.Path:
         """Write a snapshot of ``state`` and compact the WAL.
 

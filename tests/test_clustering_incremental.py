@@ -3,9 +3,9 @@
 The load-bearing claim under test is *exact equivalence*: every cache
 outcome — hit, repair, rebuild — must produce state bitwise equal to a
 cold fit of the current bubbles (ordering, reachability bars, core
-distances and the distance matrix). The repair reuses the untouched
-distances and cores, so any of them that a batch should have moved
-shows up here as a hard failure.
+distances and the distance matrix). Repairs and rebuilds reuse the
+untouched distances and cores, so any of them that a batch should have
+moved shows up here as a hard failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.bubble_optics import BubbleOptics
+from repro.clustering.bubble_optics import (
+    BubbleOptics,
+    optics_over_summaries,
+)
 from repro.clustering.incremental import (
     ClusterCache,
     ClusterLineage,
@@ -67,10 +70,22 @@ def assert_states_equal(state, fresh_state):
 
 
 def apply_move(bubbles, bid: int, move: int, rng):
-    """One mutation: absorb near, release, or absorb far (a drifter)."""
+    """One mutation: absorb near, release, absorb far (a drifter), drain
+    (``bubbles.clear``, as ``merge_bubble`` does), refill an empty bubble,
+    or ``add_bubble`` with points. The last three change the id set."""
     b = bubbles[int(bid)]
     dim = b.rep.shape[0]
-    if move == 0 or b.n <= 2:
+    if move == 3:
+        bubbles.clear([b.bubble_id])
+    elif move in (4, 5):
+        empty = np.flatnonzero(bubbles.counts() == 0)
+        if move == 5:
+            b = bubbles.add_bubble(b.rep + rng.normal(0, 0.5, size=dim))
+        elif empty.size:  # with none empty, this grows ``b`` instead
+            b = bubbles[int(empty[int(bid) % empty.size])]
+        size = (int(rng.integers(1, 40)), dim)
+        b.absorb_many(b.rep + rng.normal(0, 0.3, size=size))
+    elif move == 0 or b.n <= 2:
         b.absorb(b.rep + rng.normal(0, 0.3, size=dim))
     elif move == 1:
         b.release(b.rep + rng.normal(0, 0.2, size=dim))
@@ -155,16 +170,21 @@ class TestCacheSources:
 class TestRepairEquivalence:
     """repair/rebuild ≡ cold, bitwise, across mutation schedules."""
 
-    def run_schedule(self, make_bubbles, schedule, rng):
+    def run_schedule(
+        self, make_bubbles, schedule, rng, min_pts=MIN_PTS, eps=np.inf
+    ):
         bubbles = make_bubbles()
-        cache = ClusterCache(min_pts=MIN_PTS)
+        cache = ClusterCache(min_pts=min_pts, eps=eps)
         cache.refresh(bubbles)
         for moves in schedule:
             for bid, move in moves:
                 apply_move(bubbles, bid % len(bubbles), move, rng)
             state, _ = cache.refresh(bubbles)
-            fresh_state, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
+            fresh_state, _ = ClusterCache(min_pts=min_pts, eps=eps).refresh(
+                bubbles
+            )
             assert_states_equal(state, fresh_state)
+            assert np.array_equal(state.bubble_ids, fresh_state.bubble_ids)
         return cache
 
     def test_absorb_only_schedule(self):
@@ -206,6 +226,18 @@ class TestRepairEquivalence:
             np.random.default_rng(7),
         )
 
+    def test_drain_beside_a_tied_core(self):
+        """Draining bubble 15 changes the id set: the rebuild keeps the
+        untouched small cores only where the departed bubble's old
+        distances leave them standing."""
+        cache = self.run_schedule(
+            lambda: build_bubbles(24, 3, 800, data_seed=7),
+            [[(15, 3)]],
+            np.random.default_rng(7),
+        )
+        assert cache.rebuilds == 1
+        assert 15 not in set(int(i) for i in cache.state.bubble_ids)
+
     def test_idset_change_rebuild_equivalence(self):
         bubbles = build_bubbles(24, 3, 900)
         cache = ClusterCache(min_pts=MIN_PTS)
@@ -224,7 +256,7 @@ class TestRepairEquivalence:
         assert_states_equal(state, fresh_state)
 
     @settings(
-        max_examples=12,
+        max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -232,19 +264,23 @@ class TestRepairEquivalence:
         data_seed=st.integers(0, 2**16),
         schedule=st.lists(
             st.lists(
-                st.tuples(st.integers(0, 23), st.integers(0, 2)),
+                st.tuples(st.integers(0, 23), st.integers(0, 5)),
                 min_size=1,
                 max_size=4,
             ),
             min_size=1,
             max_size=4,
         ),
+        min_pts=st.sampled_from([5, 12, 40, 120]),
+        eps=st.sampled_from([np.inf, 2.0, 5.0]),
     )
-    def test_random_chained_schedules(self, data_seed, schedule):
+    def test_random_chained_schedules(self, data_seed, schedule, min_pts, eps):
         self.run_schedule(
             lambda: build_bubbles(24, 3, 800, data_seed=data_seed),
             schedule,
             np.random.default_rng(data_seed),
+            min_pts=min_pts,
+            eps=eps,
         )
 
 
@@ -346,6 +382,26 @@ class TestAnytime:
         assert len(fit.tree.leaves()) >= 1
         # The subset keeps the heaviest bubbles, so coverage is high.
         assert fit.quality > 0.5
+
+    def test_subset_stage_matches_the_reference(self):
+        """The 64-bubble stage is a cold fit of its subset: bit for bit
+        ``optics_over_summaries``, and 64·63/2 computed distances."""
+        bubbles = build_bubbles(90, 3, 2700)
+        counter = DistanceCounter()
+        fit = IncrementalClusterer(
+            min_pts=MIN_PTS, counter=counter, clock=FakeClock(1.0)
+        ).fit(bubbles, deadline_seconds=0.5)
+        assert fit.num_bubbles == 64 and fit.source == "anytime"
+        counts, reps, extents, core = bubbles.features(
+            fit.bubble_ids, MIN_PTS
+        )
+        ref = optics_over_summaries(
+            reps, extents, counts, core, min_pts=MIN_PTS
+        )
+        assert np.array_equal(fit.plot.ordering, ref.ordering)
+        assert np.array_equal(fit.plot.reachability, ref.reachability)
+        assert np.array_equal(fit.plot.core_distances, ref.core_distances)
+        assert counter.snapshot().computed == 64 * 63 // 2
 
     def test_anytime_is_deterministic_under_a_fake_clock(self):
         fits = []

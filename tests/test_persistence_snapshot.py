@@ -396,19 +396,6 @@ class TestCheckpointManager:
         assert len(manager.snapshot_paths()) == 1
         manager.close()
 
-    def test_cadence(self, tmp_path, running_stream):
-        manager = CheckpointManager(tmp_path, interval=4, fsync=False)
-        assert not manager.maybe_checkpoint(
-            running_stream.capture_state(batches_applied=3)
-        )
-        assert manager.maybe_checkpoint(
-            running_stream.capture_state(batches_applied=4)
-        )
-        assert not manager.maybe_checkpoint(
-            running_stream.capture_state(batches_applied=0)
-        )
-        manager.close()
-
     def test_prunes_old_snapshots(self, tmp_path, running_stream):
         manager = CheckpointManager(tmp_path, interval=1, keep=2, fsync=False)
         for batches in (1, 2, 3, 4):
