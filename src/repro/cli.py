@@ -132,7 +132,7 @@ from .observability import (
     write_health,
     write_metrics,
 )
-from .persistence import read_snapshot, verify_chain
+from .persistence import read_manifest, read_snapshot, verify_chain
 from .service import (
     FleetConfig,
     FleetManager,
@@ -404,10 +404,12 @@ def _run_report(args: argparse.Namespace) -> None:
 def _run_cluster(args: argparse.Namespace) -> None:
     """Cluster a recovered durable summary ("cluster me now").
 
-    Recovers the state directory read-only (no checkpoint on close),
-    runs one :class:`~repro.clustering.IncrementalClusterer` fit —
+    Recovers the state directory, runs one
+    :class:`~repro.clustering.IncrementalClusterer` fit —
     deadline-bounded when ``--deadline`` is given — and prints the
-    extracted dendrogram with its provenance.
+    extracted dendrogram with its provenance. Recovery is not
+    read-only: it replays and checkpoints any WAL tail a crash left
+    behind. Only the goodbye checkpoint on close is skipped.
     """
     if args.wal_dir is None:
         raise SystemExit("cluster requires --wal-dir")
@@ -737,18 +739,7 @@ def _run_stats(args: argparse.Namespace) -> None:
     if args.wal_dir is None:
         raise SystemExit("stats requires --wal-dir")
     directory = pathlib.Path(args.wal_dir)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise PersistenceError(
-            f"{directory} holds no durable summarizer state "
-            "(manifest.json is missing)"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistenceError(
-            f"unreadable manifest in {directory}: {exc}"
-        ) from exc
+    manifest = read_manifest(directory)
 
     # Newest loadable snapshot, scanned without opening the WAL (a stats
     # probe must not create or repair anything).

@@ -8,10 +8,10 @@ The paper makes *summarization* incremental; this module makes the
 bubble feature arrays, the K×K bubble distance matrix, the core-distance
 vector, and the last reachability plot. Every refresh runs one update.
 A row whose bubble was clustered before and not touched since
-(absorb/release/reseed/split/merge — surfaced by
+(absorb/release/reseed/split/merge — all surfaced by
 :meth:`BubbleSet.touched_since
-<repro.core.bubble_set.BubbleSet.touched_since>` and by maintainer batch
-callbacks) is *kept*: its features, its distances to the other kept rows
+<repro.core.bubble_set.BubbleSet.touched_since>`) is *kept*: its
+features, its distances to the other kept rows
 and, under the core tie rule, its core distance carry over. Every other
 row — touched, or new to the id set — is *fresh*: its distance row is
 bit-identical to a cold build (see
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -248,18 +248,16 @@ class ClusterCache:
     def refresh(
         self,
         bubbles: BubbleSet,
-        extra_touched: Sequence[int] = (),
         non_empty: np.ndarray | None = None,
     ) -> tuple[_CacheState, str]:
         """Bring the cache up to date with ``bubbles``.
 
+        The bubbles touched since the cached state are read from
+        :meth:`BubbleSet.touched_since`, which keeps one version per
+        bubble and so names every bubble a batch mutated.
+
         Args:
             bubbles: the live bubble set.
-            extra_touched: additional bubble ids known to have mutated
-                (from maintainer batch callbacks). These are unioned with
-                :meth:`BubbleSet.touched_since`, which is authoritative —
-                the callbacks only ever narrow *nothing*, they are a
-                second witness.
             non_empty: ``bubbles.non_empty_ids()`` as an int64 array, when
                 the caller already has it; computed here otherwise.
 
@@ -280,7 +278,6 @@ class ClusterCache:
             if state is not None
             else set()
         )
-        touched.update(int(i) for i in extra_touched)
         state, source = self._update(state, bubbles, non_empty, touched)
         state.version = version
         self._state = state
@@ -724,8 +721,6 @@ class IncrementalClusterer:
         self._obs = obs
         self._clock = clock
         self._lineage = ClusterLineage()
-        self._attached: list[tuple[object, Callable]] = []
-        self._callback_touched: set[int] = set()
         self.last_fit: ClusterFit | None = None
         if obs is not None:
             self._create_metric_handles(obs)
@@ -808,30 +803,13 @@ class IncrementalClusterer:
     # Maintainer wiring
     # ------------------------------------------------------------------
     def attach(self, maintainer) -> None:
-        """Subscribe to a maintainer's batch callbacks.
+        """A no-op: a fit needs no subscription to the maintainer.
 
-        Each applied batch marks its rebuilt bubbles as touched for the
-        next :meth:`fit`. ``BubbleSet.touched_since`` already names every
-        one of them (it keeps one version per bubble and is never
-        compacted), so the callback is a second witness, never a
-        narrower one.
+        Every fit reads the touched bubbles from
+        :meth:`BubbleSet.touched_since`, which names every bubble a
+        batch mutated. The method stays only because perfbench's
+        ``cluster_live`` workload calls it.
         """
-
-        def _on_batch(batch, report) -> None:
-            self._callback_touched.update(
-                int(b) for b in report.rebuilt_bubbles
-            )
-
-        maintainer.add_batch_callback(_on_batch)
-        self._attached.append((maintainer, _on_batch))
-
-    def detach(self, maintainer) -> None:
-        """Unsubscribe from a maintainer attached via :meth:`attach`."""
-        for i, (owner, callback) in enumerate(self._attached):
-            if owner is maintainer:
-                maintainer.remove_batch_callback(callback)
-                del self._attached[i]
-                return
 
     # ------------------------------------------------------------------
     # Fitting
@@ -910,24 +888,10 @@ class IncrementalClusterer:
                 bubbles, non_empty, deadline_seconds, started
             )
         with maybe_span(
-            self._obs if repairable else None,
-            "cluster_repair",
-            touched=len(self._callback_touched),
+            self._obs if repairable else None, "cluster_repair"
         ):
-            state, source = self._refresh(bubbles, non_empty)
+            state, source = cache.refresh(bubbles, non_empty=non_empty)
         return self._fit_from_state(state, source)
-
-    def _refresh(
-        self, bubbles: BubbleSet, non_empty: np.ndarray
-    ) -> tuple[_CacheState, str]:
-        """Refresh the cache with the callback witnesses, then drop them."""
-        state, source = self._cache.refresh(
-            bubbles,
-            extra_touched=tuple(self._callback_touched),
-            non_empty=non_empty,
-        )
-        self._callback_touched.clear()
-        return state, source
 
     def _fit_from_state(
         self, state: _CacheState, source: str
@@ -981,7 +945,9 @@ class IncrementalClusterer:
     ) -> ClusterFit:
         num = int(non_empty.shape[0])
         if num == 0:
-            return self._fit_from_state(*self._refresh(bubbles, non_empty))
+            return self._fit_from_state(
+                *self._cache.refresh(bubbles, non_empty=non_empty)
+            )
 
         counts_all = bubbles.counts()[non_empty]
         total_points = int(counts_all.sum())
@@ -996,7 +962,9 @@ class IncrementalClusterer:
                 break
             with maybe_span(self._obs, "cluster_stage", size=size):
                 if size == num:
-                    state, source = self._refresh(bubbles, non_empty)
+                    state, source = self._cache.refresh(
+                        bubbles, non_empty=non_empty
+                    )
                     quality = 1.0
                 else:
                     # A subset stage is the cache's update from nothing,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -129,9 +128,6 @@ class IncrementalMaintainer:
         self._counter = counter if counter is not None else DistanceCounter()
         self._rng = np.random.default_rng(self._config.seed)
         self._assigner_cache = AssignerCache()
-        self._batch_callbacks: list[
-            Callable[[UpdateBatch, BatchReport], None]
-        ] = []
         self._obs = obs
         self._prev_classes: tuple[BubbleClass, ...] | None = None
         self._last_report: QualityReport | None = None
@@ -288,28 +284,6 @@ class IncrementalMaintainer:
         """
         return self._last_report
 
-    # ------------------------------------------------------------------
-    # Durability hooks
-    # ------------------------------------------------------------------
-    def add_batch_callback(
-        self, callback: Callable[[UpdateBatch, BatchReport], None]
-    ) -> None:
-        """Register ``callback(batch, report)`` to run after each batch.
-
-        Callbacks fire once the batch is *fully* applied — after quality
-        repair and any subclass post-processing (e.g. the adaptive count
-        steering) — which is the point where the summary is consistent and
-        safe to checkpoint. The persistence layer's checkpoint manager
-        subscribes here.
-        """
-        self._batch_callbacks.append(callback)
-
-    def remove_batch_callback(
-        self, callback: Callable[[UpdateBatch, BatchReport], None]
-    ) -> None:
-        """Unregister a callback added with :meth:`add_batch_callback`."""
-        self._batch_callbacks.remove(callback)
-
     @property
     def rng_state(self) -> dict:
         """The maintenance RNG's bit-generator state (JSON-serializable).
@@ -360,8 +334,6 @@ class IncrementalMaintainer:
             self._m_matrix_distances.inc(
                 self._assigner_cache.matrix_computed - matrix_before
             )
-        for callback in self._batch_callbacks:
-            callback(batch, report)
         return report
 
     def _guard_batch(self, batch: UpdateBatch) -> None:
@@ -416,7 +388,8 @@ class IncrementalMaintainer:
 
     def _apply_batch_inner(self, batch: UpdateBatch) -> BatchReport:
         """The batch application itself (subclasses extend this, not
-        :meth:`apply_batch`, so callbacks always see a finished batch)."""
+        :meth:`apply_batch`, so its instrumentation covers the whole
+        batch, subclass post-processing included)."""
         before = self._counter.snapshot()
 
         self._apply_deletions(batch)

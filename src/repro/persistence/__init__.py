@@ -24,7 +24,7 @@ The user-facing entry point is
 See ``docs/PERSISTENCE.md`` for the formats and the recovery semantics.
 """
 
-from .checkpoint import CheckpointManager
+from .checkpoint import CheckpointManager, read_manifest
 from .recovery import RecoveredState, recover_state, recovery_exists
 from .snapshot import SNAPSHOT_VERSION, read_snapshot, write_snapshot
 from .state import SummarizerState, config_from_dict, config_to_dict
@@ -49,6 +49,7 @@ __all__ = [
     "config_to_dict",
     "decode_batch",
     "encode_batch",
+    "read_manifest",
     "read_snapshot",
     "recover_state",
     "recovery_exists",

@@ -56,7 +56,7 @@ from .snapshot import read_snapshot, write_snapshot
 from .state import SummarizerState
 from .wal import WriteAheadLog
 
-__all__ = ["CheckpointManager", "MANIFEST_VERSION"]
+__all__ = ["CheckpointManager", "MANIFEST_VERSION", "read_manifest"]
 
 MANIFEST_VERSION = 1
 
@@ -68,6 +68,40 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.npz$")
 _FP_SNAPSHOT_WRITTEN = declare_failpoint("checkpoint.snapshot_written")
 _FP_DONE = declare_failpoint("checkpoint.done")
 _FP_MANIFEST_TMP = declare_failpoint("manifest.tmp_written")
+
+
+def read_manifest(wal_dir: str | pathlib.Path) -> dict:
+    """Load the manifest of the state directory ``wal_dir``.
+
+    Reads ``manifest.json`` and nothing else: the directory is neither
+    created nor swept, so probing a path without durable state leaves it
+    exactly as it was.
+
+    Raises:
+        PersistenceError: the manifest is missing, unreadable or of an
+            unsupported version — there is nothing to recover from.
+    """
+    directory = pathlib.Path(wal_dir)
+    try:
+        with open(
+            directory / "manifest.json", "r", encoding="utf-8"
+        ) as handle:
+            document = json.load(handle)
+    except FileNotFoundError:
+        raise PersistenceError(
+            f"{directory} holds no durable summarizer state "
+            "(manifest.json is missing)"
+        ) from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PersistenceError(
+            f"unreadable manifest in {directory}: {exc}"
+        ) from exc
+    version = int(document.get("manifest_version", -1))
+    if version != MANIFEST_VERSION:
+        raise PersistenceError(
+            f"unsupported manifest version {version} in {directory}"
+        )
+    return document
 
 
 class CheckpointManager:
@@ -221,30 +255,9 @@ class CheckpointManager:
             fsync_directory(self._dir)
 
     def read_manifest(self) -> dict:
-        """Load the manifest written at initialization.
-
-        Raises:
-            PersistenceError: when the manifest is missing or unreadable —
-                there is nothing to recover from.
-        """
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except FileNotFoundError:
-            raise PersistenceError(
-                f"{self._dir} holds no durable summarizer state "
-                "(manifest.json is missing)"
-            ) from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PersistenceError(
-                f"unreadable manifest in {self._dir}: {exc}"
-            ) from exc
-        version = int(document.get("manifest_version", -1))
-        if version != MANIFEST_VERSION:
-            raise PersistenceError(
-                f"unsupported manifest version {version} in {self._dir}"
-            )
-        return document
+        """Load the manifest written at initialization (see
+        :func:`read_manifest`)."""
+        return read_manifest(self._dir)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -30,8 +30,8 @@ Thread contract: exactly one flusher at a time may call
 shard always belongs to one worker); any thread may call
 :meth:`submit`. A shard whose ``append`` raised enters the ``failed``
 state, wakes every blocked submitter, and refuses further traffic —
-other shards are unaffected. The poisoned micro-batch and anything
-still queued are *kept* (:meth:`take_failed_items` /
+other shards are unaffected. A poisoned micro-batch the WAL never took
+and anything still queued are *kept* (:meth:`take_failed_items` /
 :meth:`take_pending_items`): the fleet dead-letters the batch and a
 :class:`~repro.service.supervisor.ShardSupervisor`, when attached, can
 restart the tenant from its WAL and adopt the queue — see
@@ -144,7 +144,6 @@ class Shard:
         self.last_trace_id: str | None = None
 
         self._clusterer: IncrementalClusterer | None = None
-        self._cluster_attached = None
 
         self._queue: deque[tuple[tuple[float, ...], int, float]] = deque()
         #: The micro-batch whose append poisoned the shard, held for the
@@ -307,17 +306,9 @@ class Shard:
             NotFittedError: the stream has not bootstrapped a summary.
         """
         clusterer = self.clusterer(min_pts=min_pts)
-        bubbles = self.summarizer.summary
-        maintainer = self.summarizer.maintainer
-        if maintainer is not None and maintainer is not self._cluster_attached:
-            # (Re)bootstrap and recovery swap the maintainer out from
-            # under a long-lived shard; follow it so batch callbacks
-            # keep witnessing touched bubbles.
-            if self._cluster_attached is not None:
-                clusterer.detach(self._cluster_attached)
-            clusterer.attach(maintainer)
-            self._cluster_attached = maintainer
-        return clusterer.fit(bubbles, deadline_seconds=deadline_seconds)
+        return clusterer.fit(
+            self.summarizer.summary, deadline_seconds=deadline_seconds
+        )
 
     # ------------------------------------------------------------------
     # Dispatcher side
@@ -422,25 +413,39 @@ class Shard:
             )
         else:
             span = NULL_SPAN
+        durable = self.summarizer.batches_applied
         try:
             with span:
                 FAILPOINTS.fire(_FP_APPLY_BEFORE_APPEND)
                 self.summarizer.append(points, labels)
         except BaseException as exc:
-            self._fail(exc, items)
+            if self.summarizer.batches_applied == durable:
+                self._fail(exc, items)
+            else:
+                # The WAL took the batch before the append raised (a
+                # scheduled checkpoint failed): recovery replays it, so
+                # it is applied, and dead-lettering it too would apply
+                # it twice.
+                self._count_applied(items)
+                self._fail(exc)
             raise ServiceError(
                 f"shard {self.tenant!r} failed applying a batch of "
                 f"{take} points: {exc}"
             ) from exc
+        self._count_applied(items)
+        return take
+
+    def _count_applied(
+        self, items: list[tuple[tuple[float, ...], int, float]]
+    ) -> None:
         now = time.perf_counter()
         for _, _, arrived in items:
             self._h_ingest.observe(now - arrived)
-        self._h_batch.observe(take)
-        self.applied_points += take
+        self._h_batch.observe(len(items))
+        self.applied_points += len(items)
         self.applied_batches += 1
-        self._m_applied.inc(take)
+        self._m_applied.inc(len(items))
         self._m_batches.inc()
-        return take
 
     def _fail(
         self,

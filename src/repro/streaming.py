@@ -58,6 +58,7 @@ from .persistence import (
     SummarizerState,
     config_from_dict,
     config_to_dict,
+    read_manifest,
     recover_state,
 )
 from .types import Label
@@ -712,7 +713,6 @@ class DurableSummarizer:
         self._manager = manager
         self._seq = 0
         self._replaying = False
-        self._callback_registered = False
         self._closed = False
         self._obs = obs
         self._create_wal_metrics(obs)
@@ -761,26 +761,13 @@ class DurableSummarizer:
                 snapshot and log cannot be reconciled.
             WalCorruptionError: the log is damaged before its tail.
         """
-        # Refuse before touching the directory: probing a manifest-less
-        # (or nonexistent) path must not mutate it — opening a
-        # CheckpointManager would create the directory and an empty
-        # wal.log, and a stray/empty wal.log would otherwise surface as a
-        # confusing corruption error instead of "nothing to resume".
-        directory = pathlib.Path(wal_dir)
-        if not (directory / "manifest.json").exists():
-            raise PersistenceError(
-                f"{directory} holds no durable summarizer state "
-                "(manifest.json is missing); start a new summarizer "
-                "instead of recovering"
-            )
-        probe = CheckpointManager(wal_dir, fsync=fsync)
-        try:
-            manifest = probe.read_manifest()
-        except PersistenceError:
-            probe.close()
-            raise
-        probe.close()
-
+        # Read the manifest before touching the directory: probing a
+        # manifest-less (or nonexistent) path must not mutate it —
+        # opening a CheckpointManager would create the directory and an
+        # empty wal.log, and a stray/empty wal.log would otherwise
+        # surface as a confusing corruption error instead of "nothing to
+        # resume".
+        manifest = read_manifest(wal_dir)
         started = time.perf_counter()
         manager = CheckpointManager(
             wal_dir,
@@ -815,7 +802,6 @@ class DurableSummarizer:
             stream = cls.__new__(cls)
             stream._manager = manager
             stream._replaying = False
-            stream._callback_registered = False
             stream._closed = False
             stream._obs = obs
             stream._create_wal_metrics(obs)
@@ -855,7 +841,6 @@ class DurableSummarizer:
                     audit_every=audit_every,
                 )
                 stream._seq = 0
-            stream._register_callback_if_ready()
 
             if recovered.tail:
                 stream._replaying = True
@@ -864,12 +849,10 @@ class DurableSummarizer:
                         obs, "replay", batches=len(recovered.tail)
                     ):
                         for record in recovered.tail:
-                            stream._seq += 1
-                            stream._inner.append(
+                            stream._apply(
                                 record.batch.insertions,
                                 list(record.batch.insertion_labels),
                             )
-                            stream._register_callback_if_ready()
                 finally:
                     stream._replaying = False
                 # Re-establish the invariant "snapshot + log tail == state":
@@ -963,15 +946,7 @@ class DurableSummarizer:
                 points=points.shape[0],
                 seconds=elapsed,
             )
-        self._seq += 1
-        was_ready = self._inner.is_ready()
-        report = self._inner.append(points, list(label_tuple))
-        if not was_ready:
-            # No maintainer callback existed for this batch (buffering, or
-            # the bootstrap batch itself) — drive the checkpoint directly.
-            self._register_callback_if_ready()
-            self._maybe_checkpoint()
-        return report
+        return self._apply(points, list(label_tuple))
 
     # ------------------------------------------------------------------
     # Checkpoint control
@@ -1091,19 +1066,15 @@ class DurableSummarizer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _register_callback_if_ready(self) -> None:
-        if self._callback_registered:
-            return
-        maintainer = self._inner.maintainer
-        if maintainer is None:
-            return
-        maintainer.add_batch_callback(self._on_batch_applied)
-        self._callback_registered = True
-
-    def _on_batch_applied(
-        self, batch: UpdateBatch, report: BatchReport
-    ) -> None:
+    def _apply(
+        self, points: np.ndarray, labels: list[Label]
+    ) -> BatchReport | None:
+        """Apply one logged batch in memory, then keep the checkpoint
+        schedule — the one step live appends and WAL replay share."""
+        self._seq += 1
+        report = self._inner.append(points, labels)
         self._maybe_checkpoint()
+        return report
 
     def _maybe_checkpoint(self) -> None:
         if self._seq % self._manager.interval:

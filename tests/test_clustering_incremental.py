@@ -479,27 +479,21 @@ class TestClustererWiring:
             bubbles, store, config=MaintenanceConfig()
         )
         clusterer = IncrementalClusterer(min_pts=MIN_PTS)
-        clusterer.attach(maintainer)
-        try:
-            clusterer.fit(bubbles)
-            for _ in range(3):
-                maintainer.apply_batch(
-                    UpdateBatch(
-                        insertions=rng.normal(3.0, 2.0, size=(40, 3)),
-                        insertion_labels=tuple([0] * 40),
-                    )
+        clusterer.fit(bubbles)
+        for _ in range(3):
+            maintainer.apply_batch(
+                UpdateBatch(
+                    insertions=rng.normal(3.0, 2.0, size=(40, 3)),
+                    insertion_labels=tuple([0] * 40),
                 )
-                fit = clusterer.fit(bubbles)
-                fresh, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
-                assert np.array_equal(
-                    fit.plot.ordering, fresh.plot.ordering
-                )
-                assert np.array_equal(
-                    fit.plot.reachability, fresh.plot.reachability
-                )
-                assert fit.quality == 1.0
-        finally:
-            clusterer.detach(maintainer)
+            )
+            fit = clusterer.fit(bubbles)
+            fresh, _ = ClusterCache(min_pts=MIN_PTS).refresh(bubbles)
+            assert np.array_equal(fit.plot.ordering, fresh.plot.ordering)
+            assert np.array_equal(
+                fit.plot.reachability, fresh.plot.reachability
+            )
+            assert fit.quality == 1.0
 
     def test_expanded_plot_attributes_points_to_bubbles(self):
         bubbles = build_bubbles(24, 3, 900)

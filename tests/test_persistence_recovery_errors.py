@@ -192,6 +192,21 @@ class TestStaleTmpSweep:
         assert corrupt not in manager.snapshot_paths()
         manager.close()
 
+    def test_recovery_counts_the_sweep(self, tmp_path):
+        stream = run_stream(tmp_path, num_chunks=4)
+        stream.close()
+        (tmp_path / "snapshot-000000000099.npz.tmp").write_bytes(b"half")
+
+        # Recovery opens one manager, with the caller's obs, so its
+        # startup sweep is traced and counted like any other.
+        obs = Observability(tracer=EventTracer())
+        recovered = DurableSummarizer.recover(tmp_path, fsync=False, obs=obs)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert obs.tracer.counts().get("stale_tmp_removed") == 1
+        counter = obs.metrics.get("repro_stale_tmp_removed_total")
+        assert counter is not None and counter.value == 1
+        recovered.close()
+
     def test_recovery_is_unaffected_by_stale_tmp(self, tmp_path):
         stream = run_stream(tmp_path, num_chunks=8)
         expected_size = stream.size

@@ -16,8 +16,11 @@ Two arms per declared service-boundary failpoint (``shard.*``,
 
       applied + pending + shed + failed + dead-lettered == submitted
 
-  and a dead-letter replay through the recovered fleet's normal
-  ingestion path must drain every queue to zero.
+  every recovered tenant must hold exactly the points its shard counted
+  as applied, and a dead-letter replay through the recovered fleet's
+  normal ingestion path must drain every queue to zero. The two
+  checkpoint failpoints, which fire inside a shard's append after the
+  WAL took the batch, run as error arms too.
 
 A coverage guard fails the suite when a new service failpoint is
 declared anywhere without both arms here — the matrix can never
@@ -293,15 +296,32 @@ ERROR_ARMS = {
     ],
 }
 
+# Persistence failpoints that a scheduled checkpoint fires inside a
+# shard's append, after the WAL took the batch. Kept out of ERROR_ARMS,
+# whose keys the coverage guard compares with the service failpoints.
+CHECKPOINT_ERROR_ARMS = {
+    name: [(name, "error", {"after": 3, "times": 1})]
+    for name in ("checkpoint.snapshot_written", "checkpoint.done")
+}
+
 
 class TestErrorArms:
-    @pytest.mark.parametrize("name", sorted(ERROR_ARMS))
+    @pytest.mark.parametrize(
+        "name", sorted(ERROR_ARMS) + sorted(CHECKPOINT_ERROR_ARMS)
+    )
     def test_error_keeps_identity_and_dlq_replays_to_zero(
         self, name, tmp_path
     ):
-        fleet, outcome = _run_error_arm(tmp_path, ERROR_ARMS[name])
+        arm = ERROR_ARMS.get(name) or CHECKPOINT_ERROR_ARMS[name]
+        fleet, outcome = _run_error_arm(tmp_path, arm)
         assert_fleet_identity(outcome["totals"])
-        if name == "dlq.append.flushed":
+        if name in CHECKPOINT_ERROR_ARMS:
+            # The failed checkpoint's batch is in the WAL: it counts as
+            # applied and is never dead-lettered (a DLQ replay would
+            # apply it twice).
+            assert outcome["totals"]["supervision"]["restarts"] >= 1
+            assert outcome["totals"]["dead_lettered_points"] == 0
+        elif name == "dlq.append.flushed":
             # The append was durable but errored before the counter
             # moved: the letters are orphans on disk (at-least-once),
             # while the items went back to the queue and were re-applied
@@ -315,13 +335,23 @@ class TestErrorArms:
             # Every failure-path arm parked at least one batch durably.
             assert outcome["totals"]["dead_lettered_points"] > 0
 
-        # Replay every dead letter through the *recovered* fleet's
-        # normal ingestion path; with the fault disarmed, each queue
-        # must drain to zero.
+        applied = {
+            tenant: row["applied_points"]
+            for tenant, row in fleet.rollup()["tenants"].items()
+        }
         recovered = FleetManager.recover(
             tmp_path / "fleet", config=FleetConfig(**CONFIG)
         )
         try:
+            # The WAL holds every point counted as applied, and no more.
+            durable = {
+                tenant: recovered.shard(tenant).summarizer.store.next_id
+                for tenant in recovered.tenants
+            }
+            assert durable == applied
+            # Replay every dead letter through the *recovered* fleet's
+            # normal ingestion path; with the fault disarmed, each queue
+            # must drain to zero.
             for tenant_dir in tenant_dirs(tmp_path / "fleet"):
                 report = replay_dead_letters(
                     deadletter_path(tenant_dir),
