@@ -132,7 +132,12 @@ from .observability import (
     write_health,
     write_metrics,
 )
-from .persistence import read_manifest, read_snapshot, verify_chain
+from .persistence import (
+    read_manifest,
+    read_snapshot,
+    snapshot_paths,
+    verify_chain,
+)
 from .service import (
     FleetConfig,
     FleetManager,
@@ -679,7 +684,8 @@ def _run_dlq(args: argparse.Namespace) -> None:
 
 
 def _run_verify_chain(args: argparse.Namespace) -> None:
-    """Read-only WAL integrity scan (CRC + v2 hash chain)."""
+    """Read-only WAL integrity scan (CRC, plus the hash chain of the
+    formats that carry one); each line names the log's format version."""
     if args.fleet_dir is not None:
         root = pathlib.Path(args.fleet_dir)
         if not (root / "fleet.json").exists():
@@ -702,7 +708,10 @@ def _run_verify_chain(args: argparse.Namespace) -> None:
             print(f"{path}: missing (no WAL yet)")
             continue
         report = verify_chain(path)
-        coverage = "crc+chain" if report.version == 2 else "crc only"
+        coverage = (
+            f"v{report.version}, "
+            f"{'crc+chain' if report.chained else 'crc only'}"
+        )
         if report.ok and not report.torn_tail:
             print(
                 f"{path}: OK — {report.records} record(s) verified "
@@ -744,7 +753,7 @@ def _run_stats(args: argparse.Namespace) -> None:
     # Newest loadable snapshot, scanned without opening the WAL (a stats
     # probe must not create or repair anything).
     state = None
-    snapshots = sorted(directory.glob("snapshot-*.npz"), reverse=True)
+    snapshots = snapshot_paths(directory)
     for path in snapshots:
         try:
             state = read_snapshot(path)

@@ -32,7 +32,7 @@ from ..exceptions import DimensionMismatchError, EmptyBubbleError
 from ..types import BubbleId
 from .bubble import DataBubble
 
-__all__ = ["BubbleSet", "check_members"]
+__all__ = ["BubbleSet", "check_members", "check_owners", "owner_csr"]
 
 
 class BubbleSet:
@@ -352,24 +352,10 @@ class BubbleSet:
     # Membership
     # ------------------------------------------------------------------
     def member_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every bubble's points as CSR ``(offsets, ids)`` from the store.
-
-        Bubble ``b`` owns ``ids[offsets[b]:offsets[b + 1]]``, ascending
-        (one stable sort of the ascending alive ids by owner);
-        ``offsets`` has ``K + 1`` entries. Alive points whose owner is
-        not a bubble of this set are left out. Up to 65,536 bubbles the
-        owners are sorted as ``uint16``, which numpy radix-sorts; a
-        stable sort's order does not depend on the key's dtype.
-        """
-        num = len(self)
+        """Every bubble's points as CSR ``(offsets, ids)`` from the store
+        (:func:`owner_csr` of its alive ids and their owners)."""
         ids = self._store.ids()
-        owners = self._store.owners_of(ids)
-        owned = (owners >= 0) & (owners < num)
-        ids, owners = ids[owned], owners[owned]
-        offsets = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=num), out=offsets[1:])
-        keys = owners.astype(np.uint16) if num <= 1 << 16 else owners
-        return offsets, ids[np.argsort(keys, kind="stable")]
+        return owner_csr(ids, self._store.owners_of(ids), len(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -403,16 +389,32 @@ def _extents(n: np.ndarray, ls: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return extents
 
 
-def check_members(
-    bubbles: BubbleSet, offsets: np.ndarray, member_ids: np.ndarray
-) -> None:
-    """Cross-check persisted member arrays against the owner column.
+def owner_csr(
+    ids: np.ndarray, owners: np.ndarray, num: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bubbles ``0 .. num - 1``'s points as CSR ``(offsets, ids)``.
 
-    Snapshot and session files carry each bubble's member ids as CSR
-    arrays. On load they must equal what the store's owner column implies
-    (:meth:`BubbleSet.member_csr`), the column may name only bubbles of
-    the set, and every bubble's ``n`` must equal the number of points it
-    owns.
+    ``ids`` are ascending alive point ids and ``owners`` their owner
+    column. Bubble ``b`` owns ``ids[offsets[b]:offsets[b + 1]]``,
+    ascending (one stable sort of the ids by owner); ``offsets`` has
+    ``num + 1`` entries. Points whose owner is not in ``0 .. num - 1``
+    are left out. Up to 65,536 bubbles the owners are sorted as
+    ``uint16``, which numpy radix-sorts; a stable sort's order does not
+    depend on the key's dtype.
+    """
+    owned = (owners >= 0) & (owners < num)
+    ids, owners = ids[owned], owners[owned]
+    offsets = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=num), out=offsets[1:])
+    keys = owners.astype(np.uint16) if num <= 1 << 16 else owners
+    return offsets, ids[np.argsort(keys, kind="stable")]
+
+
+def check_owners(bubbles: BubbleSet) -> None:
+    """Cross-check the store's owner column against the summary.
+
+    The column may name only bubbles of the set, and every bubble's
+    ``n`` must equal the number of points it owns.
 
     Raises:
         ValueError: on any disagreement.
@@ -421,6 +423,31 @@ def check_members(
     owners = store.owners_of(store.ids())
     if ((owners < -1) | (owners >= len(bubbles))).any():
         raise ValueError("the owner column names a nonexistent bubble")
+    owned = np.bincount(owners[owners >= 0], minlength=len(bubbles))
+    counts = bubbles.counts()
+    drifted = np.flatnonzero(counts != owned)
+    if drifted.size:
+        b = int(drifted[0])
+        raise ValueError(
+            f"bubble {b} has n={int(counts[b])} but owns {int(owned[b])} "
+            "point(s)"
+        )
+
+
+def check_members(
+    bubbles: BubbleSet, offsets: np.ndarray, member_ids: np.ndarray
+) -> None:
+    """Cross-check persisted member arrays against the owner column.
+
+    Session files carry each bubble's member ids as CSR arrays. On load
+    they must equal what the store's owner column implies
+    (:meth:`BubbleSet.member_csr`), and the column must pass
+    :func:`check_owners`.
+
+    Raises:
+        ValueError: on any disagreement.
+    """
+    check_owners(bubbles)
     want_offsets, want_ids = bubbles.member_csr()
     if not (
         np.array_equal(offsets, want_offsets)
@@ -429,12 +456,4 @@ def check_members(
         raise ValueError(
             "the stored member arrays disagree with the store's owner "
             "column"
-        )
-    owned, counts = np.diff(want_offsets), bubbles.counts()
-    drifted = np.flatnonzero(counts != owned)
-    if drifted.size:
-        b = int(drifted[0])
-        raise ValueError(
-            f"bubble {b} has n={int(counts[b])} but owns {int(owned[b])} "
-            "point(s)"
         )

@@ -4,11 +4,12 @@ The paper's promise is a summary that is "available at any point in time"
 over a changing database — this package extends that availability across
 process lifetimes. It provides:
 
-* :mod:`~repro.persistence.wal` — an append-only, checksummed write-ahead
-  log of :class:`~repro.database.UpdateBatch` records;
-* :mod:`~repro.persistence.snapshot` — versioned, atomically-written
-  snapshots of the full summarizer state (raw sufficient statistics,
-  seeds, memberships, store content, RNG state);
+* :mod:`~repro.persistence.wal` — an append-only, checksummed and
+  hash-chained write-ahead log of :class:`~repro.database.UpdateBatch`
+  records with raw payloads;
+* :mod:`~repro.persistence.snapshot` — versioned, atomically-written,
+  checksummed snapshots of the full summarizer state (raw sufficient
+  statistics, seeds, store content with its owner column, RNG state);
 * :mod:`~repro.persistence.checkpoint` — cadence control: snapshot every
   K batches, then truncate the log;
 * :mod:`~repro.persistence.recovery` — loads the newest valid snapshot
@@ -24,7 +25,7 @@ The user-facing entry point is
 See ``docs/PERSISTENCE.md`` for the formats and the recovery semantics.
 """
 
-from .checkpoint import CheckpointManager, read_manifest
+from .checkpoint import CheckpointManager, read_manifest, snapshot_paths
 from .recovery import RecoveredState, recover_state, recovery_exists
 from .snapshot import SNAPSHOT_VERSION, read_snapshot, write_snapshot
 from .state import SummarizerState, config_from_dict, config_to_dict
@@ -53,6 +54,7 @@ __all__ = [
     "read_snapshot",
     "recover_state",
     "recovery_exists",
+    "snapshot_paths",
     "verify_chain",
     "write_snapshot",
 ]

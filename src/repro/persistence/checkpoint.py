@@ -5,8 +5,14 @@ One durable summarizer owns one state directory::
     <wal_dir>/
         manifest.json          construction parameters + format version
         wal.log                the write-ahead log (repro.persistence.wal)
-        snapshot-000000000024.npz   state after the first 24 batches
-        snapshot-000000000016.npz   an older snapshot kept as fallback
+        snapshot-000000000024.snap  state after the first 24 batches
+        snapshot-000000000016.snap  an older snapshot kept as fallback
+
+New snapshots are ``.snap`` containers (``snapshot.py``); a directory
+written by an earlier version holds ``.npz`` snapshots instead. Listing,
+retention, pruning and quarantine treat both suffixes as one sequence
+ordered by batch count (:func:`snapshot_paths`), so such a directory
+moves to the new format one checkpoint at a time.
 
 The durable summarizer snapshots through the manager every ``interval``
 applied batches, and each snapshot then truncates the WAL. The ordering
@@ -56,11 +62,18 @@ from .snapshot import read_snapshot, write_snapshot
 from .state import SummarizerState
 from .wal import WriteAheadLog
 
-__all__ = ["CheckpointManager", "MANIFEST_VERSION", "read_manifest"]
+__all__ = [
+    "CheckpointManager",
+    "MANIFEST_VERSION",
+    "read_manifest",
+    "snapshot_paths",
+]
 
 MANIFEST_VERSION = 1
 
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.npz$")
+#: Snapshot file names: ``.snap`` containers, or ``.npz`` archives from
+#: earlier versions.
+_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.(snap|npz)$")
 
 # Crash-matrix failpoints: snapshot_written sits between "snapshot
 # durable" and "WAL compacted" (recovery must skip the now-redundant
@@ -102,6 +115,29 @@ def read_manifest(wal_dir: str | pathlib.Path) -> dict:
             f"unsupported manifest version {version} in {directory}"
         )
     return document
+
+
+def snapshot_paths(wal_dir: str | pathlib.Path) -> list[pathlib.Path]:
+    """The snapshot files in ``wal_dir``, newest (highest batch count)
+    first.
+
+    ``.snap`` and ``.npz`` files form one sequence; at an equal batch
+    count the ``.snap``, written by this version, comes first.
+    Quarantined (``*.corrupt``) and temporary files are not snapshots.
+    """
+    found = []
+    for entry in pathlib.Path(wal_dir).iterdir():
+        match = _SNAPSHOT_RE.match(entry.name)
+        if match:
+            found.append(
+                (int(match.group(1)), match.group(2) == "snap", entry)
+            )
+    return [path for *_, path in sorted(found, reverse=True)]
+
+
+def _batches_of(path: pathlib.Path) -> int:
+    """The batch count a snapshot file name carries."""
+    return int(_SNAPSHOT_RE.match(path.name).group(1))
 
 
 class CheckpointManager:
@@ -221,13 +257,9 @@ class CheckpointManager:
         return self._dir / "manifest.json"
 
     def snapshot_paths(self) -> list[pathlib.Path]:
-        """Existing snapshot files, newest (highest batch count) first."""
-        found = []
-        for entry in self._dir.iterdir():
-            match = _SNAPSHOT_RE.match(entry.name)
-            if match:
-                found.append((int(match.group(1)), entry))
-        return [path for _, path in sorted(found, reverse=True)]
+        """Existing snapshot files, newest first (see
+        :func:`snapshot_paths`)."""
+        return snapshot_paths(self._dir)
 
     def has_state(self) -> bool:
         """Whether the directory already holds durable state."""
@@ -275,7 +307,7 @@ class CheckpointManager:
         with maybe_span(
             self._obs, "checkpoint", batches=state.batches_applied
         ):
-            path = self._dir / f"snapshot-{state.batches_applied:012d}.npz"
+            path = self._dir / f"snapshot-{state.batches_applied:012d}.snap"
             write_snapshot(
                 path, state, fsync=self._fsync, retry=self._retry
             )
@@ -283,10 +315,7 @@ class CheckpointManager:
             self._prune_snapshots()
             retained = self.snapshot_paths()
             oldest = (
-                min(
-                    int(_SNAPSHOT_RE.match(p.name).group(1))
-                    for p in retained
-                )
+                _batches_of(retained[-1])
                 if retained
                 else state.batches_applied
             )

@@ -9,10 +9,12 @@ assembles exactly that pair:
    see :meth:`~repro.persistence.checkpoint.CheckpointManager.latest_state`);
 2. replay the WAL, repairing a torn final record (an append interrupted by
    the crash was never acknowledged, so dropping it is correct) and
-   failing loudly on mid-log corruption;
-3. keep only records with ``seq >= batches_applied`` — older records are
-   leftovers of a crash between "snapshot written" and "WAL truncated" and
-   are already reflected in the snapshot;
+   failing loudly on mid-log corruption anywhere in it;
+3. decode only records with ``seq >= batches_applied`` — older records
+   are leftovers of a crash between "snapshot written" and "WAL
+   truncated" (or the tail an older retained snapshot would need) and
+   are already reflected in the snapshot, so they are verified but never
+   decoded;
 4. sanity-check that the tail is gapless and starts where the snapshot
    ends, so a mismatched snapshot/log pairing cannot silently skip or
    double-apply batches.
@@ -92,9 +94,8 @@ def recover_state(
 def _recover_state_inner(manager: CheckpointManager) -> RecoveredState:
     manifest = manager.read_manifest()
     state = manager.latest_state()
-    records = manager.wal.replay()
-
     covered = 0 if state is None else state.batches_applied
+    records = manager.wal.replay(min_seq=covered)
     if state is None and records and records[0].seq > 0:
         # The log was compacted up to some snapshot generation, but no
         # snapshot loads: the batches before records[0].seq are gone.
@@ -105,10 +106,10 @@ def _recover_state_inner(manager: CheckpointManager) -> RecoveredState:
             f"no snapshot in {manager.directory} loads, but the WAL "
             f"starts at batch {records[0].seq}: batches 0.."
             f"{records[0].seq - 1} are unrecoverable. Restore a "
-            f"snapshot-*.npz (quarantined copies are kept as "
+            f"snapshot-* file (quarantined copies are kept as "
             f"*.corrupt) or rebuild from the source stream."
         )
-    tail = tuple(r for r in records if r.seq >= covered)
+    tail = tuple(records)
 
     expected = covered
     for record in tail:

@@ -9,10 +9,11 @@ the incremental scheme *bit-identically*:
 * the :class:`~repro.database.PointStore` content — alive ids, coordinates,
   labels, bubble ownership and the id counter (dead-id gaps included, since
   ids are never reused);
-* the summary — per-bubble seeds, **raw** sufficient statistics
+* the summary — per-bubble seeds and **raw** sufficient statistics
   ``(n, LS, SS)`` (stored verbatim, never recomputed: incremental updates
-  accumulate floating point in arrival order) and member-id lists
-  (derived from the ownership column, which they must match on load);
+  accumulate floating point in arrival order). Which points a bubble
+  holds is the store's owner column alone; on load each bubble's ``n``
+  must equal the number of points the column gives it;
 * the maintainer — retired-bubble set, steering parameters, and the
   maintenance RNG's bit-generator state, so replayed random choices match
   the crashed process exactly;
@@ -94,9 +95,6 @@ class SummarizerState:
         seeds: ``(B, d)`` bubble seed matrix (empty before bootstrap).
         ns / linear_sums / square_sums: raw per-bubble sufficient
             statistics, aligned with ``seeds``.
-        member_offsets / member_ids: CSR-style concatenated member-id
-            lists (``member_offsets`` has ``B + 1`` entries), derived from
-            ``store_owners``.
         retired: ids of retired bubbles.
         max_adjust: the maintainer's per-batch steering bound.
         rng_state: the maintenance RNG bit-generator state dict, or
@@ -121,10 +119,6 @@ class SummarizerState:
     ns: np.ndarray = field(default_factory=_empty_i64)
     linear_sums: np.ndarray = field(default_factory=_empty_f64)
     square_sums: np.ndarray = field(default_factory=_empty_f64)
-    member_offsets: np.ndarray = field(
-        default_factory=lambda: np.zeros(1, dtype=np.int64)
-    )
-    member_ids: np.ndarray = field(default_factory=_empty_i64)
     retired: tuple[int, ...] = ()
     max_adjust: int = 4
     rng_state: dict | None = None

@@ -7,9 +7,9 @@ the summary is reconstructed by loading the last snapshot and replaying the
 logged batches through the normal maintenance path
 (:mod:`repro.persistence.recovery`).
 
-File format (version 2), all integers little-endian:
+File format (version 3), all integers little-endian:
 
-* an 8-byte file magic ``b"RPROWAL2"``;
+* an 8-byte file magic ``b"RPROWAL3"``;
 * zero or more records, each
   ``[seq: u64][length: u32][crc32: u32][chain: 32B][payload]`` where
   ``seq`` is the zero-based index of the batch in the stream's lifetime,
@@ -17,20 +17,28 @@ File format (version 2), all integers little-endian:
   ``(seq, length)`` header *and* the payload, and ``chain`` is the
   SHA-256 hash-chain digest
   ``sha256(previous_chain + pack("<QI", seq, length) + payload)`` with
-  ``sha256(magic)`` as the genesis link — every record's digest covers
-  the entire log before it, so any at-rest mutation (a flipped bit, a
-  dropped/reordered/replayed record) breaks every subsequent link and is
-  reported with the offending ``seq`` (:func:`verify_chain`, and inline
-  during :meth:`WriteAheadLog.replay`);
-* the payload is an in-memory ``.npz`` archive with the batch's
-  ``deletions`` (int64 ids), ``insertions`` (float64 ``(m, d)`` matrix) and
-  ``labels`` (int64, one per insertion) — self-describing and free of
-  pickled objects.
+  ``sha256(magic)`` — the file's own magic — as the genesis link. Every
+  record's digest covers the entire log before it, so any at-rest
+  mutation (a flipped bit, a dropped/reordered/replayed record) breaks
+  every subsequent link and is reported with the offending ``seq``
+  (:func:`verify_chain`, and inline during :meth:`WriteAheadLog.replay`);
+* the payload is raw (:func:`encode_batch`): ``<III`` counts
+  (deletions, insertions, dim), then the int64 deletions, the float64
+  ``(insertions, dim)`` matrix in row order and the int64 labels, one
+  per insertion. :func:`decode_batch` checks that the counts account for
+  every payload byte.
 
-Version-1 files (magic ``b"RPROWAL1"``, no ``chain`` field) remain fully
-readable *and appendable*: an existing v1 log keeps its format for its
-whole life (CRC-only integrity), while newly created logs are v2. The
-CRC's coverage is identical in both versions, so the torn-tail repair
+Earlier versions stay readable *and appendable*; a log keeps the format
+it was created with for its whole life, so record layouts never mix in
+one file:
+
+* version 2 (``b"RPROWAL2"``) has the same records, but each payload is
+  an in-memory ``.npz`` archive with ``deletions``, ``insertions`` and
+  ``labels`` members;
+* version 1 (``b"RPROWAL1"``) has ``.npz`` payloads and no ``chain``
+  field (CRC-only integrity).
+
+The CRC's coverage is identical in all versions, so the torn-tail repair
 logic below is version-independent.
 
 Failure semantics on read (:meth:`WriteAheadLog.replay`):
@@ -44,6 +52,10 @@ Failure semantics on read (:meth:`WriteAheadLog.replay`):
   :class:`~repro.exceptions.WalCorruptionError`: previously fsync'd data
   is damaged and silently skipping it would replay a wrong history.
 
+Replay verifies every record but decodes only those at or after the
+position it is given: recovery passes the snapshot's ``batches_applied``,
+so the records the snapshot already covers are never decoded.
+
 Failure semantics on write (:meth:`WriteAheadLog.append`):
 
 * **transient** IO errors (``EIO``/``EAGAIN``/``EINTR``/``EBUSY``) are
@@ -52,16 +64,19 @@ Failure semantics on write (:meth:`WriteAheadLog.append`):
   last good offset between attempts;
 * any append that ultimately fails rolls the file — and the handle
   position — back to the last good offset before raising, so the log
-  never accumulates a half-written record from a *surviving* process.
+  never accumulates a half-written record from a *surviving* process;
+* once the record is durable, :attr:`WriteAheadLog.appended_seq` names
+  it, even when something after the write raises, so the caller can
+  tell a batch the log holds from one it never took.
 
 Compaction (:meth:`WriteAheadLog.compact`) reads every record through
 the same CRC and hash-chain checks as replay — so it raises on damaged
 bytes instead of re-chaining them — and copies the kept records'
-headers and payloads verbatim into a temporary file. It never decodes
-or re-encodes a batch; only the v2 chain digests are recomputed, from
-the genesis link. The file is then ``os.replace``d over the log and,
-when fsync is on, the directory is fsynced so later appends land in a
-file the directory durably names.
+headers and payloads verbatim into a temporary file under the same
+magic. It never decodes or re-encodes a batch; only the chain digests
+are recomputed, from the genesis link. The file is then ``os.replace``d
+over the log and, when fsync is on, the directory is fsynced so later
+appends land in a file the directory durably names.
 
 Fault injection: the write/read/fsync paths run through
 :mod:`repro.faults` (``io.wal.*`` faults plus the ``wal.*`` failpoints
@@ -104,8 +119,14 @@ __all__ = [
 
 _MAGIC_V1 = b"RPROWAL1"
 _MAGIC_V2 = b"RPROWAL2"
+_MAGIC_V3 = b"RPROWAL3"
+#: File magic -> format version; every magic is 8 bytes.
+_VERSIONS = {_MAGIC_V1: 1, _MAGIC_V2: 2, _MAGIC_V3: 3}
+_MAGIC_LEN = len(_MAGIC_V3)
 _HEADER = struct.Struct("<QII")  # seq, payload length, crc32
-_CHAIN_LEN = hashlib.sha256().digest_size  # 32, the v2 chain digest
+_SEQ_LEN = struct.Struct("<QI")  # what the CRC and the chain cover
+_CHAIN_LEN = hashlib.sha256().digest_size  # 32, the chain digest
+_COUNTS = struct.Struct("<III")  # v3 payload: deletions, insertions, dim
 
 #: Cap on a single record's payload (guards against reading a garbage
 #: length field as a multi-gigabyte allocation).
@@ -119,7 +140,61 @@ _FP_COMPACT_REPLACED = declare_failpoint("wal.compact.replaced")
 
 
 def encode_batch(batch: UpdateBatch) -> bytes:
-    """Serialize one batch to the WAL payload format."""
+    """Serialize one batch to the raw version-3 payload format."""
+    insertions = np.ascontiguousarray(batch.insertions, dtype="<f8")
+    return b"".join(
+        (
+            _COUNTS.pack(
+                len(batch.deletions),
+                insertions.shape[0],
+                insertions.shape[1],
+            ),
+            np.asarray(batch.deletions, dtype="<i8"),
+            insertions,
+            np.asarray(batch.insertion_labels, dtype="<i8"),
+        )
+    )
+
+
+def decode_batch(payload: bytes) -> UpdateBatch:
+    """Inverse of :func:`encode_batch`.
+
+    The ids and labels become tuples of ints. The points are copied out
+    of ``payload`` into an array of their own: a view would sit 12 + 8k
+    bytes into the payload, misaligned for float64, and numpy's kernels
+    run slower on misaligned data.
+
+    Raises:
+        WalCorruptionError: the counts do not account for exactly the
+            payload's bytes.
+    """
+    if len(payload) < _COUNTS.size:
+        raise WalCorruptionError(
+            f"undecodable WAL payload: {len(payload)} bytes is shorter "
+            "than its counts"
+        )
+    deletions, insertions, dim = _COUNTS.unpack_from(payload)
+    expected = _COUNTS.size + 8 * (deletions + insertions * dim + insertions)
+    if expected != len(payload):
+        raise WalCorruptionError(
+            f"undecodable WAL payload: counts ({deletions}, {insertions}, "
+            f"{dim}) need {expected} bytes, the payload has {len(payload)}"
+        )
+    offset = _COUNTS.size
+    ids = np.frombuffer(payload, "<i8", deletions, offset)
+    offset += 8 * deletions
+    points = np.frombuffer(payload, "<f8", insertions * dim, offset)
+    offset += 8 * insertions * dim
+    labels = np.frombuffer(payload, "<i8", insertions, offset)
+    return UpdateBatch(
+        deletions=tuple(ids.tolist()),
+        insertions=points.reshape(insertions, dim).copy(),
+        insertion_labels=tuple(labels.tolist()),
+    )
+
+
+def _encode_npz_batch(batch: UpdateBatch) -> bytes:
+    """The ``.npz`` payload of version-1 and version-2 logs."""
     buffer = io.BytesIO()
     np.savez(
         buffer,
@@ -130,8 +205,8 @@ def encode_batch(batch: UpdateBatch) -> bytes:
     return buffer.getvalue()
 
 
-def decode_batch(payload: bytes) -> UpdateBatch:
-    """Inverse of :func:`encode_batch`."""
+def _decode_npz_batch(payload: bytes) -> UpdateBatch:
+    """Inverse of :func:`_encode_npz_batch`."""
     try:
         with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
             deletions = archive["deletions"]
@@ -148,25 +223,23 @@ def decode_batch(payload: bytes) -> UpdateBatch:
     )
 
 
-def _genesis_chain() -> bytes:
-    """The chain link "before" the first record of a v2 log."""
-    return hashlib.sha256(_MAGIC_V2).digest()
-
-
 def _next_chain(previous: bytes, seq: int, payload: bytes) -> bytes:
-    """Advance the hash chain over one record."""
-    return hashlib.sha256(
-        previous + struct.pack("<QI", int(seq), len(payload)) + payload
-    ).digest()
+    """Advance the hash chain over one record (hashed in pieces, so the
+    payload is never copied)."""
+    digest = hashlib.sha256(previous)
+    digest.update(_SEQ_LEN.pack(seq, len(payload)))
+    digest.update(payload)
+    return digest.digest()
+
+
+def _record_crc(seq: int, payload: bytes) -> int:
+    """CRC-32 of the packed ``(seq, length)`` pair and the payload."""
+    return zlib.crc32(payload, zlib.crc32(_SEQ_LEN.pack(seq, len(payload))))
 
 
 def _record_header(seq: int, payload: bytes) -> bytes:
     """The packed ``(seq, length, crc32)`` header of one record."""
-    return _HEADER.pack(
-        seq,
-        len(payload),
-        zlib.crc32(struct.pack("<QI", seq, len(payload)) + payload),
-    )
+    return _HEADER.pack(seq, len(payload), _record_crc(seq, payload))
 
 
 @dataclass(frozen=True)
@@ -181,11 +254,11 @@ class WalRecord:
 class ChainReport:
     """Outcome of a read-only WAL integrity scan (:func:`verify_chain`).
 
-    ``ok`` means every complete record verified (CRC, and for v2 files
-    the hash chain). A torn final record — the footprint of a crash
-    mid-append, not of at-rest corruption — is reported via
-    ``torn_tail`` without failing the scan; callers that expect a
-    cleanly closed log can still reject it. On failure ``bad_seq`` /
+    ``ok`` means every complete record verified (CRC, and for version 2
+    and later the hash chain; see :attr:`chained`). A torn final record
+    — the footprint of a crash mid-append, not of at-rest corruption —
+    is reported via ``torn_tail`` without failing the scan; callers that
+    expect a cleanly closed log can still reject it. On failure ``bad_seq`` /
     ``bad_record`` locate the first offending record and ``reason`` is
     one of ``bad_magic``, ``bad_header``, ``crc_mismatch`` or
     ``chain_mismatch``.
@@ -200,29 +273,31 @@ class ChainReport:
     bad_record: int | None = None
     reason: str | None = None
 
+    @property
+    def chained(self) -> bool:
+        """Whether this log's format carries the SHA-256 hash chain."""
+        return self.version >= 2
+
 
 def verify_chain(path: str | pathlib.Path) -> ChainReport:
     """Scan a WAL file end to end without mutating it.
 
-    Recomputes every record's CRC and — for version-2 files — walks the
-    SHA-256 hash chain from its genesis link, so a single flipped bit
-    anywhere in the file (header, chain digest or payload) surfaces as a
-    failed report naming the first record whose stored bytes disagree
-    with its recomputed digest. Version-1 files (no chain field) get
-    CRC-only coverage and ``version=1`` in the report so callers can
-    tell the weaker guarantee apart.
+    Recomputes every record's CRC and — for version-2 and version-3
+    files — walks the SHA-256 hash chain from its genesis link, so a
+    single flipped bit anywhere in the file (header, chain digest or
+    payload) surfaces as a failed report naming the first record whose
+    stored bytes disagree with its recomputed digest. Version-1 files
+    (no chain field) get CRC-only coverage and ``version=1`` in the
+    report so callers can tell the weaker guarantee apart.
 
     Unlike :meth:`WriteAheadLog.replay` this never repairs a torn tail:
     the file is opened read-only and left byte-identical.
     """
     path = pathlib.Path(path)
     with open(path, "rb") as handle:
-        magic = handle.read(len(_MAGIC_V2))
-        if magic == _MAGIC_V2:
-            version = 2
-        elif magic == _MAGIC_V1:
-            version = 1
-        else:
+        magic = handle.read(_MAGIC_LEN)
+        version = _VERSIONS.get(magic, 0)
+        if not version:
             return ChainReport(
                 path=str(path),
                 version=0,
@@ -251,7 +326,8 @@ def verify_chain(path: str | pathlib.Path) -> ChainReport:
                 reason=reason,
             )
 
-        chain = _genesis_chain()
+        chained = version >= 2
+        chain = hashlib.sha256(magic).digest()
         records = 0
         while True:
             header_bytes = handle.read(_HEADER.size)
@@ -263,21 +339,21 @@ def verify_chain(path: str | pathlib.Path) -> ChainReport:
             if length >= _MAX_PAYLOAD:
                 return bad(records, seq, "bad_header")
             stored_chain = b""
-            if version == 2:
+            if chained:
                 stored_chain = handle.read(_CHAIN_LEN)
                 if len(stored_chain) < _CHAIN_LEN:
                     return torn(records)
             payload = handle.read(length)
             if len(payload) < length:
                 return torn(records)
-            if crc != zlib.crc32(struct.pack("<QI", seq, length) + payload):
+            if crc != _record_crc(seq, payload):
                 if not handle.read(1):
                     # Final record, short of its advertised bytes on
                     # disk: a torn write, indistinguishable from (and
                     # treated as) a crashed append.
                     return torn(records)
                 return bad(records, seq, "crc_mismatch")
-            if version == 2:
+            if chained:
                 chain = _next_chain(chain, seq, payload)
                 if stored_chain != chain:
                     # A complete record with a valid CRC can only carry
@@ -294,7 +370,8 @@ class WriteAheadLog:
     """Checksummed, length-prefixed append-only log in a single file.
 
     Args:
-        path: the log file; created (with its magic header) when missing.
+        path: the log file; created (with the version-3 magic) when
+            missing. An existing file keeps its own version.
         fsync: whether appends flush through to the disk before returning.
             Leave on for crash durability; tests and benchmarks may turn it
             off for speed (process-crash safety is retained either way —
@@ -320,27 +397,30 @@ class WriteAheadLog:
         if not self._path.exists():
             self._path.parent.mkdir(parents=True, exist_ok=True)
             with open(self._path, "wb") as handle:
-                handle.write(_MAGIC_V2)
+                handle.write(_MAGIC_V3)
                 handle.flush()
                 os.fsync(handle.fileno())
             created = True
         self._handle = open(self._path, "r+b")
-        magic = self._handle.read(len(_MAGIC_V2))
-        if magic == _MAGIC_V2:
-            self._version = 2
-        elif magic == _MAGIC_V1:
-            # A log written before the hash chain existed: keep reading
-            # and appending in its native CRC-only format for its whole
-            # life rather than mixing record layouts in one file.
-            self._version = 1
-        else:
+        magic = self._handle.read(_MAGIC_LEN)
+        if magic not in _VERSIONS:
             self._handle.close()
             raise WalCorruptionError(
                 f"{self._path} is not a WAL file (magic {magic!r})"
             )
-        # v2 chain head; computed lazily by _scan()/_chain_tip() for
+        # A log keeps the format it was created with for its whole life
+        # rather than mixing record layouts in one file.
+        self._magic = magic
+        self._version = _VERSIONS[magic]
+        if self._version == 3:
+            self._encode, self._decode = encode_batch, decode_batch
+        else:
+            self._encode, self._decode = _encode_npz_batch, _decode_npz_batch
+        self._genesis = hashlib.sha256(magic).digest()
+        # Chain head; computed lazily by _scan()/_chain_tip() for
         # pre-existing files so plain opens stay O(1).
-        self._chain: bytes | None = _genesis_chain() if created else None
+        self._chain: bytes | None = self._genesis if created else None
+        self._appended_seq: int | None = None
         self._handle.seek(0, os.SEEK_END)
 
     # ------------------------------------------------------------------
@@ -353,16 +433,28 @@ class WriteAheadLog:
 
     @property
     def version(self) -> int:
-        """On-disk format version (1 = CRC only, 2 = hash-chained)."""
+        """On-disk format version (1 = CRC only, 2 = hash-chained ``.npz``
+        payloads, 3 = hash-chained raw payloads)."""
         return self._version
 
     @property
     def chained(self) -> bool:
         """Whether records carry the SHA-256 hash-chain digest."""
-        return self._version == 2
+        return self._version >= 2
+
+    @property
+    def appended_seq(self) -> int | None:
+        """The ``seq`` of the last record this handle made durable, or
+        ``None`` before its first append.
+
+        It moves as soon as the record is flushed, before anything else
+        in :meth:`append` can raise, so a caller that catches an error
+        from ``append`` can still tell whether the log holds the record.
+        """
+        return self._appended_seq
 
     def _chain_tip(self) -> bytes:
-        """Current chain head, scanning the file on first use (v2 only)."""
+        """Current chain head, scanning the file on first use."""
         if self._chain is None:
             # _scan() walks every record from the genesis link, repairs
             # a torn tail, and leaves self._chain at the verified head.
@@ -375,17 +467,20 @@ class WriteAheadLog:
 
         The record is flushed (and fsync'd unless disabled) before this
         returns — the write-ahead guarantee callers rely on. Returns the
-        number of bytes appended (header + payload).
+        number of bytes appended (header, chain digest and payload).
 
         Transient IO errors are retried with backoff; each retry (and a
         final failure) rolls the file and handle back to the last good
         offset, so a failed append leaves the log exactly as it was.
+        A failure after the record landed (the ``wal.append.flushed``
+        failpoint) leaves it in the log, named by :attr:`appended_seq`.
         """
-        payload = encode_batch(batch)
-        header = _record_header(int(seq), payload)
+        seq = int(seq)
+        payload = self._encode(batch)
+        header = _record_header(seq, payload)
         chain = b""
-        if self._version == 2:
-            chain = _next_chain(self._chain_tip(), int(seq), payload)
+        if self.chained:
+            chain = _next_chain(self._chain_tip(), seq, payload)
         FAILPOINTS.fire(_FP_APPEND_START)
         self._handle.seek(0, os.SEEK_END)
         start = self._handle.tell()
@@ -414,11 +509,12 @@ class WriteAheadLog:
             # replay by this same process — starts from a clean tail.
             self._rollback_to(start)
             raise
-        if self._version == 2:
-            # Only a durably written record advances the chain head; a
-            # rolled-back append leaves both the file and the chain as
-            # they were.
+        # Only a durably written record advances the chain head; a
+        # rolled-back append leaves both the file and the chain as they
+        # were.
+        if chain:
             self._chain = chain
+        self._appended_seq = seq
         FAILPOINTS.fire(_FP_APPEND_FLUSHED)
         return len(header) + len(chain) + len(payload)
 
@@ -450,13 +546,13 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Drop every record (checkpoint truncation after a snapshot)."""
-        self._handle.seek(len(_MAGIC_V2))
+        self._handle.seek(_MAGIC_LEN)
         self._handle.truncate()
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
         # The chain is per-file content: an emptied log restarts it.
-        self._chain = _genesis_chain() if self._version == 2 else None
+        self._chain = self._genesis
 
     def compact(self, min_seq: int) -> int:
         """Atomically drop records with ``seq < min_seq``.
@@ -467,28 +563,27 @@ class WriteAheadLog:
         corrupted at rest. Every record is read back through the same
         CRC and hash-chain checks as :meth:`replay`, so damaged bytes are
         never re-chained; the kept payloads are then copied verbatim
-        (never decoded or re-encoded), and only the chain digests are
-        recomputed, restarting at the genesis link. The rewrite goes
-        through a temporary file and an ``os.replace`` (followed by a
-        directory fsync when fsync is on), so a crash mid-compaction
-        leaves the previous log intact. Returns the number of records
-        dropped.
+        (never decoded or re-encoded) under the file's own magic, and
+        only the chain digests are recomputed, restarting at the genesis
+        link. The rewrite goes through a temporary file and an
+        ``os.replace`` (followed by a directory fsync when fsync is on),
+        so a crash mid-compaction leaves the previous log intact. Returns
+        the number of records dropped.
         """
         records = self._scan()
         keep = [record for record in records if record[0] >= min_seq]
         tmp = self._path.with_name(self._path.name + ".tmp")
-        magic = _MAGIC_V2 if self._version == 2 else _MAGIC_V1
-        rewritten_chain = _genesis_chain()
+        rewritten_chain = self._genesis
 
         def rewrite() -> None:
             nonlocal rewritten_chain
-            rewritten_chain = _genesis_chain()
+            rewritten_chain = self._genesis
             with open(tmp, "wb") as raw:
                 handle = maybe_wrap(raw, "wal")
-                handle.write(magic)
+                handle.write(self._magic)
                 for seq, payload in keep:
                     handle.write(_record_header(seq, payload))
-                    if self._version == 2:
+                    if self.chained:
                         rewritten_chain = _next_chain(
                             rewritten_chain, seq, payload
                         )
@@ -519,9 +614,8 @@ class WriteAheadLog:
             fsync_directory(self._path.parent)
         self._handle = open(self._path, "r+b")
         self._handle.seek(0, os.SEEK_END)
-        if self._version == 2:
-            # The rewritten file restarted the chain over the kept records.
-            self._chain = rewritten_chain
+        # The rewritten file restarted the chain over the kept records.
+        self._chain = rewritten_chain
         return len(records) - len(keep)
 
     def close(self) -> None:
@@ -538,40 +632,45 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def replay(self) -> list[WalRecord]:
-        """Read every intact record, repairing a torn tail in place.
+    def replay(self, min_seq: int = 0) -> list[WalRecord]:
+        """Verify every record, repairing a torn tail in place, and
+        decode those with ``seq >= min_seq``.
 
-        Returns the records in append order. A torn final record is
-        truncated from the file so subsequent appends extend a clean log.
-
-        For version-2 files the SHA-256 hash chain is verified inline —
-        recovery therefore detects a diverged or mutated history for
-        free, before any batch is re-applied.
+        Returns the decoded records in append order. Every record is read
+        and checked (CRC, and the hash chain when the format carries
+        one), so a damaged record raises wherever it sits; only the
+        decoding is skipped below ``min_seq``. Recovery passes the
+        snapshot's ``batches_applied``: the records it covers are never
+        decoded. A torn final record is truncated from the file so
+        subsequent appends extend a clean log.
 
         Raises:
             WalCorruptionError: a complete record fails its checksum,
-                carries an impossible header, or (v2) disagrees with the
-                recomputed hash chain — the log cannot be trusted.
+                carries an impossible header or payload, or disagrees
+                with the recomputed hash chain — the log cannot be
+                trusted.
         """
         return [
-            WalRecord(seq=seq, batch=decode_batch(payload))
+            WalRecord(seq=seq, batch=self._decode(payload))
             for seq, payload in self._scan()
+            if seq >= min_seq
         ]
 
     def _scan(self) -> list[tuple[int, bytes]]:
         """Every intact record as ``(seq, payload)``, undecoded.
 
         The record loop behind :meth:`replay` and :meth:`compact`:
-        checks each record's CRC and (v2) hash-chain link, repairs a torn
-        tail in place, leaves the chain head at the last verified record
-        and raises :class:`~repro.exceptions.WalCorruptionError` exactly
-        as documented on :meth:`replay`.
+        checks each record's CRC and (chained formats) hash-chain link,
+        repairs a torn tail in place, leaves the chain head at the last
+        verified record and raises
+        :class:`~repro.exceptions.WalCorruptionError` exactly as
+        documented on :meth:`replay`.
         """
-        self._handle.seek(len(_MAGIC_V2))
+        self._handle.seek(_MAGIC_LEN)
         handle = maybe_wrap(self._handle, "wal")
         records: list[tuple[int, bytes]] = []
-        good_end = len(_MAGIC_V2)
-        chain = _genesis_chain()
+        good_end = _MAGIC_LEN
+        chain = self._genesis
         while True:
             header_bytes = handle.read(_HEADER.size)
             if not header_bytes:
@@ -586,7 +685,7 @@ class WriteAheadLog:
                     f"absurd payload of {length} bytes"
                 )
             stored_chain = b""
-            if self._version == 2:
+            if self.chained:
                 stored_chain = handle.read(_CHAIN_LEN)
                 if len(stored_chain) < _CHAIN_LEN:
                     self._repair_torn_tail(
@@ -597,10 +696,7 @@ class WriteAheadLog:
             if len(payload) < length:
                 self._repair_torn_tail(good_end, len(records), "mid_payload")
                 break
-            expected = zlib.crc32(
-                struct.pack("<QI", seq, length) + payload
-            )
-            if crc != expected:
+            if crc != _record_crc(seq, payload):
                 if self._at_eof():
                     # The final record's bytes were only partially persisted
                     # before the crash: a torn write, not corruption.
@@ -613,7 +709,7 @@ class WriteAheadLog:
                     f"{self._path} (seq {seq}); the log is corrupt before "
                     "its tail and cannot be replayed safely"
                 )
-            if self._version == 2:
+            if self.chained:
                 chain = _next_chain(chain, seq, payload)
                 if stored_chain != chain:
                     # Torn writes leave the record short, so a complete
@@ -628,8 +724,7 @@ class WriteAheadLog:
                     )
             records.append((int(seq), payload))
             good_end = self._handle.tell()
-        if self._version == 2:
-            self._chain = chain
+        self._chain = chain
         self._handle.seek(0, os.SEEK_END)
         return records
 

@@ -8,7 +8,7 @@ One :class:`FleetManager` owns one fleet root directory::
             <tenant-a>/            one DurableSummarizer state dir
                 manifest.json      (see repro.persistence.checkpoint)
                 wal.log
-                snapshot-*.npz
+                snapshot-*.snap    (.npz from earlier versions)
             <tenant-b>/
                 ...
 

@@ -40,7 +40,7 @@ from .core import (
     MaintenanceConfig,
 )
 from .core.audit import AuditReport, InvariantAuditor
-from .core.bubble_set import check_members
+from .core.bubble_set import check_owners
 from .core.maintenance import BatchReport
 from .core.validate import RejectedPoint, check_policy, screen_chunk
 from .database import PointStore, UpdateBatch
@@ -508,8 +508,7 @@ class SlidingWindowSummarizer:
         owner column), raw per-bubble sufficient statistics (never
         recomputed — they carry insertion-order floating-point history),
         seeds, the maintainer's RNG state and retired set, and the
-        distance totals. The per-bubble member ids the snapshot format
-        carries are derived from the owner column.
+        distance totals. Membership is the owner column alone.
 
         Args:
             batches_applied: stream position this state corresponds to
@@ -540,7 +539,6 @@ class SlidingWindowSummarizer:
         bubbles = self._maintainer.bubbles
         state.seeds = bubbles.seeds()
         state.ns, state.linear_sums, state.square_sums = bubbles.statistics()
-        state.member_offsets, state.member_ids = bubbles.member_csr()
         state.retired = tuple(sorted(self._maintainer.retired_ids))
         state.max_adjust = self._maintainer.max_adjust_per_batch
         state.rng_state = self._maintainer.rng_state
@@ -562,8 +560,9 @@ class SlidingWindowSummarizer:
 
         Raises:
             ValueError: the state is internally inconsistent — among
-                others, its member arrays or ``ns`` disagree with what
-                the store's owner column implies.
+                others, the store's owner column names a nonexistent
+                bubble, or a bubble's ``n`` differs from the number of
+                points the column gives it.
         """
         stream = cls(
             dim=state.dim,
@@ -598,7 +597,7 @@ class SlidingWindowSummarizer:
             stream._store, state.seeds, state.ns, state.linear_sums,
             state.square_sums,
         )
-        check_members(bubbles, state.member_offsets, state.member_ids)
+        check_owners(bubbles)
         maintainer = AdaptiveMaintainer(
             bubbles,
             stream._store,
@@ -821,7 +820,7 @@ class DurableSummarizer:
                     raise CorruptStateError(
                         f"snapshot state for {wal_dir} is internally "
                         f"inconsistent ({exc}); rename the newest "
-                        f"snapshot-*.npz aside to fall back to an older "
+                        f"snapshot-* file aside to fall back to an older "
                         f"generation, or rebuild from the source stream"
                     ) from exc
                 stream._seq = recovered.state.batches_applied
@@ -888,7 +887,11 @@ class DurableSummarizer:
         """Durably ingest one chunk: WAL first, then the in-memory apply.
 
         Returns the maintainer's report (``None`` while buffering), like
-        :meth:`SlidingWindowSummarizer.append`.
+        :meth:`SlidingWindowSummarizer.append`. When an error is raised
+        after the WAL record landed (a failpoint, the WAL metrics or
+        event, or a scheduled checkpoint), the batch has been applied
+        anyway and :attr:`batches_applied` has moved: the log holds it,
+        so it is not to be retried.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
@@ -922,31 +925,43 @@ class DurableSummarizer:
             insertion_labels=label_tuple,
         )
 
-        if self._obs is None:
-            self._manager.wal.append(self._seq, batch)
-        else:
-            started = time.perf_counter()
-            # "wal_seq", not "seq": a field named "seq" would collide
-            # with the trace line's own sequence number on serialization.
-            with maybe_span(
-                self._obs,
-                "wal_append",
-                wal_seq=self._seq,
-                points=points.shape[0],
-            ):
-                nbytes = self._manager.wal.append(self._seq, batch)
-            elapsed = time.perf_counter() - started
-            self._m_wal_appends.inc()
-            self._m_wal_bytes.inc(nbytes)
-            self._m_wal_seconds.observe(elapsed)
-            self._obs.emit(
-                "wal_append",
-                wal_seq=self._seq,
-                bytes=nbytes,
-                points=points.shape[0],
-                seconds=elapsed,
-            )
+        wal = self._manager.wal
+        try:
+            if self._obs is None:
+                wal.append(self._seq, batch)
+            else:
+                self._logged_append(batch)
+        except BaseException:
+            if wal.appended_seq == self._seq:
+                # The record is durable and recovery will replay it, so
+                # the batch is applied before the error leaves: memory
+                # stays equal to a replay of the log, and the caller
+                # sees batches_applied move.
+                self._apply(points, list(label_tuple))
+            raise
         return self._apply(points, list(label_tuple))
+
+    def _logged_append(self, batch: UpdateBatch) -> None:
+        """The WAL append with its span, metrics and event."""
+        started = time.perf_counter()
+        points = batch.num_insertions
+        # "wal_seq", not "seq": a field named "seq" would collide with
+        # the trace line's own sequence number on serialization.
+        with maybe_span(
+            self._obs, "wal_append", wal_seq=self._seq, points=points
+        ):
+            nbytes = self._manager.wal.append(self._seq, batch)
+        elapsed = time.perf_counter() - started
+        self._m_wal_appends.inc()
+        self._m_wal_bytes.inc(nbytes)
+        self._m_wal_seconds.observe(elapsed)
+        self._obs.emit(
+            "wal_append",
+            wal_seq=self._seq,
+            bytes=nbytes,
+            points=points,
+            seconds=elapsed,
+        )
 
     # ------------------------------------------------------------------
     # Checkpoint control

@@ -3,13 +3,15 @@
 The fixture is a crash-closed :class:`~repro.streaming.DurableSummarizer`
 state directory (manifest, two snapshots and a three-batch WAL tail)
 plus the arrays its recovery produced, written by commit 1268c4d — the
-last version whose bubbles kept member-id sets of their own. The test
+last version whose bubbles kept member-id sets of their own. Its WAL is
+version 2 and its snapshots are version-1 ``.npz`` archives. The test
 ``tests/test_persistence_snapshot.py::TestMemberSetStateFixture`` checks
 that the current code recovers the same directory to the same arrays,
-member CSR and RNG state included. Only the two distance counters were
-re-pinned since, when the seed matrix began to be kept across batches
-(``counter_computed`` 3066 → 3040, ``counter_pruned`` 1783 → 1767): the
-summary is the same, the distances spent on it are fewer.
+member CSR (``BubbleSet.member_csr``) and RNG state included. Only the
+two distance counters were re-pinned since, when the seed matrix began
+to be kept across batches (``counter_computed`` 3066 → 3040,
+``counter_pruned`` 1783 → 1767): the summary is the same, the distances
+spent on it are fewer.
 
 Run from the repository root, against the version under test::
 
@@ -42,8 +44,6 @@ ARRAY_FIELDS = (
     "ns",
     "linear_sums",
     "square_sums",
-    "member_offsets",
-    "member_ids",
 )
 SCALAR_FIELDS = (
     "batches_applied",
@@ -90,8 +90,10 @@ def recovered_arrays(state_dir: pathlib.Path) -> tuple[dict, dict]:
         shutil.copytree(state_dir, copy)
         stream = DurableSummarizer.recover(copy, fsync=False)
         state = stream.inner.capture_state(stream.batches_applied)
+        members = stream.summary.member_csr()
         stream.close(checkpoint=False)
     arrays = {name: getattr(state, name) for name in ARRAY_FIELDS}
+    arrays["member_offsets"], arrays["member_ids"] = members
     arrays.update(
         {name: np.int64(getattr(state, name)) for name in SCALAR_FIELDS}
     )

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.persistence import snapshot_paths
 
 
 class TestParser:
@@ -61,7 +62,7 @@ class TestSummarize:
         assert "6 batches durable" in out
         assert (state_dir / "manifest.json").exists()
         assert (state_dir / "wal.log").exists()
-        assert any(state_dir.glob("snapshot-*.npz"))
+        assert snapshot_paths(state_dir)
 
     def test_resume_continues_the_stream(self, tmp_path, capsys):
         state_dir = tmp_path / "state"

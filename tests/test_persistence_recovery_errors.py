@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from legacy_formats import npz_snapshot_arrays
 
 from repro import CorruptStateError, DurableSummarizer
 from repro.observability import EventTracer, Observability
-from repro.persistence import CheckpointManager, recover_state
+from repro.persistence import (
+    CheckpointManager,
+    read_snapshot,
+    recover_state,
+    snapshot_paths,
+)
 
 DIM = 2
 WINDOW = 400
@@ -96,7 +106,7 @@ class TestMissingSnapshotGeneration:
         # The WAL has been compacted past batch 0; deleting every
         # snapshot leaves an unrecoverable gap.
         removed = 0
-        for snapshot in tmp_path.glob("snapshot-*.npz"):
+        for snapshot in snapshot_paths(tmp_path):
             snapshot.unlink()
             removed += 1
         assert removed >= 1
@@ -110,15 +120,15 @@ class TestMissingSnapshotGeneration:
     def test_all_snapshots_corrupt_raises_corrupt_state(self, tmp_path):
         stream = run_stream(tmp_path, num_chunks=10, checkpoint_every=4)
         stream.close()
-        snapshots = sorted(tmp_path.glob("snapshot-*.npz"))
+        snapshots = snapshot_paths(tmp_path)
         assert snapshots
         for snapshot in snapshots:
-            snapshot.write_bytes(b"not a zip archive")
+            snapshot.write_bytes(b"not a snapshot")
 
         with pytest.raises(CorruptStateError):
             DurableSummarizer.recover(tmp_path, fsync=False)
         # Every damaged generation was quarantined, none deleted.
-        assert not list(tmp_path.glob("snapshot-*.npz"))
+        assert not snapshot_paths(tmp_path)
         assert len(list(tmp_path.glob("*.corrupt"))) == len(snapshots)
 
 
@@ -127,9 +137,9 @@ class TestQuarantineFallback:
         obs = Observability(tracer=EventTracer())
         stream = run_stream(tmp_path, num_chunks=8, checkpoint_every=4)
         stream.close()
-        snapshots = sorted(tmp_path.glob("snapshot-*.npz"))
+        snapshots = snapshot_paths(tmp_path)
         assert len(snapshots) >= 2
-        newest = snapshots[-1]
+        newest = snapshots[0]
         original = newest.read_bytes()
         newest.write_bytes(original[: len(original) // 2])  # torn at rest
 
@@ -154,7 +164,7 @@ class TestQuarantineFallback:
         stream = run_stream(tmp_path, num_chunks=8, checkpoint_every=4)
         expected_size = stream.size
         stream.close()
-        newest = sorted(tmp_path.glob("snapshot-*.npz"))[-1]
+        newest = snapshot_paths(tmp_path)[0]
         newest.write_bytes(newest.read_bytes()[:100])
 
         recovered = DurableSummarizer.recover(tmp_path, fsync=False)
@@ -236,18 +246,44 @@ class TestInternallyInconsistentSnapshot:
             DurableSummarizer.recover(tmp_path, fsync=False)
 
     def test_member_arrays_must_match_the_owner_column(self, tmp_path):
-        # Swap two points between two bubbles' member lists: every count
-        # still agrees, but the lists now contradict the owner column.
+        # A snapshot of an earlier version carries member lists. Swap two
+        # points between two bubbles' lists: every count still agrees,
+        # but the lists now contradict the owner column.
         stream = run_stream(tmp_path, num_chunks=8)
         stream.close()
-        snapshot = sorted(tmp_path.glob("snapshot-*.npz"))[-1]
-        with np.load(snapshot) as archive:
-            arrays = {key: archive[key] for key in archive.files}
+        snapshot = snapshot_paths(tmp_path)[0]
+        arrays = npz_snapshot_arrays(read_snapshot(snapshot))
         offsets, members = arrays["member_offsets"], arrays["member_ids"]
         first, second = np.flatnonzero(np.diff(offsets))[:2]
         i, j = offsets[first], offsets[second]
         members[[i, j]] = members[[j, i]]
-        np.savez(snapshot, **arrays)
+        snapshot.unlink()
+        np.savez(snapshot.with_suffix(".npz"), **arrays)
 
         with pytest.raises(CorruptStateError, match="owner column"):
+            DurableSummarizer.recover(tmp_path, fsync=False)
+
+    def test_owner_column_must_name_existing_bubbles(self, tmp_path):
+        # A container carries no member lists; the owner column is the
+        # membership record. Hand one point to a bubble that does not
+        # exist and re-seal the CRC-32: recovery must refuse the state.
+        stream = run_stream(tmp_path, num_chunks=8)
+        num_bubbles = len(stream.summary)
+        stream.close()
+        snapshot = snapshot_paths(tmp_path)[0]
+        data = snapshot.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 8)
+        header = json.loads(data[12 : 12 + length])
+        offset = 12 + length
+        for name, _, shape in header["arrays"]:
+            if name == "store_owners":
+                break
+            offset += 8 * int(np.prod(shape))
+        blob = bytearray(data[:-4])
+        struct.pack_into("<q", blob, offset, num_bubbles + 5)
+        snapshot.write_bytes(
+            bytes(blob) + struct.pack("<I", zlib.crc32(blob))
+        )
+
+        with pytest.raises(CorruptStateError, match="nonexistent bubble"):
             DurableSummarizer.recover(tmp_path, fsync=False)

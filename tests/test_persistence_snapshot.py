@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import pathlib
 import shutil
+import struct
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
+from legacy_formats import write_npz_snapshot
 
 from repro import (
     DurableSummarizer,
@@ -19,6 +22,7 @@ from repro import (
 from repro.persistence import (
     CheckpointManager,
     read_snapshot,
+    snapshot_paths,
     write_snapshot,
 )
 
@@ -122,7 +126,7 @@ class TestStateRoundTrip:
             assert a.stats.square_sum == b.stats.square_sum
 
 
-ARRAY_KEYS = (
+STATE_KEYS = (
     "store_ids",
     "store_points",
     "store_labels",
@@ -131,19 +135,137 @@ ARRAY_KEYS = (
     "ns",
     "linear_sums",
     "square_sums",
-    "member_offsets",
-    "member_ids",
 )
+ARRAY_KEYS = STATE_KEYS + ("member_offsets", "member_ids")
+
+
+def container_header(data):
+    """The JSON header of a version-2 container and where it ends."""
+    (length,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[12 : 12 + length]), 12 + length
+
+
+def rewrite_container(path, edit):
+    """Re-encode the container at ``path`` after ``edit(header)``
+    changed its header dict, with a fresh CRC-32."""
+    data = path.read_bytes()
+    header, end = container_header(data)
+    edit(header)
+    encoded = json.dumps(header).encode("utf-8")
+    blob = data[:8] + struct.pack("<I", len(encoded)) + encoded
+    blob += data[end:-4]
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def assert_recovered_equal(a, b):
+    """Bit-equal store, summary and RNG state of two recoveries."""
+    assert a.batches_applied == b.batches_applied
+    ids = a.store.ids()
+    assert np.array_equal(ids, b.store.ids())
+    for accessor in ("points_of", "owners_of", "labels_of"):
+        assert np.array_equal(
+            getattr(a.store, accessor)(ids),
+            getattr(b.store, accessor)(ids),
+        )
+    assert len(a.summary) == len(b.summary)
+    for x, y in zip(a.summary, b.summary):
+        assert x.n == y.n
+        assert np.array_equal(x.seed, y.seed)
+        assert np.array_equal(
+            np.asarray(x.stats.linear_sum), np.asarray(y.stats.linear_sum)
+        )
+        assert x.stats.square_sum == y.stats.square_sum
+        assert np.array_equal(
+            a.store.owned_by(x.bubble_id), b.store.owned_by(y.bubble_id)
+        )
+    assert a.maintainer.rng_state == b.maintainer.rng_state
+
+
+def crash_closed_state(state_dir, rng):
+    """Ten batches at a checkpoint every four, crash-closed: two
+    snapshots and a two-batch WAL tail."""
+    stream = DurableSummarizer(
+        state_dir,
+        dim=2,
+        window_size=800,
+        points_per_bubble=40,
+        seed=7,
+        checkpoint_every=4,
+        fsync=False,
+    )
+    for _ in range(10):
+        stream.append(rng.normal(size=(120, 2)))
+    stream.checkpoints.close()  # crash: no goodbye checkpoint
+    return stream
+
+
+def downgrade_snapshots(state_dir, **options):
+    """Replace every ``.snap`` in ``state_dir`` by the version-1
+    ``.npz`` earlier versions wrote for the same state."""
+    snapshots = snapshot_paths(state_dir)
+    assert [p.suffix for p in snapshots] == [".snap", ".snap"]
+    for snapshot in snapshots:
+        legacy = snapshot.with_suffix(".npz")
+        write_npz_snapshot(legacy, read_snapshot(snapshot), **options)
+        snapshot.unlink()
+    return snapshot_paths(state_dir)
 
 
 class TestSnapshotFormat:
+    def test_new_snapshots_are_containers(self, tmp_path, running_stream):
+        state = running_stream.capture_state(batches_applied=8)
+        path = write_snapshot(tmp_path / "snap.snap", state, fsync=False)
+        data = path.read_bytes()
+        assert data[:8] == b"RPROSNAP"
+        assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
+        header, end = container_header(data)
+        assert header["snapshot_version"] == 2
+        assert [entry[0] for entry in header["arrays"]] == list(STATE_KEYS)
+        assert "member_offsets" not in header and "member_ids" not in header
+        # The arrays sit back to back, in table order, up to the CRC.
+        raw = b"".join(getattr(state, key).tobytes() for key in STATE_KEYS)
+        assert data[end:-4] == raw
+
+    def test_bit_flips_in_container_array_data_raise(
+        self, tmp_path, running_stream
+    ):
+        state = running_stream.capture_state()
+        path = write_snapshot(tmp_path / "snap.snap", state, fsync=False)
+        original = path.read_bytes()
+        _, end = container_header(original)
+        # 40 offsets spread over every array's bytes, first to last.
+        for offset in np.linspace(end, len(original) - 5, 40).astype(int):
+            damaged = bytearray(original)
+            damaged[offset] ^= 0x10
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(SnapshotError, match="CRC-32"):
+                read_snapshot(path)
+        path.write_bytes(original)
+        read_snapshot(path)
+
+    def test_bit_flip_in_a_container_shape_raises(
+        self, tmp_path, running_stream
+    ):
+        state = running_stream.capture_state()
+        path = write_snapshot(tmp_path / "snap.snap", state, fsync=False)
+        data = bytearray(path.read_bytes())
+        shape = f'"store_points", "<f8", [{len(state.store_ids)}, 3]'
+        at = data.index(shape.encode()) + len(shape) - 2
+        assert data[at : at + 1] == b"3"
+        data[at] ^= 0x01  # '3' -> '2'
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="CRC-32"):
+            read_snapshot(path)
+
     def test_bit_flips_in_array_data_raise(self, tmp_path, running_stream):
         state = running_stream.capture_state()
-        path = write_snapshot(tmp_path / "snap.npz", state, fsync=False)
+        path = write_npz_snapshot(tmp_path / "snap.npz", state)
         original = path.read_bytes()
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in ARRAY_KEYS}
         offsets = []
         for key in ARRAY_KEYS:
-            raw = getattr(state, key).tobytes()
+            raw = arrays[key].tobytes()
             start = original.find(raw)
             # Stored, not deflated: each array's bytes sit in the file
             # verbatim.
@@ -164,7 +286,7 @@ class TestSnapshotFormat:
         """A shape digit flipped to a smaller valid shape: numpy would
         read fewer bytes and never reach the member's CRC-32."""
         state = running_stream.capture_state()
-        path = write_snapshot(tmp_path / "snap.npz", state, fsync=False)
+        path = write_npz_snapshot(tmp_path / "snap.npz", state)
         data = bytearray(path.read_bytes())
         shape = f"'shape': {state.store_points.shape}".encode()
         at = data.index(shape) + len(shape) - 2  # the last dimension, 3
@@ -177,60 +299,40 @@ class TestSnapshotFormat:
     def test_compressed_snapshot_from_earlier_versions_recovers(
         self, tmp_path, rng
     ):
-        """Earlier versions wrote ``np.savez_compressed`` with the same
-        keys; those snapshots still load and recover bit for bit."""
+        """Earlier versions wrote version-1 ``.npz`` snapshots, some
+        deflated; those still load and recover bit for bit."""
         state_dir = tmp_path / "state"
-        stream = DurableSummarizer(
-            state_dir,
-            dim=2,
-            window_size=800,
-            points_per_bubble=40,
-            seed=7,
-            checkpoint_every=4,
-            fsync=False,
-        )
-        for _ in range(10):
-            stream.append(rng.normal(size=(120, 2)))
-        stream.checkpoints.close()  # crash: no goodbye checkpoint
-        snapshots = sorted(state_dir.glob("snapshot-*.npz"))
-        assert len(snapshots) == 2
-        for snapshot in snapshots:
-            with np.load(snapshot) as archive:
-                arrays = {key: archive[key] for key in archive.files}
-            np.savez_compressed(snapshot, **arrays)
+        stream = crash_closed_state(state_dir, rng)
+        for snapshot in downgrade_snapshots(state_dir, compressed=True):
+            assert snapshot.suffix == ".npz"
             with zipfile.ZipFile(snapshot) as archive:
                 assert {i.compress_type for i in archive.infolist()} == {
                     zipfile.ZIP_DEFLATED
                 }
-            loaded = read_snapshot(snapshot)
-            assert np.array_equal(loaded.square_sums, arrays["square_sums"])
 
         recovered = DurableSummarizer.recover(state_dir, fsync=False)
         try:
             assert recovered.batches_applied == 10
-            ids = stream.store.ids()
-            assert np.array_equal(ids, recovered.store.ids())
-            for accessor in ("points_of", "owners_of", "labels_of"):
-                assert np.array_equal(
-                    getattr(stream.store, accessor)(ids),
-                    getattr(recovered.store, accessor)(ids),
-                )
-            assert len(stream.summary) == len(recovered.summary)
-            for a, b in zip(stream.summary, recovered.summary):
-                assert a.n == b.n
-                assert np.array_equal(a.seed, b.seed)
-                assert np.array_equal(
-                    np.asarray(a.stats.linear_sum),
-                    np.asarray(b.stats.linear_sum),
-                )
-                assert a.stats.square_sum == b.stats.square_sum
-                assert np.array_equal(
-                    stream.store.owned_by(a.bubble_id),
-                    recovered.store.owned_by(b.bubble_id),
-                )
-            assert (
-                recovered.maintainer.rng_state == stream.maintainer.rng_state
-            )
+            assert_recovered_equal(stream, recovered)
+        finally:
+            recovered.close(checkpoint=False)
+
+    def test_stored_snapshot_from_earlier_versions_recovers(
+        self, tmp_path, rng
+    ):
+        state_dir = tmp_path / "state"
+        stream = crash_closed_state(state_dir, rng)
+        for snapshot in downgrade_snapshots(state_dir):
+            with zipfile.ZipFile(snapshot) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {
+                    zipfile.ZIP_STORED
+                }
+        recovered = DurableSummarizer.recover(state_dir, fsync=False)
+        try:
+            assert recovered.batches_applied == 10
+            assert_recovered_equal(stream, recovered)
+            # The replayed tail was checkpointed as a container.
+            assert snapshot_paths(state_dir)[0].suffix == ".snap"
         finally:
             recovered.close(checkpoint=False)
 
@@ -242,32 +344,11 @@ class TestSnapshotFormat:
         ``assign_workers`` in their config; recovery ignores both and
         ends bit for bit where the same state without them ends."""
         plain_dir = tmp_path / "plain"
-        stream = DurableSummarizer(
-            plain_dir,
-            dim=2,
-            window_size=800,
-            points_per_bubble=40,
-            seed=7,
-            checkpoint_every=4,
-            fsync=False,
-        )
-        for _ in range(10):
-            stream.append(rng.normal(size=(120, 2)))
-        stream.checkpoints.close()  # crash: the WAL tail is replayed
+        crash_closed_state(plain_dir, rng)  # the WAL tail is replayed
         old_dir = tmp_path / "old"
         shutil.copytree(plain_dir, old_dir)
         removed = {"use_seed_index": True, "assign_workers": 2}
-        snapshots = sorted(old_dir.glob("snapshot-*.npz"))
-        assert len(snapshots) == 2
-        for snapshot in snapshots:
-            with np.load(snapshot) as archive:
-                arrays = {key: archive[key] for key in archive.files}
-            meta = json.loads(arrays["meta_json"].tobytes().decode("utf-8"))
-            meta["config"].update(removed)
-            arrays["meta_json"] = np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            )
-            np.savez_compressed(snapshot, **arrays)
+        downgrade_snapshots(old_dir, compressed=True, extra_config=removed)
         manifest_path = old_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         manifest["config"].update(removed)
@@ -277,29 +358,32 @@ class TestSnapshotFormat:
         old = DurableSummarizer.recover(old_dir, fsync=False)
         try:
             assert old.batches_applied == plain.batches_applied == 10
-            ids = plain.store.ids()
-            assert np.array_equal(ids, old.store.ids())
-            for accessor in ("points_of", "owners_of", "labels_of"):
-                assert np.array_equal(
-                    getattr(plain.store, accessor)(ids),
-                    getattr(old.store, accessor)(ids),
-                )
-            assert len(plain.summary) == len(old.summary)
-            for a, b in zip(plain.summary, old.summary):
-                assert a.n == b.n
-                assert np.array_equal(
-                    np.asarray(a.stats.linear_sum),
-                    np.asarray(b.stats.linear_sum),
-                )
-                assert a.stats.square_sum == b.stats.square_sum
-                assert np.array_equal(
-                    plain.store.owned_by(a.bubble_id),
-                    old.store.owned_by(b.bubble_id),
-                )
-            assert old.maintainer.rng_state == plain.maintainer.rng_state
+            assert_recovered_equal(plain, old)
         finally:
             plain.close(checkpoint=False)
             old.close(checkpoint=False)
+
+    def test_unknown_config_keys_in_a_container_are_ignored(
+        self, tmp_path, rng
+    ):
+        plain_dir = tmp_path / "plain"
+        crash_closed_state(plain_dir, rng)
+        extra_dir = tmp_path / "extra"
+        shutil.copytree(plain_dir, extra_dir)
+        for snapshot in snapshot_paths(extra_dir):
+            rewrite_container(
+                snapshot,
+                lambda header: header["config"].update(
+                    {"use_seed_index": True, "assign_workers": 2}
+                ),
+            )
+        plain = DurableSummarizer.recover(plain_dir, fsync=False)
+        extra = DurableSummarizer.recover(extra_dir, fsync=False)
+        try:
+            assert_recovered_equal(plain, extra)
+        finally:
+            plain.close(checkpoint=False)
+            extra.close(checkpoint=False)
 
     @pytest.mark.parametrize("fsync", [True, False])
     def test_rename_is_followed_by_directory_fsync(
@@ -328,8 +412,12 @@ class TestMemberSetStateFixture:
             state = stream.inner.capture_state(stream.batches_applied)
             with np.load(fixtures / "member_set_state_expected.npz") as e:
                 expected = {key: e[key] for key in e.files}
+            arrays = {name: getattr(state, name) for name in STATE_KEYS}
+            arrays["member_offsets"], arrays["member_ids"] = (
+                stream.summary.member_csr()
+            )
             for name in ARRAY_KEYS:
-                actual = np.asarray(getattr(state, name))
+                actual = np.asarray(arrays[name])
                 assert actual.dtype == expected[name].dtype, name
                 assert actual.shape == expected[name].shape, name
                 assert actual.tobytes() == expected[name].tobytes(), name
@@ -404,7 +492,32 @@ class TestCheckpointManager:
             )
         names = [p.name for p in manager.snapshot_paths()]
         assert names == [
-            "snapshot-000000000004.npz",
+            "snapshot-000000000004.snap",
+            "snapshot-000000000003.snap",
+        ]
+        manager.close()
+
+    def test_both_suffixes_form_one_sequence(self, tmp_path, running_stream):
+        """Snapshots of earlier versions (``.npz``) and containers
+        (``.snap``) are listed, pruned and read as one sequence."""
+        for batches in (1, 3):
+            write_npz_snapshot(
+                tmp_path / f"snapshot-{batches:012d}.npz",
+                running_stream.capture_state(batches_applied=batches),
+            )
+        manager = CheckpointManager(tmp_path, interval=1, keep=2, fsync=False)
+        manager.checkpoint(running_stream.capture_state(batches_applied=2))
+        names = [p.name for p in manager.snapshot_paths()]
+        assert names == [
+            "snapshot-000000000003.npz",
+            "snapshot-000000000002.snap",
+        ]
+        assert manager.latest_state().batches_applied == 3
+        manager.checkpoint(running_stream.capture_state(batches_applied=3))
+        names = [p.name for p in manager.snapshot_paths()]
+        # At an equal batch count the container ranks newer.
+        assert names == [
+            "snapshot-000000000003.snap",
             "snapshot-000000000003.npz",
         ]
         manager.close()

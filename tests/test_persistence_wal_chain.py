@@ -1,20 +1,20 @@
-"""Hash-chained WAL integrity: v2 format, verify_chain, compaction, v1
-backcompat."""
+"""Hash-chained WAL integrity: the v3 and v2 formats, verify_chain,
+compaction, v1 and v2 backcompat."""
 
 from __future__ import annotations
 
+import io
 import struct
-import zlib
 
 import numpy as np
 import pytest
+from legacy_formats import MAGIC_V1, MAGIC_V2, write_legacy_log
 
 from repro import UpdateBatch, WalCorruptionError
-from repro.persistence import WriteAheadLog, encode_batch, verify_chain
+from repro.persistence import WriteAheadLog, verify_chain
 from repro.persistence import wal as wal_module
 
-MAGIC_V1 = b"RPROWAL1"
-MAGIC_V2 = b"RPROWAL2"
+MAGIC_V3 = b"RPROWAL3"
 HEADER = struct.Struct("<QII")
 CHAIN_LEN = 32
 
@@ -35,9 +35,10 @@ def write_log(path, rng, count=3):
 
 
 def split_records(data):
-    """``(header, chain, payload)`` byte strings of every v2 record."""
+    """``(header, chain, payload)`` byte strings of every chained
+    (v2 or v3) record."""
     records = []
-    offset = len(MAGIC_V2)
+    offset = len(MAGIC_V3)
     while offset < len(data):
         header = data[offset : offset + HEADER.size]
         _, length, _ = HEADER.unpack(header)
@@ -51,26 +52,70 @@ def split_records(data):
 
 
 def write_v1_log(path, rng, count=3):
-    """Hand-assemble a pre-chain (version 1) log file."""
-    blob = bytearray(MAGIC_V1)
-    batches = []
-    for seq in range(count):
-        batch = make_batch(rng)
-        batches.append(batch)
-        payload = encode_batch(batch)
-        crc = zlib.crc32(struct.pack("<QI", seq, len(payload)) + payload)
-        blob += HEADER.pack(seq, len(payload), crc)
-        blob += payload
-    path.write_bytes(bytes(blob))
+    """A pre-chain (version 1) log file of ``count`` batches."""
+    batches = [make_batch(rng) for _ in range(count)]
+    write_legacy_log(path, batches, version=1)
     return batches
 
 
-class TestV2Format:
-    def test_new_files_are_version_2(self, tmp_path, rng):
+def write_v2_log(path, rng, count=3):
+    """A hash-chained version-2 log file (``.npz`` payloads)."""
+    batches = [make_batch(rng) for _ in range(count)]
+    write_legacy_log(path, batches, version=2)
+    return batches
+
+
+class TestV3Format:
+    def test_new_files_are_version_3(self, tmp_path, rng):
         with WriteAheadLog(tmp_path / "wal.log", fsync=False) as wal:
+            assert wal.version == 3
+            assert wal.chained
+        assert (tmp_path / "wal.log").read_bytes()[:8] == MAGIC_V3
+
+    def test_payloads_are_raw(self, tmp_path, rng):
+        """Counts, then the ids, points and labels, nothing else."""
+        path = tmp_path / "wal.log"
+        batch = UpdateBatch(
+            deletions=(4, 9),
+            insertions=rng.normal(size=(3, 2)),
+            insertion_labels=(1, -1, 7),
+        )
+        with WriteAheadLog(path, fsync=False) as wal:
+            nbytes = wal.append(0, batch)
+        (header, _, payload), = split_records(path.read_bytes())
+        assert nbytes == len(header) + CHAIN_LEN + len(payload)
+        assert payload == (
+            struct.pack("<III", 2, 3, 2)
+            + np.array([4, 9], "<i8").tobytes()
+            + batch.insertions.astype("<f8").tobytes()
+            + np.array([1, -1, 7], "<i8").tobytes()
+        )
+
+    def test_genesis_is_the_files_own_magic(self, tmp_path, rng):
+        """A v3 log whose magic is flipped to v2 fails its first link,
+        so a one-bit change of the magic cannot pass as another
+        version."""
+        path = write_log(tmp_path / "wal.log", rng, count=2)
+        data = bytearray(path.read_bytes())
+        data[7] ^= 0x01  # b"3" -> b"2"
+        path.write_bytes(bytes(data))
+        report = verify_chain(path)
+        assert report.version == 2
+        assert not report.ok and report.reason == "chain_mismatch"
+        assert report.bad_seq == 0
+
+
+class TestV2Format:
+    def test_v2_files_stay_version_2(self, tmp_path, rng):
+        path = tmp_path / "wal.log"
+        write_v2_log(path, rng, count=2)
+        with WriteAheadLog(path, fsync=False) as wal:
             assert wal.version == 2
             assert wal.chained
-        assert (tmp_path / "wal.log").read_bytes()[:8] == MAGIC_V2
+            wal.append(2, make_batch(rng))
+        assert path.read_bytes()[:8] == MAGIC_V2
+        report = verify_chain(path)
+        assert report.ok and report.version == 2 and report.records == 3
 
     def test_records_carry_distinct_chain_digests(self, tmp_path, rng):
         path = write_log(tmp_path / "wal.log", rng, count=2)
@@ -192,10 +237,22 @@ class TestCompaction:
 
 class TestVerifyChain:
     def test_clean_log_verifies(self, tmp_path, rng):
-        path = write_log(tmp_path / "wal.log", rng, count=3)
+        path = tmp_path / "wal.log"
+        write_v2_log(path, rng, count=3)
         report = verify_chain(path)
         assert report.ok
         assert report.version == 2
+        assert report.chained
+        assert report.records == 3
+        assert not report.torn_tail
+        assert report.bad_seq is None
+
+    def test_clean_v3_log_verifies(self, tmp_path, rng):
+        path = write_log(tmp_path / "wal.log", rng, count=3)
+        report = verify_chain(path)
+        assert report.ok
+        assert report.version == 3
+        assert report.chained
         assert report.records == 3
         assert not report.torn_tail
         assert report.bad_seq is None
@@ -221,6 +278,25 @@ class TestVerifyChain:
             ), f"bit flip at byte {offset} went undetected"
         path.write_bytes(original)
         assert verify_chain(path).ok
+
+    def test_single_bit_flip_detected_everywhere_in_a_v2_log(
+        self, tmp_path, rng
+    ):
+        path = tmp_path / "wal.log"
+        write_v2_log(path, rng, count=2)
+        original = path.read_bytes()
+        clean = verify_chain(path)
+        assert clean.ok and clean.records == 2 and not clean.torn_tail
+        for offset in range(len(original)):
+            mutated = bytearray(original)
+            mutated[offset] ^= 0x01
+            path.write_bytes(bytes(mutated))
+            report = verify_chain(path)
+            assert not (
+                report.ok
+                and not report.torn_tail
+                and report.records == clean.records
+            ), f"bit flip at byte {offset} went undetected"
 
     def test_flip_names_the_offending_seq(self, tmp_path, rng):
         path = write_log(tmp_path / "wal.log", rng, count=3)
@@ -275,6 +351,7 @@ class TestVerifyChain:
         report = verify_chain(path)
         assert report.ok
         assert report.version == 1
+        assert not report.chained
         assert report.records == 2
 
 
@@ -347,3 +424,48 @@ class TestV1Backcompat:
             assert [r.seq for r in wal.replay()] == [0]
             wal.append(1, make_batch(rng))
             assert [r.seq for r in wal.replay()] == [0, 1]
+
+
+class TestV2Backcompat:
+    def test_v2_file_replays(self, tmp_path, rng):
+        path = tmp_path / "wal.log"
+        batches = write_v2_log(path, rng, count=3)
+        with WriteAheadLog(path, fsync=False) as wal:
+            assert wal.version == 2
+            records = wal.replay()
+        assert [r.seq for r in records] == [0, 1, 2]
+        for record, batch in zip(records, batches):
+            assert np.array_equal(record.batch.insertions, batch.insertions)
+            assert record.batch.insertion_labels == batch.insertion_labels
+
+    def test_v2_appends_stay_v2(self, tmp_path, rng):
+        """An append to a v2 log writes a v2 record: an ``.npz``
+        payload, chained from the v2 genesis link."""
+        path = tmp_path / "wal.log"
+        write_v2_log(path, rng, count=1)
+        appended = make_batch(rng)
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.append(1, appended)
+        _, _, payload = split_records(path.read_bytes())[1]
+        with np.load(io.BytesIO(payload)) as archive:
+            assert np.array_equal(archive["insertions"], appended.insertions)
+        assert path.read_bytes()[:8] == MAGIC_V2
+        report = verify_chain(path)
+        assert report.ok and report.version == 2 and report.records == 2
+        with WriteAheadLog(path, fsync=False) as wal:
+            assert [r.seq for r in wal.replay()] == [0, 1]
+
+    def test_v2_compact_keeps_v2(self, tmp_path, rng):
+        path = tmp_path / "wal.log"
+        write_v2_log(path, rng, count=3)
+        before = split_records(path.read_bytes())
+        with WriteAheadLog(path, fsync=False) as wal:
+            wal.compact(min_seq=1)
+            assert [r.seq for r in wal.replay()] == [1, 2]
+        assert path.read_bytes()[:8] == MAGIC_V2
+        after = split_records(path.read_bytes())
+        assert [(h, p) for h, _, p in after] == [
+            (h, p) for h, _, p in before[1:]
+        ]
+        report = verify_chain(path)
+        assert report.ok and report.version == 2 and report.records == 2

@@ -18,9 +18,10 @@ Two arms per declared service-boundary failpoint (``shard.*``,
 
   every recovered tenant must hold exactly the points its shard counted
   as applied, and a dead-letter replay through the recovered fleet's
-  normal ingestion path must drain every queue to zero. The two
-  checkpoint failpoints, which fire inside a shard's append after the
-  WAL took the batch, run as error arms too.
+  normal ingestion path must drain every queue to zero. The failpoints
+  that fire inside a shard's append after the WAL took the batch (the
+  flushed append and the two checkpoint boundaries) run as error arms
+  too.
 
 A coverage guard fails the suite when a new service failpoint is
 declared anywhere without both arms here — the matrix can never
@@ -296,27 +297,32 @@ ERROR_ARMS = {
     ],
 }
 
-# Persistence failpoints that a scheduled checkpoint fires inside a
-# shard's append, after the WAL took the batch. Kept out of ERROR_ARMS,
-# whose keys the coverage guard compares with the service failpoints.
-CHECKPOINT_ERROR_ARMS = {
+# Persistence failpoints that fire inside a shard's append after the
+# WAL took the batch: the flushed append, and a scheduled checkpoint's
+# two boundaries. Kept out of ERROR_ARMS, whose keys the coverage guard
+# compares with the service failpoints.
+WAL_HELD_ERROR_ARMS = {
     name: [(name, "error", {"after": 3, "times": 1})]
-    for name in ("checkpoint.snapshot_written", "checkpoint.done")
+    for name in (
+        "wal.append.flushed",
+        "checkpoint.snapshot_written",
+        "checkpoint.done",
+    )
 }
 
 
 class TestErrorArms:
     @pytest.mark.parametrize(
-        "name", sorted(ERROR_ARMS) + sorted(CHECKPOINT_ERROR_ARMS)
+        "name", sorted(ERROR_ARMS) + sorted(WAL_HELD_ERROR_ARMS)
     )
     def test_error_keeps_identity_and_dlq_replays_to_zero(
         self, name, tmp_path
     ):
-        arm = ERROR_ARMS.get(name) or CHECKPOINT_ERROR_ARMS[name]
+        arm = ERROR_ARMS.get(name) or WAL_HELD_ERROR_ARMS[name]
         fleet, outcome = _run_error_arm(tmp_path, arm)
         assert_fleet_identity(outcome["totals"])
-        if name in CHECKPOINT_ERROR_ARMS:
-            # The failed checkpoint's batch is in the WAL: it counts as
+        if name in WAL_HELD_ERROR_ARMS:
+            # The failed append's batch is in the WAL: it counts as
             # applied and is never dead-lettered (a DLQ replay would
             # apply it twice).
             assert outcome["totals"]["supervision"]["restarts"] >= 1

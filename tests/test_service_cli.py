@@ -341,6 +341,39 @@ class TestVerifyChainCommand:
         assert "CORRUPT" in captured.out
         assert "failed integrity verification" in captured.err
 
+    @pytest.mark.parametrize(
+        "version, coverage",
+        [(1, "crc only"), (2, "crc+chain"), (3, "crc+chain")],
+    )
+    def test_names_the_format_version_and_its_coverage(
+        self, tmp_path, capsys, version, coverage
+    ):
+        import numpy as np
+        from legacy_formats import write_legacy_log
+
+        from repro import UpdateBatch
+        from repro.persistence import WriteAheadLog
+
+        state = tmp_path / "state"
+        state.mkdir()
+        rng = np.random.default_rng(0)
+        batches = [
+            UpdateBatch(
+                insertions=rng.normal(size=(4, 2)),
+                insertion_labels=(-1,) * 4,
+            )
+            for _ in range(3)
+        ]
+        if version == 3:
+            with WriteAheadLog(state / "wal.log", fsync=False) as wal:
+                for seq, batch in enumerate(batches):
+                    wal.append(seq, batch)
+        else:
+            write_legacy_log(state / "wal.log", batches, version)
+        assert main(["verify-chain", "--wal-dir", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert f"3 record(s) verified (v{version}, {coverage})" in out
+
     def test_requires_a_directory(self):
         with pytest.raises(SystemExit, match="wal-dir or --fleet-dir"):
             main(["verify-chain"])
@@ -450,3 +483,46 @@ class TestTelemetryPlaneCLI:
         capsys.readouterr()
         assert main(["trace", "--fleet-dir", str(fleet_dir)]) == 0
         assert "no spans found" in capsys.readouterr().out
+
+
+class TestStatsAcrossSnapshotFormats:
+    def test_counts_both_snapshot_generations(self, tmp_path, capsys):
+        """A directory of an earlier version holds ``.npz`` snapshots;
+        after a recovery it also holds a ``.snap``. ``stats`` lists and
+        reads both as one sequence."""
+        import pathlib
+        import shutil
+
+        from repro import DurableSummarizer
+
+        fixture = (
+            pathlib.Path(__file__).parent / "fixtures" / "member_set_state"
+        )
+        state_dir = tmp_path / "state"
+        shutil.copytree(fixture, state_dir)
+
+        def stats():
+            assert main(
+                ["stats", "--wal-dir", str(state_dir), "--format", "json"]
+            ) == 0
+            document = json.loads(capsys.readouterr().out)
+            return {
+                sample["name"]: sample["value"]
+                for sample in document["metrics"]
+            }
+
+        before = stats()
+        assert before["repro_snapshot_files"] == 2
+        assert before["repro_stream_batches_applied"] == 12
+        # Recovery replays the three-batch tail and checkpoints it as a
+        # container; the older npz generation is pruned, the newer kept.
+        DurableSummarizer.recover(state_dir, fsync=False).close(
+            checkpoint=False
+        )
+        assert sorted(p.name for p in state_dir.glob("snapshot-*")) == [
+            "snapshot-000000000012.npz",
+            "snapshot-000000000015.snap",
+        ]
+        after = stats()
+        assert after["repro_snapshot_files"] == 2
+        assert after["repro_stream_batches_applied"] == 15

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PersistenceError
+from repro.persistence import snapshot_paths
 from repro.streaming import DurableSummarizer
 
 
@@ -78,10 +79,10 @@ class TestFailedRecover:
         # Corrupt the newest snapshot: recovery opens the WAL first,
         # then discovers the snapshot is unreadable and must give the
         # handle back.
-        snapshots = sorted((tmp_path / "state").glob("snapshot-*.npz"))
+        snapshots = snapshot_paths(tmp_path / "state")
         assert snapshots
         for snapshot in snapshots:
-            snapshot.write_bytes(b"not a real npz payload")
+            snapshot.write_bytes(b"not a real snapshot payload")
         before = open_fds()
         with pytest.raises(PersistenceError):
             DurableSummarizer.recover(tmp_path / "state", fsync=False)
@@ -92,7 +93,7 @@ class TestFailedRecover:
         summarizer = build_state(tmp_path)
         summarizer.close()
         state_dir = tmp_path / "state"
-        snapshots = sorted(state_dir.glob("snapshot-*.npz"))
+        snapshots = snapshot_paths(state_dir)
         saved = {p: p.read_bytes() for p in snapshots}
         for snapshot in snapshots:
             snapshot.write_bytes(b"garbage")

@@ -16,6 +16,7 @@ from repro import (
     PersistenceError,
     SlidingWindowSummarizer,
 )
+from repro.observability import Observability
 from repro.persistence import CheckpointManager
 
 DIM = 2
@@ -159,3 +160,57 @@ class TestCheckpointCadence:
             3,
         ]
         stream.close(checkpoint=False)
+
+
+class _FailingWalEvent(Observability):
+    """An observability handle whose next ``wal_append`` event raises,
+    as a full trace sink would."""
+
+    armed = False
+
+    def emit(self, kind: str, **fields) -> None:
+        if kind == "wal_append" and self.armed:
+            self.armed = False
+            raise OSError(28, "No space left on device")
+        super().emit(kind, **fields)
+
+
+class TestErrorAfterTheRecordLanded:
+    def test_batch_is_applied_before_the_error_leaves(self, tmp_path, rng):
+        """The WAL holds the batch once its record is durable, so an
+        error after that point (here the ``wal_append`` event) must not
+        leave memory behind the log."""
+        obs = _FailingWalEvent()
+        state_dir = tmp_path / "state"
+        stream = make_stream(state_dir, obs=obs, checkpoint_every=100)
+        for _ in range(5):
+            stream.append(rng.normal(size=(90, DIM)))
+        obs.armed = True
+        with pytest.raises(OSError, match="No space left"):
+            stream.append(rng.normal(size=(90, DIM)))
+        assert stream.batches_applied == 6
+        live = stream.inner.capture_state(stream.batches_applied)
+        stream.checkpoints.close()  # crash: the log alone is durable
+
+        replayed = DurableSummarizer.recover(state_dir, fsync=False)
+        try:
+            assert replayed.batches_applied == 6
+            state = replayed.inner.capture_state(replayed.batches_applied)
+            for name in (
+                "store_ids",
+                "store_points",
+                "store_labels",
+                "store_owners",
+                "seeds",
+                "ns",
+                "linear_sums",
+                "square_sums",
+            ):
+                assert np.array_equal(
+                    getattr(state, name), getattr(live, name)
+                ), name
+            assert state.rng_state == live.rng_state
+            assert state.counter_computed == live.counter_computed
+            assert state.counter_pruned == live.counter_pruned
+        finally:
+            replayed.close(checkpoint=False)
