@@ -65,7 +65,6 @@ from .exceptions import (
     WalCorruptionError,
 )
 from .geometry import CounterSnapshot, DistanceCounter
-from .io import load_session, save_session
 from .streaming import DurableSummarizer, SlidingWindowSummarizer
 from .sufficient import SufficientStatistics
 
@@ -114,8 +113,6 @@ __all__ = [
     "UpdateBatch",
     "WalCorruptionError",
     "chebyshev_k",
-    "load_session",
     "make_assigner",
-    "save_session",
     "__version__",
 ]

@@ -412,9 +412,10 @@ def _run_cluster(args: argparse.Namespace) -> None:
     Recovers the state directory, runs one
     :class:`~repro.clustering.IncrementalClusterer` fit —
     deadline-bounded when ``--deadline`` is given — and prints the
-    extracted dendrogram with its provenance. Recovery is not
-    read-only: it replays and checkpoints any WAL tail a crash left
-    behind. Only the goodbye checkpoint on close is skipped.
+    extracted dendrogram with its provenance. Recovery replays any WAL
+    tail a crash left behind in memory and writes no snapshot, and the
+    goodbye checkpoint on close is skipped, so the directory is left as
+    it was (bar a torn-tail repair, a stale-tmp sweep or a quarantine).
     """
     if args.wal_dir is None:
         raise SystemExit("cluster requires --wal-dir")

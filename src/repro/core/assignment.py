@@ -37,10 +37,13 @@ corrected for how far each representative drifted since (Elkan's
 centre-drift bound). Lemma 1 against those bounds prunes a subset of what
 the exact matrix prunes and picks the same closest seed, so a maintainer
 pays a distance per moved representative, and a row now and then,
-instead of the O(B²) matrix per batch.
+instead of the O(B²) matrix per batch. It exports and restores that
+state, so a summarizer recovered from a snapshot keeps the matrix too.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -87,6 +90,17 @@ _TI_SERIAL_ROWS = 4
 #: and the probes' pruned share read 0.840 at ¼, 0.837 at ½, 0.834 at 1
 #: and 0.791 never. Assignments do not depend on it.
 _REBASE_FRACTION = 0.25
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(num: int) -> np.ndarray:
+    """Flat indices of a ``(num, num)`` matrix's strict upper triangle,
+    row by row. Cached per ``num``: ``np.triu_indices`` costs several
+    times the gather through its result, and every checkpoint gathers."""
+    rows, cols = np.triu_indices(num, 1)
+    index = rows * num + cols
+    index.setflags(write=False)
+    return index
 
 
 class Assigner:
@@ -599,6 +613,8 @@ class AssignerCache:
     or :meth:`invalidate` make it rebuild in full (``K·(K−1)/2`` counted
     distances): that is a *miss*, every other ``get`` a *hit*.
     :attr:`matrix_computed` totals every distance the keeper counted.
+    :meth:`export` and :meth:`restore` carry the kept state through a
+    snapshot, at no distance.
 
     The returned assigner reads ``L`` (for an id subset, a copy of its
     block) in place, so it is valid until the next ``get``; the
@@ -628,6 +644,81 @@ class AssignerCache:
         """Drop the kept matrix; the next :meth:`get` rebuilds it."""
         self._base = self._base_dists = self._drift = None
         self._lower = self._nearest = self._last = None
+
+    def export(self) -> tuple[np.ndarray, ...] | None:
+        """Copies of the kept state, or ``None`` when the keeper is empty.
+
+        Returns ``(R0, D0's strict upper triangle row by row, δ, nn, the
+        representatives the last get saw)``. ``D0`` is bitwise symmetric
+        (see :meth:`_rebuild` and :meth:`_rebase`), so one triangle holds
+        it; ``L`` is not exported, :meth:`restore` derives it.
+        """
+        if self._lower is None:
+            return None
+        return (
+            self._base.copy(),
+            self._base_dists.take(_upper_triangle(self._drift.shape[0])),
+            self._drift.copy(),
+            self._nearest.copy(),
+            self._last.copy(),
+        )
+
+    def restore(
+        self,
+        dim: int,
+        base: np.ndarray,
+        upper: np.ndarray,
+        drift: np.ndarray,
+        nearest: np.ndarray,
+        last: np.ndarray,
+    ) -> None:
+        """Load the kept state :meth:`export` gave; all five empty means
+        an empty keeper.
+
+        ``L`` is rebuilt as ``D0 − (δ_i + δ_j)``, which is bitwise the
+        kept ``L``: :meth:`_rebuild` sets ``L = D0`` with ``δ = 0``, and
+        :meth:`_follow` writes each moved row and column with exactly this
+        expression. ``K`` need not be the bubble count: a bubble added
+        after the last ``get`` makes the next one rebuild, as it would
+        have without the snapshot.
+
+        Raises:
+            ValueError: the arrays are not those of one ``K``-row keeper
+                in ``dim`` dimensions, or hold a non-finite value.
+        """
+        arrays = [
+            np.array(a, dtype=np.float64)
+            for a in (base, upper, drift, nearest, last)
+        ]
+        if not any(a.size for a in arrays):
+            self.invalidate()
+            return
+        num = arrays[2].shape[0] if arrays[2].ndim == 1 else -1
+        shapes = [a.shape for a in arrays]
+        want = [
+            (num, dim),
+            (num * (num - 1) // 2,),
+            (num,),
+            (num,),
+            (num, dim),
+        ]
+        if shapes != want:
+            raise ValueError(
+                f"the kept seed matrix's arrays have shapes {shapes}, not "
+                f"those of {num} rows in {dim} dimensions"
+            )
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("the kept seed matrix holds a non-finite value")
+        self._base, upper, self._drift, self._nearest, self._last = arrays
+        # The triangle, its transpose, the triangle again: assignments
+        # only, so D0 is bitwise the exported one.
+        index = _upper_triangle(num)
+        dists = np.zeros((num, num))
+        dists.ravel()[index] = upper
+        dists = dists.T.copy()
+        dists.ravel()[index] = upper
+        self._base_dists = dists
+        self._lower = dists - (self._drift[:, None] + self._drift)
 
     def get(
         self,
@@ -681,7 +772,9 @@ class AssignerCache:
         )
 
     def _rebuild(self, reps: np.ndarray) -> int:
-        """Base every row on ``reps``; the distances it computed."""
+        """Base every row on ``reps``; the distances it computed.
+        ``pairwise`` gives a bitwise symmetric ``D0``: numpy computes
+        ``A @ A.T`` as one symmetric product."""
         num = reps.shape[0]
         dists = pairwise(reps)
         np.fill_diagonal(dists, np.inf)

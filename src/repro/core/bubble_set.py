@@ -32,7 +32,7 @@ from ..exceptions import DimensionMismatchError, EmptyBubbleError
 from ..types import BubbleId
 from .bubble import DataBubble
 
-__all__ = ["BubbleSet", "check_members", "check_owners", "owner_csr"]
+__all__ = ["BubbleSet", "check_owners", "owner_csr"]
 
 
 class BubbleSet:
@@ -431,29 +431,4 @@ def check_owners(bubbles: BubbleSet) -> None:
         raise ValueError(
             f"bubble {b} has n={int(counts[b])} but owns {int(owned[b])} "
             "point(s)"
-        )
-
-
-def check_members(
-    bubbles: BubbleSet, offsets: np.ndarray, member_ids: np.ndarray
-) -> None:
-    """Cross-check persisted member arrays against the owner column.
-
-    Session files carry each bubble's member ids as CSR arrays. On load
-    they must equal what the store's owner column implies
-    (:meth:`BubbleSet.member_csr`), and the column must pass
-    :func:`check_owners`.
-
-    Raises:
-        ValueError: on any disagreement.
-    """
-    check_owners(bubbles)
-    want_offsets, want_ids = bubbles.member_csr()
-    if not (
-        np.array_equal(offsets, want_offsets)
-        and np.array_equal(member_ids, want_ids)
-    ):
-        raise ValueError(
-            "the stored member arrays disagree with the store's owner "
-            "column"
         )

@@ -1,17 +1,17 @@
 """Versioned snapshot files for summarizer state.
 
-A snapshot (version 2) is one raw, checksummed container holding a
+A snapshot (version 3) is one raw, checksummed container holding a
 :class:`~repro.persistence.state.SummarizerState`, in this order:
 
 * the 8-byte magic ``b"RPROSNAP"``;
 * a u32 header length, little-endian;
 * a UTF-8 JSON header: the scalar/structured state (``snapshot_version``
-  2, construction parameters, counters, the RNG state, ...) plus an
+  3, construction parameters, counters, the RNG state, ...) plus an
   ``arrays`` table of ``[name, dtype, shape]``, one entry per array in
   the order of :data:`ARRAYS`; ``dtype`` is ``"<f8"`` or ``"<i8"``;
-* the arrays back to back, little-endian and in C order (raw sufficient
-  statistics included — see ``state.py`` on why they are never
-  recomputed);
+* the arrays back to back, little-endian and in C order: the summary's
+  eight (raw sufficient statistics included — see ``state.py`` on why
+  they are never recomputed), then the kept seed matrix's five;
 * one CRC-32 (u32, little-endian) over everything before it.
 
 A write is one ``write()`` of the whole container; a read is one
@@ -20,11 +20,13 @@ array. Before the views are taken, every size in the table is checked
 against the file, so a damaged header can neither allocate nor read past
 the arrays.
 
-Version-1 snapshots — ``.npz`` archives of the same arrays plus the
-member CSR (``member_offsets``, ``member_ids``) and a ``meta_json``
-member, stored or deflated — still load. Their member arrays are
-cross-checked against the owner column, as the version that wrote them
-did.
+Older snapshots still load, with an empty kept seed matrix:
+
+* version-2 containers, whose table holds the summary's eight arrays;
+* version-1 snapshots — ``.npz`` archives of those eight arrays plus the
+  member CSR (``member_offsets``, ``member_ids``) and a ``meta_json``
+  member, stored or deflated. Their member arrays are cross-checked
+  against the owner column, as the version that wrote them did.
 
 Writes are **atomic**: the container is written to a temporary sibling,
 flushed to disk, then ``os.replace``d over the final name, and the
@@ -77,7 +79,7 @@ __all__ = [
     "write_snapshot",
 ]
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: The version of the ``.npz`` snapshots earlier versions wrote.
 _NPZ_VERSION = 1
@@ -86,8 +88,8 @@ _MAGIC = b"RPROSNAP"
 _U32 = struct.Struct("<I")
 _ZIP_MAGIC = b"PK\x03\x04"
 
-#: The container's arrays, in file order, with their on-disk dtypes.
-ARRAYS = (
+#: The summary's arrays: all of a version-2 container or a ``.npz``.
+_SUMMARY_ARRAYS = (
     ("store_ids", "<i8"),
     ("store_points", "<f8"),
     ("store_labels", "<i8"),
@@ -97,6 +99,18 @@ ARRAYS = (
     ("linear_sums", "<f8"),
     ("square_sums", "<f8"),
 )
+
+#: The container's arrays, in file order, with their on-disk dtypes.
+ARRAYS = _SUMMARY_ARRAYS + (
+    ("keeper_base", "<f8"),
+    ("keeper_dists", "<f8"),
+    ("keeper_drift", "<f8"),
+    ("keeper_nearest", "<f8"),
+    ("keeper_last", "<f8"),
+)
+
+#: The array table of each snapshot version.
+_TABLES = {_NPZ_VERSION: _SUMMARY_ARRAYS, 2: _SUMMARY_ARRAYS, 3: ARRAYS}
 
 # Crash-matrix failpoints: a crash at tmp_written leaves a stale *.tmp
 # (swept at the next startup); a crash at replaced leaves a fully valid
@@ -126,7 +140,7 @@ def _meta(state: SummarizerState) -> dict:
 
 
 def encode_container(state: SummarizerState) -> bytes:
-    """The version-2 container of ``state``, CRC-32 included."""
+    """The version-3 container of ``state``, CRC-32 included."""
     arrays = [
         np.ascontiguousarray(getattr(state, name), dtype=dtype)
         for name, dtype in ARRAYS
@@ -189,7 +203,8 @@ def write_snapshot(
 
 
 def read_snapshot(path: str | pathlib.Path) -> SummarizerState:
-    """Load a snapshot: a version-2 container, or a version-1 ``.npz``.
+    """Load a snapshot: a version-3 or -2 container, or a version-1
+    ``.npz``.
 
     Raises:
         SnapshotError: the file is unreadable, incomplete, fails its
@@ -220,13 +235,13 @@ def read_snapshot(path: str | pathlib.Path) -> SummarizerState:
 
 
 def decode_container(body: bytes | memoryview) -> SummarizerState:
-    """Decode a version-2 container whose CRC-32 was already checked
-    (``body`` excludes the trailing CRC).
+    """Decode a version-3 or -2 container whose CRC-32 was already
+    checked (``body`` excludes the trailing CRC).
 
     Raises:
         SnapshotError: anything in ``body`` is malformed: the magic, the
-            header length, the JSON header, the array table (names,
-            dtypes, shapes, sizes) or the scalar state.
+            header length, the JSON header, the version, the array table
+            (names, dtypes, shapes, sizes) or the scalar state.
     """
     body = memoryview(body)
     start = len(_MAGIC) + _U32.size
@@ -242,11 +257,21 @@ def decode_container(body: bytes | memoryview) -> SummarizerState:
         header = json.loads(bytes(body[start:offset]).decode("utf-8"))
     except ValueError as exc:  # JSON and UTF-8 errors alike
         raise SnapshotError(f"undecodable header: {exc}") from exc
-    table = header.get("arrays") if isinstance(header, dict) else None
-    if not isinstance(table, list) or len(table) != len(ARRAYS):
+    if not isinstance(header, dict):
+        raise SnapshotError("the header is not a JSON object")
+    # The version picks the array table before its length is checked.
+    version = header.get("snapshot_version")
+    if type(version) is not int or version not in (2, SNAPSHOT_VERSION):
+        raise SnapshotError(
+            f"unsupported snapshot version {version!r} (this reader "
+            f"decodes containers of versions 2 and {SNAPSHOT_VERSION})"
+        )
+    layout = _TABLES[version]
+    table = header.get("arrays")
+    if not isinstance(table, list) or len(table) != len(layout):
         raise SnapshotError("the header has no valid array table")
     arrays = {}
-    for entry, (name, dtype) in zip(table, ARRAYS):
+    for entry, (name, dtype) in zip(table, layout):
         if not (
             isinstance(entry, list)
             and entry[:2] == [name, dtype]
@@ -274,7 +299,7 @@ def decode_container(body: bytes | memoryview) -> SummarizerState:
         raise SnapshotError(
             f"{len(body) - offset} byte(s) follow the last array"
         )
-    return _state_from(header, arrays, SNAPSHOT_VERSION)
+    return _state_from(header, arrays, version)
 
 
 def _read_npz(data: bytes, path: pathlib.Path) -> SummarizerState:
@@ -346,7 +371,7 @@ def _state_from(
             # JSON round-trips the PCG64 state's 128-bit ints
             # losslessly, as the plain ints the generator expects.
             rng_state=meta["rng_state"],
-            **{name: arrays[name] for name, _ in ARRAYS},
+            **{name: arrays[name] for name, _ in _TABLES[version]},
         )
     except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise SnapshotError(f"malformed snapshot state: {exc!r}") from exc

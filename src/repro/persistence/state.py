@@ -18,7 +18,10 @@ the incremental scheme *bit-identically*:
   maintenance RNG's bit-generator state, so replayed random choices match
   the crashed process exactly;
 * the distance-counter totals, so the paper's cost accounting survives a
-  restart.
+  restart;
+* the maintainer's kept Lemma 1 seed matrix
+  (:class:`~repro.core.assignment.AssignerCache`), so a recovered run
+  computes — and counts — the distances an uninterrupted one does.
 
 The module deliberately imports nothing from :mod:`repro.streaming` —
 capture/restore live as methods on the summarizer itself, which keeps the
@@ -99,6 +102,13 @@ class SummarizerState:
         max_adjust: the maintainer's per-batch steering bound.
         rng_state: the maintenance RNG bit-generator state dict, or
             ``None`` before bootstrap.
+        keeper_base / keeper_dists / keeper_drift / keeper_nearest /
+            keeper_last: the kept seed matrix as
+            :meth:`~repro.core.assignment.AssignerCache.export` gives it:
+            ``R0`` ``(K, d)``, the strict upper triangle of ``D0`` row by
+            row ``(K·(K−1)/2,)``, ``δ`` and ``nn`` ``(K,)``, and the
+            representatives the last ``get`` saw ``(K, d)``. All empty
+            when the keeper is, and in snapshots of version 2 or 1.
     """
 
     dim: int
@@ -122,6 +132,11 @@ class SummarizerState:
     retired: tuple[int, ...] = ()
     max_adjust: int = 4
     rng_state: dict | None = None
+    keeper_base: np.ndarray = field(default_factory=_empty_f64)
+    keeper_dists: np.ndarray = field(default_factory=_empty_f64)
+    keeper_drift: np.ndarray = field(default_factory=_empty_f64)
+    keeper_nearest: np.ndarray = field(default_factory=_empty_f64)
+    keeper_last: np.ndarray = field(default_factory=_empty_f64)
 
     @property
     def num_bubbles(self) -> int:

@@ -507,8 +507,9 @@ class SlidingWindowSummarizer:
         *bit-identically* is captured: store content (with id counter and
         owner column), raw per-bubble sufficient statistics (never
         recomputed — they carry insertion-order floating-point history),
-        seeds, the maintainer's RNG state and retired set, and the
-        distance totals. Membership is the owner column alone.
+        seeds, the maintainer's RNG state, retired set and kept seed
+        matrix, and the distance totals. Membership is the owner column
+        alone.
 
         Args:
             batches_applied: stream position this state corresponds to
@@ -542,6 +543,15 @@ class SlidingWindowSummarizer:
         state.retired = tuple(sorted(self._maintainer.retired_ids))
         state.max_adjust = self._maintainer.max_adjust_per_batch
         state.rng_state = self._maintainer.rng_state
+        kept = self._maintainer.assigner_cache.export()
+        if kept is not None:
+            (
+                state.keeper_base,
+                state.keeper_dists,
+                state.keeper_drift,
+                state.keeper_nearest,
+                state.keeper_last,
+            ) = kept
         return state
 
     @classmethod
@@ -561,8 +571,9 @@ class SlidingWindowSummarizer:
         Raises:
             ValueError: the state is internally inconsistent — among
                 others, the store's owner column names a nonexistent
-                bubble, or a bubble's ``n`` differs from the number of
-                points the column gives it.
+                bubble, a bubble's ``n`` differs from the number of
+                points the column gives it, or the kept seed matrix's
+                arrays disagree in shape or hold a non-finite value.
         """
         stream = cls(
             dim=state.dim,
@@ -610,6 +621,14 @@ class SlidingWindowSummarizer:
         if state.rng_state is not None:
             maintainer.rng_state = state.rng_state
         maintainer.restore_retired(set(state.retired))
+        maintainer.assigner_cache.restore(
+            state.dim,
+            state.keeper_base,
+            state.keeper_dists,
+            state.keeper_drift,
+            state.keeper_nearest,
+            state.keeper_last,
+        )
         stream._maintainer = maintainer
         return stream
 
@@ -752,8 +771,10 @@ class DurableSummarizer:
         Loads the newest valid snapshot (falling back to older ones when
         the newest is damaged), repairs a torn final WAL record, and
         replays the remaining log tail through the normal maintenance
-        path. Finishes with a fresh checkpoint when anything was
-        replayed, so a recovery is never repeated.
+        path. It writes nothing else to the directory: the log already
+        holds what was replayed, and the next scheduled checkpoint (or a
+        clean :meth:`close`) snapshots it. A crash before then recovers
+        from the same snapshot and replays a longer tail.
 
         Raises:
             PersistenceError: ``wal_dir`` holds no durable state, or the
@@ -854,11 +875,6 @@ class DurableSummarizer:
                             )
                 finally:
                     stream._replaying = False
-                # Re-establish the invariant "snapshot + log tail == state":
-                # everything replayed is now captured in one fresh snapshot
-                # and the log is truncated, so the next crash recovers from
-                # here instead of repeating this replay.
-                stream.checkpoint()
         if obs is not None:
             obs.metrics.counter(
                 "repro_recovery_replays_total",
@@ -1092,19 +1108,10 @@ class DurableSummarizer:
         return report
 
     def _maybe_checkpoint(self) -> None:
-        if self._seq % self._manager.interval:
-            return
-        maintainer = self._inner.maintainer
-        if maintainer is not None:
-            # The kept seed matrix is not persisted, so a recovery starts
-            # without one. Dropping it at every scheduled position, in
-            # replay too, makes a recovered run count the distances an
-            # uninterrupted one counts.
-            maintainer.assigner_cache.invalidate()
-        if self._replaying:
-            # Checkpointing mid-replay would truncate WAL records that are
-            # not yet reflected in any snapshot; recover() writes one
-            # checkpoint after the whole tail is applied instead.
+        # Replay skips scheduled positions: a recovery writes nothing
+        # but a torn-tail repair, a stale-tmp sweep or a quarantine, and
+        # the log it replays from already holds every batch it applies.
+        if self._seq % self._manager.interval or self._replaying:
             return
         self.checkpoint()
 

@@ -8,7 +8,9 @@ compatibility tests write them here, without the library's encoders:
   archives of ``deletions``, ``insertions`` and ``labels``;
 * version-1 snapshots: ``.npz`` archives of the state arrays, the member
   CSR (``member_offsets``, ``member_ids``) and a ``meta_json`` document,
-  stored or deflated.
+  stored or deflated;
+* version-2 snapshots: ``RPROSNAP`` containers whose array table holds
+  the eight summary arrays and no kept seed matrix.
 """
 
 from __future__ import annotations
@@ -26,16 +28,18 @@ from repro.persistence import config_to_dict
 MAGIC_V1 = b"RPROWAL1"
 MAGIC_V2 = b"RPROWAL2"
 HEADER = struct.Struct("<QII")
+SNAPSHOT_MAGIC = b"RPROSNAP"
 
+#: The state arrays of version-1 and -2 snapshots, with their dtypes.
 STATE_ARRAYS = (
-    "store_ids",
-    "store_points",
-    "store_labels",
-    "store_owners",
-    "seeds",
-    "ns",
-    "linear_sums",
-    "square_sums",
+    ("store_ids", "<i8"),
+    ("store_points", "<f8"),
+    ("store_labels", "<i8"),
+    ("store_owners", "<i8"),
+    ("seeds", "<f8"),
+    ("ns", "<i8"),
+    ("linear_sums", "<f8"),
+    ("square_sums", "<f8"),
 )
 
 
@@ -82,13 +86,13 @@ def member_csr(state):
     return offsets, ids.astype(np.int64)
 
 
-def npz_snapshot_arrays(state, extra_config=None):
-    """Every member of the version-1 snapshot of ``state``; the config
-    in ``meta_json`` gains ``extra_config``'s keys."""
+def snapshot_meta(state, version, extra_config=None):
+    """The scalar state a version-1 or -2 snapshot of ``state`` carries;
+    the config gains ``extra_config``'s keys."""
     config = config_to_dict(state.config)
     config.update(extra_config or {})
-    meta = {
-        "snapshot_version": 1,
+    return {
+        "snapshot_version": version,
         "dim": state.dim,
         "window_size": state.window_size,
         "points_per_bubble": state.points_per_bubble,
@@ -103,7 +107,15 @@ def npz_snapshot_arrays(state, extra_config=None):
         "max_adjust": state.max_adjust,
         "rng_state": state.rng_state,
     }
-    arrays = {name: np.asarray(getattr(state, name)) for name in STATE_ARRAYS}
+
+
+def npz_snapshot_arrays(state, extra_config=None):
+    """Every member of the version-1 snapshot of ``state``; the config
+    in ``meta_json`` gains ``extra_config``'s keys."""
+    meta = snapshot_meta(state, 1, extra_config)
+    arrays = {
+        name: np.asarray(getattr(state, name)) for name, _ in STATE_ARRAYS
+    }
     arrays["member_offsets"], arrays["member_ids"] = member_csr(state)
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -116,4 +128,31 @@ def write_npz_snapshot(path, state, compressed=False, extra_config=None):
     save = np.savez_compressed if compressed else np.savez
     with open(path, "wb") as handle:
         save(handle, **npz_snapshot_arrays(state, extra_config))
+    return path
+
+
+def v2_container(state) -> bytes:
+    """``state`` as a version-2 snapshot container, CRC-32 included: the
+    magic, a u32 header length, the JSON header with its array table,
+    the eight arrays back to back and a CRC-32 over all of it."""
+    arrays = [
+        np.ascontiguousarray(getattr(state, name), dtype=dtype)
+        for name, dtype in STATE_ARRAYS
+    ]
+    header = snapshot_meta(state, 2)
+    header["arrays"] = [
+        [name, dtype, list(array.shape)]
+        for (name, dtype), array in zip(STATE_ARRAYS, arrays)
+    ]
+    encoded = json.dumps(header).encode("utf-8")
+    body = b"".join(
+        [SNAPSHOT_MAGIC, struct.pack("<I", len(encoded)), encoded]
+        + [array.tobytes() for array in arrays]
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def write_v2_snapshot(path, state):
+    """Write ``state`` as a version-2 ``.snap`` container."""
+    path.write_bytes(v2_container(state))
     return path

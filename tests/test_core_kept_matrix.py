@@ -3,9 +3,10 @@
 The keeper holds exact distances ``D0`` between base representatives
 ``R0``, each row's drift ``δ_i = ‖r_i − R0_i‖`` and the Lemma 1 bounds
 ``L = D0 − (δ_i + δ_j)``. These tests pin its invariants after every
-``get`` over random mutation schedules, and that maintainers pruning on
-it end in the same summary as maintainers rebuilding an exact matrix on
-every call, at under half the distances.
+``get`` over random mutation schedules, that a keeper restored from its
+export continues bit for bit, and that maintainers pruning on it end in
+the same summary as maintainers rebuilding an exact matrix on every
+call, at under half the distances.
 """
 
 from __future__ import annotations
@@ -55,6 +56,49 @@ def check_kept_state(cache: AssignerCache, reps: np.ndarray) -> None:
 OPS = st.sampled_from(["absorb", "nudge", "release", "clear", "reseed", "add"])
 
 
+def seeded_set(dim: int, start: int, rng) -> tuple[BubbleSet, list]:
+    """``start`` empty bubbles at random seeds, and their held points."""
+    bubbles = BubbleSet(PointStore(dim=dim))
+    for seed in rng.uniform(-20.0, 20.0, size=(start, dim)):
+        bubbles.add_bubble(seed)
+    return bubbles, [[] for _ in range(start)]
+
+
+def apply_op(bubbles: BubbleSet, held: list, op: str, op_rng) -> None:
+    """One mutation of a random bubble; ``held`` tracks its points."""
+    dim = bubbles.dim
+    b = int(op_rng.integers(len(bubbles)))
+    if op in ("absorb", "nudge"):
+        # A nudge stays well inside a quarter of the nearest-seed
+        # distance (no rebase); an absorb may move the rep anywhere.
+        scale = 1e-3 if op == "nudge" else 15.0
+        centre = bubbles.reps([b])[0]
+        points = centre + op_rng.normal(size=(3, dim)) * scale
+        bubbles.absorb(points, [b] * 3)
+        held[b].extend(points)
+    elif op == "release" and held[b]:
+        points = np.array(held[b][-2:])
+        del held[b][-2:]
+        bubbles.release(points, [b] * points.shape[0])
+    elif op == "clear":
+        bubbles.clear([b])
+        held[b] = []
+    elif op == "reseed" and not held[b]:
+        bubbles.reseed(b, op_rng.uniform(-20.0, 20.0, size=dim))
+    elif op == "add":
+        bubbles.add_bubble(op_rng.uniform(-20.0, 20.0, size=dim))
+        held.append([])
+
+
+def assert_same_keeper(ours: AssignerCache, theirs: AssignerCache) -> None:
+    """Every kept array of two keepers, bit for bit."""
+    for name in ("_base", "_base_dists", "_drift", "_lower", "_nearest",
+                 "_last"):
+        assert getattr(ours, name).tobytes() == (
+            getattr(theirs, name).tobytes()
+        ), name
+
+
 class TestKeptMatrixInvariants:
     @settings(
         max_examples=60,
@@ -73,11 +117,7 @@ class TestKeptMatrixInvariants:
     )
     def test_bounds_hold_after_every_get(self, dim, start, ops, subset):
         rng = np.random.default_rng(start * 1000 + dim)
-        bubbles = BubbleSet(PointStore(dim=dim))
-        held: list[list[np.ndarray]] = []
-        for seed in rng.uniform(-20.0, 20.0, size=(start, dim)):
-            bubbles.add_bubble(seed)
-            held.append([])
+        bubbles, held = seeded_set(dim, start, rng)
         cache = AssignerCache()
         counter = DistanceCounter()
         cache.get(bubbles, counter)
@@ -85,28 +125,7 @@ class TestKeptMatrixInvariants:
 
         for op, draw in ops:
             op_rng = np.random.default_rng(draw)
-            num = len(bubbles)
-            b = int(op_rng.integers(num))
-            if op in ("absorb", "nudge"):
-                # A nudge stays well inside a quarter of the nearest-seed
-                # distance (no rebase); an absorb may move the rep anywhere.
-                scale = 1e-3 if op == "nudge" else 15.0
-                centre = bubbles.reps([b])[0]
-                points = centre + op_rng.normal(size=(3, dim)) * scale
-                bubbles.absorb(points, [b] * 3)
-                held[b].extend(points)
-            elif op == "release" and held[b]:
-                points = np.array(held[b][-2:])
-                del held[b][-2:]
-                bubbles.release(points, [b] * points.shape[0])
-            elif op == "clear":
-                bubbles.clear([b])
-                held[b] = []
-            elif op == "reseed" and not held[b]:
-                bubbles.reseed(b, op_rng.uniform(-20.0, 20.0, size=dim))
-            elif op == "add":
-                bubbles.add_bubble(op_rng.uniform(-20.0, 20.0, size=dim))
-                held.append([])
+            apply_op(bubbles, held, op, op_rng)
 
             misses, matrix, computed = (
                 cache.misses,
@@ -135,6 +154,54 @@ class TestKeptMatrixInvariants:
                     assigner._seed_dists, cache._lower[np.ix_(ids, ids)]
                 )
                 assert np.array_equal(assigner.locations, reps[ids])
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        dim=st.sampled_from([1, 2, 3, 8]),
+        start=st.integers(2, 40),
+        ops=st.lists(
+            st.tuples(OPS, st.integers(0, 2**31 - 1)),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_restored_keeper_continues_bit_for_bit(self, dim, start, ops):
+        """After every ``get`` — a rebuild, a follow, a rebase — ``D0``
+        is bitwise symmetric, so one triangle holds it. A keeper
+        restored from the export then holds the same arrays, ``L``
+        included, and counts the same distances from there on."""
+        rng = np.random.default_rng(start * 1000 + dim)
+        bubbles, held = seeded_set(dim, start, rng)
+        cache, counter = AssignerCache(), DistanceCounter()
+        cache.get(bubbles, counter)
+        for op, draw in ops:
+            restored, restored_counter = AssignerCache(), DistanceCounter()
+            restored.restore(dim, *cache.export())
+            assert_same_keeper(cache, restored)
+            apply_op(bubbles, held, op, np.random.default_rng(draw))
+            before = counter.computed
+            cache.get(bubbles, counter)
+            restored.get(bubbles, restored_counter)
+            dists = cache._base_dists
+            assert dists.tobytes() == np.ascontiguousarray(dists.T).tobytes()
+            assert restored_counter.computed == counter.computed - before
+            assert_same_keeper(cache, restored)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_restore_refuses_a_non_finite_keeper(self, value):
+        bubbles = BubbleSet(PointStore(dim=2))
+        for seed in np.arange(10.0).reshape(5, 2) * 3.0:
+            bubbles.add_bubble(seed)
+        cache = AssignerCache()
+        cache.get(bubbles, DistanceCounter())
+        base, upper, drift, nearest, last = cache.export()
+        nearest[2] = float(value)
+        with pytest.raises(ValueError, match="non-finite"):
+            AssignerCache().restore(2, base, upper, drift, nearest, last)
 
     def test_nudge_costs_one_distance_per_moved_row(self):
         bubbles = BubbleSet(PointStore(dim=2))

@@ -291,6 +291,32 @@ class TestScanFloor:
         assert store.ids().tolist() == [7]
 
 
+class TestValidation:
+    def test_from_snapshot_validation(self):
+        with pytest.raises(ValueError):
+            PointStore.from_snapshot(
+                dim=2,
+                ids=np.array([3, 1]),  # not ascending
+                points=np.zeros((2, 2)),
+                labels=np.zeros(2, dtype=np.int64),
+            )
+        with pytest.raises(ValueError):
+            PointStore.from_snapshot(
+                dim=2,
+                ids=np.array([0, 1]),
+                points=np.zeros((2, 3)),  # wrong dim
+                labels=np.zeros(2, dtype=np.int64),
+            )
+        with pytest.raises(ValueError):
+            PointStore.from_snapshot(
+                dim=2,
+                ids=np.array([0, 5]),
+                points=np.zeros((2, 2)),
+                labels=np.zeros(2, dtype=np.int64),
+                next_id=3,  # collides with alive id 5
+            )
+
+
 class TestRebase:
     """Rows are ``id - base``; the base follows the scan floor, so a
     sliding window keeps a bounded number of rows."""

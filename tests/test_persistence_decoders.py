@@ -18,6 +18,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_formats import v2_container
 
 from repro import (
     SlidingWindowSummarizer,
@@ -100,15 +101,28 @@ class TestBatchPayload:
 
 
 @functools.lru_cache(maxsize=1)
-def container_body() -> bytes:
-    """A bootstrapped state's container, without its trailing CRC."""
+def captured_state():
+    """A bootstrapped state with a kept seed matrix."""
     rng = np.random.default_rng(5)
     stream = SlidingWindowSummarizer(
         dim=2, window_size=120, points_per_bubble=15, seed=5
     )
     for _ in range(3):
         stream.append(rng.normal(size=(60, 2)))
-    return encode_container(stream.capture_state(3))[:-4]
+    return stream.capture_state(3)
+
+
+@functools.lru_cache(maxsize=1)
+def container_body() -> bytes:
+    """The version-3 container of :func:`captured_state`, without its
+    trailing CRC."""
+    return encode_container(captured_state())[:-4]
+
+
+@functools.lru_cache(maxsize=1)
+def v2_container_body() -> bytes:
+    """The same state's version-2 container, without its trailing CRC."""
+    return v2_container(captured_state())[:-4]
 
 
 def header_of(body: bytes) -> tuple[dict, int]:
@@ -137,6 +151,34 @@ class TestSnapshotContainer:
         assert [name for name, _ in ARRAYS] == [
             entry[0] for entry in header_of(container_body())[0]["arrays"]
         ]
+        # Every array of the version-3 table is there, the kept seed
+        # matrix's five included, bit for bit.
+        assert state.keeper_drift.size
+        for name, _ in ARRAYS:
+            ours = getattr(captured_state(), name)
+            assert getattr(state, name).tobytes() == ours.tobytes(), name
+
+    @FUZZ
+    @given(
+        old=st.booleans(),
+        version=st.one_of(
+            st.integers(-2, 5),
+            st.sampled_from([2.0, 3.0, "3", True, None, [3]]),
+        ),
+    )
+    def test_the_version_picks_the_table(self, old, version):
+        """Only the version a table was written under decodes it: a
+        version-3 table read as version 2 has five arrays too many, and
+        the other way round five too few."""
+        body = v2_container_body() if old else container_body()
+        header, _ = header_of(body)
+        written = header["snapshot_version"]
+        header["snapshot_version"] = version
+        state = reads_or_refuses(with_header(body, header))
+        if type(version) is int and version == written:
+            assert state is not None
+        else:
+            assert state is None
 
     @FUZZ
     @given(data=st.data())

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DurableSummarizer,
@@ -12,7 +14,11 @@ from repro import (
     SlidingWindowSummarizer,
     WalCorruptionError,
 )
-from repro.persistence import CheckpointManager, recover_state
+from repro.persistence import (
+    CheckpointManager,
+    recover_state,
+    snapshot_paths,
+)
 
 DIM = 2
 WINDOW = 800
@@ -260,10 +266,12 @@ def assert_states_equal(a, b):
 
 
 class TestKeptMatrixRecovery:
-    """The kept seed matrix is not persisted. It is dropped at every
-    scheduled checkpoint position, in replay too, so a run recovered
-    between two checkpoints counts the distances of an uninterrupted
-    one."""
+    """Snapshots carry the kept seed matrix, and neither a scheduled
+    checkpoint nor a recovery drops it. So a run stopped anywhere — a
+    crash, a clean close, a damaged newest snapshot, or several of them
+    in a row — and resumed computes, and counts, the distances of an
+    uninterrupted one: its whole captured state, kept matrix included,
+    equals that run's."""
 
     CHECKPOINT_EVERY = 8
 
@@ -278,6 +286,44 @@ class TestKeptMatrixRecovery:
             fsync=False,
         )
 
+    def _run(self, state_dir, chunks, schedule):
+        """The captured end state of a durable stream over ``chunks``
+        that stops after each ``(batches, how)`` of ``schedule`` and is
+        recovered. ``how`` is ``"crash"`` (no goodbye checkpoint),
+        ``"close"`` (a clean close) or ``"bitrot"`` (a crash, then the
+        newest snapshot damaged whenever an older one is there to fall
+        back to)."""
+        stream = self._open(state_dir)
+        done = 0
+        for stop, how in schedule:
+            for chunk in chunks[done:stop]:
+                stream.append(chunk)
+            done = stop
+            if how == "close":
+                stream.close()
+            else:
+                stream.checkpoints.close()
+            snapshots = snapshot_paths(state_dir)
+            if how == "bitrot" and len(snapshots) > 1:
+                snapshots[0].write_bytes(b"bitrot")
+            stream = DurableSummarizer.recover(state_dir, fsync=False)
+        for chunk in chunks[done:]:
+            stream.append(chunk)
+        state = stream.inner.capture_state(stream.batches_applied)
+        stream.close()
+        return state
+
+    @pytest.fixture(scope="class")
+    def uninterrupted_state(self, tmp_path_factory):
+        reference = self._open(tmp_path_factory.mktemp("reference"))
+        for chunk in _drifting_chunks():
+            reference.append(chunk)
+        cache = reference.maintainer.assigner_cache
+        assert cache.hits > cache.misses  # the matrix was kept
+        state = reference.inner.capture_state(reference.batches_applied)
+        reference.close()
+        return state
+
     @pytest.mark.parametrize(
         "crash_after, bitrot",
         # Between checkpoints, at one, and once with the newest snapshot
@@ -285,30 +331,44 @@ class TestKeptMatrixRecovery:
         [(37, False), (40, False), (45, False), (45, True)],
     )
     def test_counters_match_uninterrupted_run(
-        self, tmp_path, crash_after, bitrot
+        self, tmp_path, uninterrupted_state, crash_after, bitrot
     ):
-        chunks = _drifting_chunks()
-        reference = self._open(tmp_path / "reference")
-        for chunk in chunks:
-            reference.append(chunk)
-        cache = reference.maintainer.assigner_cache
-        assert cache.hits > cache.misses  # the matrix was kept
+        schedule = [(crash_after, "bitrot" if bitrot else "crash")]
+        state = self._run(tmp_path / "state", _drifting_chunks(), schedule)
+        assert_states_equal(uninterrupted_state, state)
 
-        stream = self._open(tmp_path / "state")
-        for chunk in chunks[:crash_after]:
-            stream.append(chunk)
-        stream.checkpoints.close()  # crash: no goodbye checkpoint
-        if bitrot:
-            manager = CheckpointManager(tmp_path / "state", fsync=False)
-            newest = manager.snapshot_paths()[0]
-            manager.close()
-            newest.write_bytes(b"bitrot")
-        stream = DurableSummarizer.recover(tmp_path / "state", fsync=False)
-        for chunk in chunks[crash_after:]:
-            stream.append(chunk)
-        assert_states_equal(
-            reference.inner.capture_state(reference.batches_applied),
-            stream.inner.capture_state(stream.batches_applied),
-        )
-        reference.close()
-        stream.close()
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            # A second crash soon after a recovery.
+            [(37, "crash"), (39, "crash")],
+            # A clean close between checkpoints, then a resume.
+            [(21, "close")],
+            [(21, "close"), (30, "crash"), (33, "close")],
+        ],
+        ids=["crash-37-39", "close-21", "close-21-crash-30-close-33"],
+    )
+    def test_counters_match_after_crashes_and_closes(
+        self, tmp_path, uninterrupted_state, schedule
+    ):
+        state = self._run(tmp_path / "state", _drifting_chunks(), schedule)
+        assert state.counter_computed == uninterrupted_state.counter_computed
+        assert_states_equal(uninterrupted_state, state)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        schedule=st.lists(
+            st.tuples(
+                st.integers(1, 49),
+                st.sampled_from(["crash", "close", "bitrot"]),
+            ),
+            max_size=4,
+            unique_by=lambda stop: stop[0],
+        ).map(sorted)
+    )
+    def test_counters_match_under_any_schedule(
+        self, tmp_path_factory, uninterrupted_state, schedule
+    ):
+        state_dir = tmp_path_factory.mktemp("schedule")
+        state = self._run(state_dir, _drifting_chunks(), schedule)
+        assert_states_equal(uninterrupted_state, state)

@@ -17,6 +17,7 @@ from repro.persistence import (
     read_snapshot,
     recover_state,
     snapshot_paths,
+    write_snapshot,
 )
 
 DIM = 2
@@ -286,4 +287,27 @@ class TestInternallyInconsistentSnapshot:
         )
 
         with pytest.raises(CorruptStateError, match="nonexistent bubble"):
+            DurableSummarizer.recover(tmp_path, fsync=False)
+
+    @pytest.mark.parametrize(
+        "field, cut",
+        # One row short of K, one triangle entry short, one column short.
+        [
+            ("keeper_drift", np.s_[:-1]),
+            ("keeper_dists", np.s_[:-1]),
+            ("keeper_last", np.s_[:, :-1]),
+        ],
+    )
+    def test_kept_matrix_shapes_must_agree(self, tmp_path, field, cut):
+        # Re-sealed by the library's own writer, so the CRC-32 holds:
+        # only the keeper's shape check can refuse the state.
+        stream = run_stream(tmp_path, num_chunks=8)
+        stream.close()
+        snapshot = snapshot_paths(tmp_path)[0]
+        state = read_snapshot(snapshot)
+        assert state.keeper_drift.size
+        setattr(state, field, getattr(state, field)[cut])
+        write_snapshot(snapshot, state, fsync=False)
+
+        with pytest.raises(CorruptStateError, match="kept seed matrix"):
             DurableSummarizer.recover(tmp_path, fsync=False)

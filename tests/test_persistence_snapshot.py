@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 import pytest
-from legacy_formats import write_npz_snapshot
+from legacy_formats import write_npz_snapshot, write_v2_snapshot
 
 from repro import (
     DurableSummarizer,
@@ -137,10 +137,17 @@ STATE_KEYS = (
     "square_sums",
 )
 ARRAY_KEYS = STATE_KEYS + ("member_offsets", "member_ids")
+KEEPER_KEYS = (
+    "keeper_base",
+    "keeper_dists",
+    "keeper_drift",
+    "keeper_nearest",
+    "keeper_last",
+)
 
 
 def container_header(data):
-    """The JSON header of a version-2 container and where it ends."""
+    """The JSON header of a snapshot container and where it ends."""
     (length,) = struct.unpack_from("<I", data, 8)
     return json.loads(data[12 : 12 + length]), 12 + length
 
@@ -219,11 +226,19 @@ class TestSnapshotFormat:
         assert data[:8] == b"RPROSNAP"
         assert struct.unpack("<I", data[-4:])[0] == zlib.crc32(data[:-4])
         header, end = container_header(data)
-        assert header["snapshot_version"] == 2
-        assert [entry[0] for entry in header["arrays"]] == list(STATE_KEYS)
+        assert header["snapshot_version"] == 3
+        keys = STATE_KEYS + KEEPER_KEYS
+        assert [entry[0] for entry in header["arrays"]] == list(keys)
         assert "member_offsets" not in header and "member_ids" not in header
+        # The kept seed matrix follows the summary: R0 and the last reps
+        # are K x d, one triangle of D0 holds K(K-1)/2 entries.
+        shapes = {entry[0]: entry[2] for entry in header["arrays"]}
+        num = len(running_stream.summary)
+        assert shapes["keeper_base"] == shapes["keeper_last"] == [num, 3]
+        assert shapes["keeper_dists"] == [num * (num - 1) // 2]
+        assert shapes["keeper_drift"] == shapes["keeper_nearest"] == [num]
         # The arrays sit back to back, in table order, up to the CRC.
-        raw = b"".join(getattr(state, key).tobytes() for key in STATE_KEYS)
+        raw = b"".join(getattr(state, key).tobytes() for key in keys)
         assert data[end:-4] == raw
 
     def test_bit_flips_in_container_array_data_raise(
@@ -331,10 +346,54 @@ class TestSnapshotFormat:
         try:
             assert recovered.batches_applied == 10
             assert_recovered_equal(stream, recovered)
-            # The replayed tail was checkpointed as a container.
-            assert snapshot_paths(state_dir)[0].suffix == ".snap"
+            # The recovery wrote no snapshot: the .npz generation stays.
+            assert [p.suffix for p in snapshot_paths(state_dir)] == [
+                ".npz",
+                ".npz",
+            ]
+        finally:
+            recovered.close()
+        # A clean close checkpoints the replayed tail as a container.
+        newest = snapshot_paths(state_dir)[0]
+        assert newest.name == "snapshot-000000000010.snap"
+
+    def test_version_2_container_recovers(self, tmp_path, rng):
+        """Version-2 containers hold no kept seed matrix; they load with
+        an empty one and recover bit for bit."""
+        state_dir = tmp_path / "state"
+        stream = crash_closed_state(state_dir, rng)
+        for snapshot in snapshot_paths(state_dir):
+            write_v2_snapshot(snapshot, read_snapshot(snapshot))
+            header, _ = container_header(snapshot.read_bytes())
+            assert header["snapshot_version"] == 2
+            assert len(header["arrays"]) == len(STATE_KEYS)
+        recovered = DurableSummarizer.recover(state_dir, fsync=False)
+        try:
+            assert recovered.batches_applied == 10
+            assert_recovered_equal(stream, recovered)
         finally:
             recovered.close(checkpoint=False)
+
+    @pytest.mark.parametrize("earlier", ["v2", "npz", "npz-deflated"])
+    def test_earlier_versions_load_with_an_empty_keeper(
+        self, tmp_path, running_stream, earlier
+    ):
+        state = running_stream.capture_state(batches_applied=8)
+        assert state.keeper_drift.size  # the live keeper is not empty
+        path = tmp_path / "snap"
+        if earlier == "v2":
+            write_v2_snapshot(path, state)
+        else:
+            write_npz_snapshot(path, state, compressed=earlier != "npz")
+        loaded = read_snapshot(path)
+        for key in KEEPER_KEYS:
+            assert getattr(loaded, key).size == 0, key
+        for key in STATE_KEYS:
+            assert getattr(loaded, key).tobytes() == (
+                getattr(state, key).tobytes()
+            ), key
+        restored = SlidingWindowSummarizer.from_state(loaded)
+        assert restored.maintainer.assigner_cache.export() is None
 
     def test_removed_assignment_keys_are_ignored_on_recovery(
         self, tmp_path, rng

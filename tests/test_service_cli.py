@@ -488,8 +488,8 @@ class TestTelemetryPlaneCLI:
 class TestStatsAcrossSnapshotFormats:
     def test_counts_both_snapshot_generations(self, tmp_path, capsys):
         """A directory of an earlier version holds ``.npz`` snapshots;
-        after a recovery it also holds a ``.snap``. ``stats`` lists and
-        reads both as one sequence."""
+        after a recovery and a clean close it also holds a ``.snap``.
+        ``stats`` lists and reads both as one sequence."""
         import pathlib
         import shutil
 
@@ -514,11 +514,10 @@ class TestStatsAcrossSnapshotFormats:
         before = stats()
         assert before["repro_snapshot_files"] == 2
         assert before["repro_stream_batches_applied"] == 12
-        # Recovery replays the three-batch tail and checkpoints it as a
-        # container; the older npz generation is pruned, the newer kept.
-        DurableSummarizer.recover(state_dir, fsync=False).close(
-            checkpoint=False
-        )
+        # Recovery replays the three-batch tail, and the clean close
+        # checkpoints it as a container; the older npz generation is
+        # pruned, the newer kept.
+        DurableSummarizer.recover(state_dir, fsync=False).close()
         assert sorted(p.name for p in state_dir.glob("snapshot-*")) == [
             "snapshot-000000000012.npz",
             "snapshot-000000000015.snap",
