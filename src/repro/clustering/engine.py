@@ -10,7 +10,14 @@ plug-in decisions:
 
 The priority-queue walk itself — visit the closest unprocessed object by
 current reachability, update reachabilities of its neighbours through its
-core distance — is identical, so it lives here once.
+core distance — is identical, so it lives here once, in :func:`_order`.
+
+The walk reads one *reach row* per placed object: ``max(dist, core)`` to
+every object, and ``inf`` wherever the object pushes nothing (it is not
+core, or the neighbour lies beyond ``eps``). :class:`OpticsWalk` takes a
+whole distance matrix and its core vector and computes every reach row
+at once; :func:`run_optics` builds each row on demand from per-object
+callbacks.
 
 The classical realisation of OPTICS' "OrderSeeds" structure is a
 lazy-deletion binary heap. This implementation replaces the heap with flat
@@ -21,19 +28,21 @@ push counter as tiebreaker. The heap's next pop is therefore the
 lexicographic minimum of ``(reachability, last-push counter)`` over the
 unprocessed objects that have ever been pushed.
 
-Two derived arrays make each step a few whole-array numpy calls. The *pop
-key* holds the reachability of pushed, unprocessed objects and ``inf``
-everywhere else, so one ``argmin`` finds the smallest reachability; only
-when another object ties it does the step fall back to the last-push
-counter. The *push comparand* holds the reachability of unprocessed
-objects and ``-inf`` once an object is placed, so one masked compare
-``max(dist, core) < comparand`` finds every improved neighbour without a
-separate processed test. Every pop, every tiebreak, and every float is
-identical to the heap walk; there is just no heap to churn.
+The counter advances once per push, in ascending target order within a
+step, so ordering by counter is ordering by ``(step of the last improving
+push, object id)``. The walk keeps that *stamp* per object instead of a
+counter.
 
-:func:`run_optics` is the one-shot entry point: it drives one
-:class:`OpticsWalk` to completion and is bit-identical to the historical
-implementation (same pops, same tiebreakers, same floats).
+Three arrays make each step a few whole-array numpy calls. The *pop key*
+holds the reachability of pushed, unprocessed objects and ``inf``
+everywhere else, so one ``argmin`` finds the smallest reachability; only
+when another object ties it does the step fall back to the stamps, over
+the tied ids in ascending order. The *push comparand* holds the
+reachability of unprocessed objects and ``-inf`` once an object is
+placed, so one compare ``reach row < comparand`` finds every improved
+neighbour without a separate processed test. Every pop, every tiebreak,
+and every float is identical to the heap walk; there is just no heap to
+churn.
 """
 
 from __future__ import annotations
@@ -48,133 +57,101 @@ from .reachability import ReachabilityPlot
 __all__ = ["OpticsWalk", "run_optics"]
 
 
-class OpticsWalk:
-    """One OPTICS priority-queue walk.
+def _order(
+    num: int, reach_row: Callable[[int], np.ndarray]
+) -> tuple[list[int], list[float]]:
+    """The OPTICS ordering and its heights, from one reach row per object.
 
-    The walk owns the full algorithm state: the processed flags, the
-    per-object best reachability, the per-object counter of its last
-    improving push (the pop tiebreaker), the pop key and push comparand
-    derived from them, and the ordering built so far. :meth:`run` drives
-    it to completion exactly like the classical loop.
+    Each step places what the heap would pop next; when no pushed object
+    is waiting, the lowest unplaced id opens the next component at
+    infinite reachability — together exactly the classical loop's order
+    of operations. Pushes are always finite (a reach row is ``inf``
+    wherever it pushes nothing), so an ``inf`` minimum of the pop key
+    means nothing is waiting.
+    """
+    inf = np.inf
+    key = np.full(num, inf)
+    cmp = np.full(num, inf)
+    stamp = np.zeros(num, dtype=np.int64)
+    placed = bytearray(num)
+    ordering: list[int] = []
+    heights: list[float] = []
+    start = 0  # lowest id that may still open a component
+    for step in range(num):
+        obj = int(key.argmin())
+        height = key.item(obj)
+        if height == inf:
+            while placed[start]:
+                start += 1
+            obj = start
+        else:
+            tied = (key == height).nonzero()[0]
+            if tied.size > 1:
+                obj = int(tied[stamp[tied].argmin()])
+        placed[obj] = 1
+        key[obj] = inf
+        cmp[obj] = -inf
+        ordering.append(obj)
+        heights.append(height)
+        # Placed objects compare against -inf and a NaN never compares
+        # below anything, so this one compare finds exactly the pushes.
+        row = reach_row(obj)
+        improved = (row < cmp).nonzero()[0]
+        if improved.size:
+            values = row[improved]
+            key[improved] = values
+            cmp[improved] = values
+            stamp[improved] = step
+    return ordering, heights
+
+
+def _plot(
+    ordering: list[int], heights: list[float], cores: np.ndarray
+) -> ReachabilityPlot:
+    return ReachabilityPlot(
+        ordering=np.array(ordering, dtype=np.int64),
+        reachability=np.array(heights, dtype=np.float64),
+        core_distances=cores,
+    )
+
+
+class OpticsWalk:
+    """One OPTICS walk over a distance matrix and its core distances.
+
+    :meth:`run` computes every reach row at once — one extra ``K × K``
+    float64 matrix while it walks — so a step reads its row instead of
+    recomputing it.
 
     Args:
-        num_objects: how many objects to order.
-        distances_from: maps an object id to its distance vector to *all*
-            objects (self-distance at its own index, typically 0).
-        core_distance: maps ``(object id, its distance vector)`` to the
-            object's core distance, or ``inf`` if it is not a core object.
+        dist: ``(K, K)`` distances; row ``i`` holds object ``i``'s
+            distance to every object.
+        cores: the ``K`` core distances; a non-finite core (``inf``,
+            ``nan`` or ``-inf``) marks an object that pushes nothing.
         eps: generating distance; neighbours farther than this never have
             their reachability updated.
     """
 
     def __init__(
-        self,
-        num_objects: int,
-        distances_from: Callable[[int], np.ndarray],
-        core_distance: Callable[[int, np.ndarray], float],
-        eps: float = np.inf,
+        self, dist: np.ndarray, cores: np.ndarray, eps: float = np.inf
     ) -> None:
-        if num_objects <= 0:
+        if len(cores) == 0:
             raise ValueError("cannot order zero objects")
-        self._num = int(num_objects)
-        self._distances_from = distances_from
-        self._core_distance = core_distance
+        self._dist = dist
+        self._cores = cores
         self._eps = float(eps)
-        self.processed = np.zeros(self._num, dtype=bool)
-        self.reach_by_obj = np.full(self._num, np.inf)
-        self.core_by_obj = np.full(self._num, np.inf)
-        #: Counter of each object's most recent improving push; -1 means
-        #: never pushed. The pop rule is ``argmin (reach, counter)`` over
-        #: unprocessed pushed objects — exactly a lazy-deletion heap's
-        #: next non-stale pop.
-        self.counter_by_obj = np.full(self._num, -1, dtype=np.int64)
-        #: Pop key: reachability of pushed, unprocessed objects; ``inf``
-        #: for objects never pushed or already placed.
-        self._key = np.full(self._num, np.inf)
-        #: Push comparand: reachability of unprocessed objects (``inf``
-        #: until pushed); ``-inf`` once placed, so no push improves it.
-        self._cmp = np.full(self._num, np.inf)
-        self._ordering = np.empty(self._num, dtype=np.int64)
-        self._reach_in_order = np.empty(self._num, dtype=np.float64)
-        self._placed = 0
-        self._counter = 0  # global push counter (heap tiebreaker)
-        self._next_start = 0  # lowest id that may still open a component
-
-    def _expand(self, obj: int) -> None:
-        """Place ``obj`` and push reachability updates from it."""
-        self.processed[obj] = True
-        self._key[obj] = np.inf
-        self._cmp[obj] = -np.inf
-        self._ordering[self._placed] = obj
-        self._reach_in_order[self._placed] = self.reach_by_obj[obj]
-        self._placed += 1
-        dists = self._distances_from(obj)
-        core = self._core_distance(obj, dists)
-        self.core_by_obj[obj] = core
-        if not math.isfinite(core):
-            return
-        new_reach = np.maximum(dists, core)
-        # Placed objects compare against -inf, so this one compare also
-        # skips them; a NaN never improves anything. (Array methods here
-        # and in _pop: the np.* wrappers cost more than the work at these
-        # sizes.)
-        improved = (new_reach < self._cmp).nonzero()[0]
-        if self._eps != np.inf and improved.size:
-            improved = improved[dists[improved] <= self._eps]
-        if improved.size:
-            values = new_reach[improved]  # fancy indexing copies
-            self.reach_by_obj[improved] = values
-            self._key[improved] = values
-            self._cmp[improved] = values
-            # Counters advance one per push in ascending target order,
-            # the order the classical loop's heappushes happen in.
-            start = self._counter + 1
-            self._counter += int(improved.size)
-            self.counter_by_obj[improved] = np.arange(
-                start, self._counter + 1
-            )
-
-    def _pop(self) -> int:
-        """The object a lazy-deletion heap would pop next, or -1.
-
-        Among unprocessed objects that have been pushed, the one with the
-        smallest ``(reachability, last-push counter)``; -1 when no pushed
-        object remains (heap exhausted → a new component opens). One
-        ``argmin`` over the pop key finds the smallest reachability;
-        pushes are always finite, so an ``inf`` minimum means nothing is
-        waiting. Only a tie at that value needs the counters.
-        """
-        key = self._key
-        obj = int(key.argmin())
-        best = key[obj]
-        if best == np.inf:
-            return -1
-        tied = key == best
-        if np.count_nonzero(tied) == 1:
-            return obj
-        ties = tied.nonzero()[0]
-        return int(ties[self.counter_by_obj[ties].argmin()])
 
     def run(self) -> ReachabilityPlot:
-        """Drive the walk to completion and return the finished plot.
+        """Walk to completion and return the finished plot.
 
-        Each step expands what the heap would pop next; when no pushed
-        object is waiting, the lowest unprocessed id opens the next
-        component at infinite reachability — together exactly the
-        classical loop's order of operations.
+        The plot's ``core_distances`` is its own copy of the cores.
         """
-        while self._placed < self._num:
-            obj = self._pop()
-            if obj < 0:
-                while self.processed[self._next_start]:
-                    self._next_start += 1
-                obj = self._next_start
-            self._expand(obj)
-        return ReachabilityPlot(
-            ordering=self._ordering.copy(),
-            reachability=self._reach_in_order.copy(),
-            core_distances=self.core_by_obj,
-        )
+        dist = self._dist
+        cores = np.array(self._cores, dtype=np.float64)
+        reach = np.maximum(dist, cores[:, None])
+        reach[~np.isfinite(cores)] = np.inf
+        if self._eps != np.inf:
+            reach[~(dist <= self._eps)] = np.inf
+        return _plot(*_order(len(cores), reach.__getitem__), cores)
 
 
 def run_optics(
@@ -184,6 +161,9 @@ def run_optics(
     eps: float = np.inf,
 ) -> ReachabilityPlot:
     """Compute an OPTICS cluster ordering.
+
+    Each object's reach row is built from the two callbacks when the
+    walk places it, so no ``K × K`` matrix is ever held.
 
     Args:
         num_objects: how many objects to order.
@@ -198,4 +178,22 @@ def run_optics(
     Returns:
         The finished :class:`~repro.clustering.reachability.ReachabilityPlot`.
     """
-    return OpticsWalk(num_objects, distances_from, core_distance, eps=eps).run()
+    if num_objects <= 0:
+        raise ValueError("cannot order zero objects")
+    num = int(num_objects)
+    eps = float(eps)
+    cores = np.full(num, np.inf)
+    pushes_nothing = np.full(num, np.inf)
+
+    def reach_row(obj: int) -> np.ndarray:
+        dists = distances_from(obj)
+        core = core_distance(obj, dists)
+        cores[obj] = core
+        if not math.isfinite(core):
+            return pushes_nothing
+        row = np.maximum(dists, core)
+        if eps != np.inf:
+            row[~(dists <= eps)] = np.inf
+        return row
+
+    return _plot(*_order(num, reach_row), cores)

@@ -93,12 +93,14 @@ def _interior_average(reachability: np.ndarray, start: int, end: int) -> float:
 
     The bar at ``start`` is the separation *into* the region and is not
     part of its density; infinite bars (component starts) are ignored.
+    The sum over the size is what ``finite.mean()`` computes, bit for
+    bit, without its wrapper.
     """
     interior = reachability[start + 1 : end]
     finite = interior[np.isfinite(interior)]
     if finite.size == 0:
         return 0.0
-    return float(finite.mean())
+    return float(finite.sum() / finite.size)
 
 
 def extract_cluster_tree(

@@ -53,7 +53,7 @@ from .bubble_optics import (
     bubble_distance_rows,
 )
 from .cluster_tree import ClusterNode, ClusterTree
-from .engine import run_optics
+from .engine import OpticsWalk
 from .extraction import extract_cluster_tree
 from .reachability import ExpandedPlot, ReachabilityPlot
 
@@ -333,6 +333,9 @@ class ClusterCache:
 
         if same:
             state, source = old, "repair"
+            # A fit handed out earlier holds the counts array: the
+            # refreshed features go into a new one.
+            state.counts = state.counts.copy()
         else:
             state = _CacheState()
             state.bubble_ids = ids
@@ -442,13 +445,7 @@ class ClusterCache:
                 reachability=np.empty(0),
                 core_distances=np.empty(0),
             )
-        dist, cores = state.dist, state.cores
-        return run_optics(
-            state.num,
-            lambda obj: dist[obj],
-            lambda obj, dists: float(cores[obj]),
-            eps=self._eps,
-        )
+        return OpticsWalk(state.dist, state.cores, eps=self._eps).run()
 
     def _virtual(self, state: _CacheState) -> np.ndarray:
         """Virtual reachability per compact index (expansion estimate)."""
@@ -518,27 +515,33 @@ class ClusterLineage:
             The events this fit produced, in cluster order.
         """
         self._fit_index += 1
-        current: list[dict[int, int]] = []
         ordering = fit.plot.ordering
+        ids = fit.bubble_ids[ordering].tolist()
+        counts = fit.counts[ordering].tolist()
+        current: list[dict[int, int]] = []
         for leaf in fit.tree.leaves():
-            if leaf.end <= leaf.start:
-                continue
-            members = {
-                int(fit.bubble_ids[c]): int(fit.counts[c])
-                for c in ordering[leaf.start : leaf.end]
-            }
-            current.append(members)
+            if leaf.end > leaf.start:
+                span = slice(leaf.start, leaf.end)
+                current.append(dict(zip(ids[span], counts[span])))
 
-        overlaps: list[tuple[int, int, int]] = []
+        # Leaves are disjoint, so each bubble lies in one previous leaf.
+        prev_leaf = {
+            bid: prev_i
+            for prev_i, (_, prev_members) in enumerate(self._previous)
+            for bid in prev_members
+        }
+        shared: dict[tuple[int, int], int] = {}
         for new_i, members in enumerate(current):
-            for prev_i, (_, prev_members) in enumerate(self._previous):
-                shared = sum(
-                    count
-                    for bid, count in members.items()
-                    if bid in prev_members
-                )
-                if shared > 0:
-                    overlaps.append((shared, new_i, prev_i))
+            for bid, count in members.items():
+                prev_i = prev_leaf.get(bid)
+                if prev_i is not None:
+                    pair = (new_i, prev_i)
+                    shared[pair] = shared.get(pair, 0) + count
+        overlaps = [
+            (points, new_i, prev_i)
+            for (new_i, prev_i), points in shared.items()
+            if points > 0
+        ]
         overlaps.sort(key=lambda item: (-item[0], item[1], item[2]))
         new_to_prev: dict[int, int] = {}
         claimed_prev: set[int] = set()
@@ -619,6 +622,9 @@ class StageResult:
 @dataclass(frozen=True)
 class ClusterFit:
     """One clustering answer: plot + tree + provenance.
+
+    A fit is a value: later fits never write into its arrays (a hit
+    hands out the same ones again).
 
     Attributes:
         version: the ``BubbleSet.version`` this fit reflects.

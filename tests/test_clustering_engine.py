@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering import run_optics
+from repro.clustering import OpticsWalk, run_optics
 
 
 def line_distances(positions: np.ndarray):
@@ -21,6 +21,8 @@ class TestEngine:
     def test_zero_objects_rejected(self):
         with pytest.raises(ValueError):
             run_optics(0, lambda i: np.empty(0), lambda i, d: 0.0)
+        with pytest.raises(ValueError):
+            OpticsWalk(np.empty((0, 0)), np.empty(0))
 
     def test_single_object(self):
         plot = run_optics(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.clustering import (
     clusters_at_threshold,
@@ -13,6 +16,7 @@ from repro.clustering import (
     local_maxima,
     majority_bubble_labels,
 )
+from repro.clustering.extraction import _interior_average
 from repro.clustering.reachability import ExpandedPlot
 
 INF = np.inf
@@ -133,6 +137,30 @@ class TestExtractClusterTree:
     def test_significance_validated(self):
         with pytest.raises(ValueError):
             extract_cluster_tree(np.array([INF, 1.0]), significance=0.0)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(0, 80),
+            elements=st.one_of(
+                st.floats(0.0, 1e300, allow_nan=False),
+                st.just(np.inf),
+            ),
+        ),
+        st.integers(0, 80),
+        st.integers(0, 80),
+    )
+    @example(np.full(7, np.inf), 0, 7)
+    @example(np.array([np.inf, 0.1, 0.2, 0.7]), 0, 4)
+    def test_interior_average_is_the_mean_bitwise(self, reach, lo, hi):
+        start = min(lo, reach.shape[0])
+        end = min(max(hi, start), reach.shape[0])
+        interior = reach[start + 1 : end]
+        finite = interior[np.isfinite(interior)]
+        expected = float(finite.mean()) if finite.size else 0.0
+        assert _interior_average(reach, start, end).hex() == expected.hex()
 
 
 class TestExtractCandidates:

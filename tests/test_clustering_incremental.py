@@ -19,11 +19,15 @@ from repro.clustering.bubble_optics import (
     BubbleOptics,
     optics_over_summaries,
 )
+from repro.clustering.cluster_tree import ClusterNode
 from repro.clustering.incremental import (
     ClusterCache,
+    ClusterFit,
     ClusterLineage,
     IncrementalClusterer,
+    LineageEvent,
 )
+from repro.clustering.reachability import ReachabilityPlot
 from repro.core.builder import BubbleBuilder, BubbleConfig
 from repro.database.store import PointStore
 from repro.geometry.counting import DistanceCounter
@@ -495,6 +499,50 @@ class TestClustererWiring:
             )
             assert fit.quality == 1.0
 
+    def test_held_fit_survives_later_repairs_and_rebuilds(self):
+        """A returned fit is a value: later fits never write into it.
+
+        A repair keeps the cached state and refreshes the touched rows'
+        features; it once wrote the new counts into the array an earlier
+        fit held, so that fit's ``expanded()`` paired its plot with the
+        new counts.
+        """
+        bubbles = build_bubbles(32, 3, 1200)
+        clusterer = IncrementalClusterer(min_pts=MIN_PTS)
+        rng = np.random.default_rng(5)
+
+        def arrays(fit):
+            expanded = fit.expanded()
+            return [
+                a.copy()
+                for a in (
+                    fit.bubble_ids,
+                    fit.counts,
+                    fit.virtual_reachability,
+                    fit.plot.ordering,
+                    fit.plot.reachability,
+                    fit.plot.core_distances,
+                    expanded.reachability,
+                    expanded.source,
+                )
+            ]
+
+        held = [clusterer.fit(bubbles)]
+        frozen = [arrays(held[0])]
+        # Absorb, release (repairs), add a bubble, drain one (rebuilds).
+        for move, source in ((0, "repair"), (1, "repair"), (5, "rebuild"),
+                             (3, "rebuild")):
+            apply_move(bubbles, int(held[-1].bubble_ids[3]), move, rng)
+            fit = clusterer.fit(bubbles)
+            assert fit.source == source
+            for old, before in zip(held, frozen):
+                after = arrays(old)
+                assert all(
+                    a.tobytes() == b.tobytes() for a, b in zip(after, before)
+                )
+            held.append(fit)
+            frozen.append(arrays(fit))
+
     def test_expanded_plot_attributes_points_to_bubbles(self):
         bubbles = build_bubbles(24, 3, 900)
         fit = IncrementalClusterer(min_pts=MIN_PTS).fit(bubbles)
@@ -505,7 +553,179 @@ class TestClustererWiring:
         )
 
 
+class _Leaves:
+    """A cluster-tree stand-in that only knows its leaf spans."""
+
+    def __init__(self, spans):
+        self._leaves = [ClusterNode(start=s, end=e) for s, e in spans]
+
+    def leaves(self):
+        return self._leaves
+
+
+def fake_fit(bubble_ids, counts, spans, ordering=None):
+    """A full-quality fit with the given leaves over ``ordering``."""
+    num = len(bubble_ids)
+    if ordering is None:
+        ordering = np.arange(num)
+    plot = ReachabilityPlot(
+        ordering=np.asarray(ordering, dtype=np.int64),
+        reachability=np.full(num, 1.0),
+        core_distances=np.full(num, 1.0),
+    )
+    return ClusterFit(
+        version=0,
+        bubble_ids=np.asarray(bubble_ids, dtype=np.int64),
+        counts=np.asarray(counts, dtype=np.int64),
+        virtual_reachability=np.full(num, 1.0),
+        plot=plot,
+        tree=_Leaves(spans),
+        source="cold",
+        quality=1.0,
+    )
+
+
+class ReferenceLineage:
+    """``ClusterLineage.observe`` as it was: every pair of leaves compared.
+
+    Kept verbatim as the oracle for the one-pass overlap count.
+    """
+
+    def __init__(self) -> None:
+        self._next_id = 0
+        self._fit_index = -1
+        self._previous: list[tuple[int, dict[int, int]]] = []
+        self.events: list[LineageEvent] = []
+
+    @property
+    def live_clusters(self) -> int:
+        return len(self._previous)
+
+    def observe(self, fit) -> list[LineageEvent]:
+        self._fit_index += 1
+        current: list[dict[int, int]] = []
+        ordering = fit.plot.ordering
+        for leaf in fit.tree.leaves():
+            if leaf.end <= leaf.start:
+                continue
+            members = {
+                int(fit.bubble_ids[c]): int(fit.counts[c])
+                for c in ordering[leaf.start : leaf.end]
+            }
+            current.append(members)
+
+        overlaps: list[tuple[int, int, int]] = []
+        for new_i, members in enumerate(current):
+            for prev_i, (_, prev_members) in enumerate(self._previous):
+                shared = sum(
+                    count
+                    for bid, count in members.items()
+                    if bid in prev_members
+                )
+                if shared > 0:
+                    overlaps.append((shared, new_i, prev_i))
+        overlaps.sort(key=lambda item: (-item[0], item[1], item[2]))
+        new_to_prev: dict[int, int] = {}
+        claimed_prev: set[int] = set()
+        for _, new_i, prev_i in overlaps:
+            if new_i in new_to_prev or prev_i in claimed_prev:
+                continue
+            new_to_prev[new_i] = prev_i
+            claimed_prev.add(prev_i)
+
+        produced: list[LineageEvent] = []
+        next_previous: list[tuple[int, dict[int, int]]] = []
+        for new_i, members in enumerate(current):
+            points = sum(members.values())
+            if new_i in new_to_prev:
+                lineage_id, prev_members = self._previous[
+                    new_to_prev[new_i]
+                ]
+                gained = tuple(
+                    sorted(b for b in members if b not in prev_members)
+                )
+                lost = tuple(
+                    sorted(b for b in prev_members if b not in members)
+                )
+                if gained or lost:
+                    produced.append(
+                        LineageEvent(
+                            kind="drifted",
+                            cluster_id=lineage_id,
+                            fit_index=self._fit_index,
+                            points=points,
+                            gained_bubbles=gained,
+                            lost_bubbles=lost,
+                        )
+                    )
+            else:
+                lineage_id = self._next_id
+                self._next_id += 1
+                produced.append(
+                    LineageEvent(
+                        kind="born",
+                        cluster_id=lineage_id,
+                        fit_index=self._fit_index,
+                        points=points,
+                        gained_bubbles=tuple(sorted(members)),
+                    )
+                )
+            next_previous.append((lineage_id, members))
+        for prev_i, (lineage_id, prev_members) in enumerate(
+            self._previous
+        ):
+            if prev_i not in claimed_prev:
+                produced.append(
+                    LineageEvent(
+                        kind="died",
+                        cluster_id=lineage_id,
+                        fit_index=self._fit_index,
+                        points=sum(prev_members.values()),
+                        lost_bubbles=tuple(sorted(prev_members)),
+                    )
+                )
+        self._previous = next_previous
+        self.events.extend(produced)
+        return produced
+
+
+@st.composite
+def leaf_fits(draw):
+    """A fit over a random id set: a random ordering cut into leaves.
+
+    Ids come from a small pool, so they enter and leave between fits;
+    some leaves are empty or dropped (noise), and counts may be zero.
+    """
+    pool = draw(
+        st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True)
+    )
+    ids = sorted(pool)
+    num = len(ids)
+    counts = draw(
+        st.lists(st.integers(0, 6), min_size=num, max_size=num)
+    )
+    ordering = draw(st.permutations(range(num)))
+    cuts = sorted(
+        draw(st.lists(st.integers(0, num), max_size=6)) + [0, num]
+    )
+    spans = [
+        span
+        for span in zip(cuts[:-1], cuts[1:])
+        if draw(st.integers(0, 4))  # drop about one leaf in five
+    ]
+    return fake_fit(ids, counts, spans, ordering)
+
+
 class TestLineage:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(leaf_fits(), min_size=1, max_size=6))
+    def test_observe_matches_the_pairwise_reference(self, fits):
+        lineage, reference = ClusterLineage(), ReferenceLineage()
+        for fit in fits:
+            assert lineage.observe(fit) == reference.observe(fit)
+            assert lineage.live_clusters == reference.live_clusters
+        assert lineage.events == reference.events
+
     def leaf_fit(self, bubbles, clusterer):
         fit = clusterer.fit(bubbles)
         assert fit.quality == 1.0
@@ -536,51 +756,18 @@ class TestLineage:
 
     def test_drift_and_death_are_recorded(self):
         lineage = ClusterLineage()
-
-        class _Leaf:
-            def __init__(self, start, end):
-                self.start, self.end = start, end
-
-        class _Tree:
-            def __init__(self, leaves):
-                self._leaves = leaves
-
-            def leaves(self):
-                return self._leaves
-
-        def fake_fit(bubble_ids, counts, leaves):
-            from repro.clustering.incremental import ClusterFit
-            from repro.clustering.reachability import ReachabilityPlot
-
-            num = len(bubble_ids)
-            plot = ReachabilityPlot(
-                ordering=np.arange(num),
-                reachability=np.full(num, 1.0),
-                core_distances=np.full(num, 1.0),
-            )
-            return ClusterFit(
-                version=0,
-                bubble_ids=np.asarray(bubble_ids),
-                counts=np.asarray(counts),
-                virtual_reachability=np.full(num, 1.0),
-                plot=plot,
-                tree=_Tree(leaves),
-                source="cold",
-                quality=1.0,
-            )
-
         # Two leaves: {10, 11} and {12, 13}.
         events = lineage.observe(
             fake_fit(
                 [10, 11, 12, 13],
                 [5, 5, 5, 5],
-                [_Leaf(0, 2), _Leaf(2, 4)],
+                [(0, 2), (2, 4)],
             )
         )
         assert [e.kind for e in events] == ["born", "born"]
         # Leaf one gains bubble 14; leaf two dies.
         events = lineage.observe(
-            fake_fit([10, 11, 14], [5, 5, 5], [_Leaf(0, 3)])
+            fake_fit([10, 11, 14], [5, 5, 5], [(0, 3)])
         )
         kinds = sorted(e.kind for e in events)
         assert kinds == ["died", "drifted"]

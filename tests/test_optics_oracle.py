@@ -8,10 +8,12 @@ can check the engine twice over:
 
 * on Gaussian points through :class:`PointOptics`, where the engine
   computes its own distances (agreement up to float rounding), and
-* on small integer-grid matrices through :func:`run_optics`, where ties
-  are everywhere and ordering, reachability and cores must be bit-equal.
-  That pins the heap's tie rule — smallest reachability, then the
-  earliest last improving push — independently of the engine, which a
+* on small integer-grid matrices through both entry points of the walk
+  — :func:`run_optics` over callbacks and :class:`OpticsWalk` over the
+  whole matrix, as the cluster cache runs it — where ties are everywhere
+  and ordering, reachability and cores must be bit-equal. That pins the
+  heap's tie rule — smallest reachability, then the earliest last
+  improving push — independently of the engine, which a
   cold-versus-incremental comparison cannot do (both sides run the same
   walk).
 """
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.clustering import PointOptics, run_optics
+from repro.clustering import OpticsWalk, PointOptics, run_optics
 
 
 def reference_optics(
@@ -145,7 +147,7 @@ def tie_heavy_instances(draw):
 
     Distances take at most four values, so reachabilities tie all the
     time; pairs in different components are ``inf`` apart; some objects
-    are not core (``inf``).
+    are not core (``inf``, ``nan`` or ``-inf``).
     """
     num = draw(st.integers(1, 20))
     raw = draw(
@@ -161,11 +163,24 @@ def tie_heavy_instances(draw):
         hnp.arrays(
             np.float64,
             num,
-            elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]),
+            elements=st.sampled_from(
+                [0.0, 1.0, 2.0, 3.0, np.inf, np.nan, -np.inf]
+            ),
         )
     )
     eps = draw(st.sampled_from([np.inf, 1.0, 2.0]))
     return dist, cores, eps
+
+
+def assert_matches_reference(plot, dist, cores, eps):
+    ref_order, ref_reach = reference_optics(dist, cores, eps)
+    assert plot.ordering.tolist() == ref_order
+    assert plot.ordering.dtype == np.int64
+    assert np.array_equal(plot.reachability, np.asarray(ref_reach))
+    assert plot.core_distances.tobytes() == cores.tobytes()
+    # The plot owns its cores: a caller that updates its core vector in
+    # place (the cluster cache's repair does) leaves the plot alone.
+    assert not np.shares_memory(plot.core_distances, cores)
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,7 +190,18 @@ def test_run_optics_matches_reference_bitwise_under_ties(instance):
     plot = run_optics(
         len(dist), lambda i: dist[i], lambda i, d: float(cores[i]), eps=eps
     )
-    ref_order, ref_reach = reference_optics(dist, cores, eps)
-    assert plot.ordering.tolist() == ref_order
-    assert np.array_equal(plot.reachability, np.asarray(ref_reach))
-    assert np.array_equal(plot.core_distances, cores)
+    assert_matches_reference(plot, dist, cores, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances())
+def test_matrix_walk_matches_reference_bitwise_under_ties(instance):
+    """The matrix form the cluster cache walks: every reach row at once."""
+    dist, cores, eps = instance
+    dist_before, cores_before = dist.copy(), cores.copy()
+    plot = OpticsWalk(dist, cores, eps=eps).run()
+    assert plot.core_distances is not cores
+    assert_matches_reference(plot, dist, cores, eps)
+    # The walk reads its inputs and never writes them.
+    assert dist.tobytes() == dist_before.tobytes()
+    assert cores.tobytes() == cores_before.tobytes()
