@@ -106,15 +106,11 @@ class ReachabilityPlot:
             raise ValueError(
                 "counts and virtual_reachability must cover every object id"
             )
-        chunks_reach: list[np.ndarray] = []
-        chunks_src: list[np.ndarray] = []
-        for position, obj in enumerate(self.ordering):
-            count = max(int(counts[obj]), 1)
-            reach = np.full(count, virtual[obj], dtype=np.float64)
-            reach[0] = self.reachability[position]
-            chunks_reach.append(reach)
-            chunks_src.append(np.full(count, obj, dtype=np.int64))
+        ordering = self.ordering.astype(np.int64, copy=False)
+        sizes = np.maximum(counts[ordering], 1)
+        reach = np.repeat(virtual[ordering], sizes)
+        # Each object's block opens at its own reachability.
+        reach[np.cumsum(sizes) - sizes] = self.reachability
         return ExpandedPlot(
-            reachability=np.concatenate(chunks_reach),
-            source=np.concatenate(chunks_src),
+            reachability=reach, source=np.repeat(ordering, sizes)
         )

@@ -18,9 +18,9 @@ The durable summarizer snapshots through the manager every ``interval``
 applied batches, and each snapshot then truncates the WAL. The ordering
 is what makes this crash-safe without any atomicity across the two
 files: the snapshot (written atomically, see ``snapshot.py``) lands
-first, and only then is the log reset. A crash in
-between leaves old records whose ``seq`` precedes the snapshot's
-``batches_applied`` — recovery simply skips them.
+first, and only then is the log compacted. A crash in between leaves
+old records whose ``seq`` precedes the snapshot's ``batches_applied`` —
+recovery simply skips them.
 
 A bounded number of older snapshots is retained so that a damaged newest
 snapshot degrades recovery (older snapshot + longer replay) instead of
@@ -285,11 +285,6 @@ class CheckpointManager:
         os.replace(tmp, self.manifest_path)
         if self._fsync:
             fsync_directory(self._dir)
-
-    def read_manifest(self) -> dict:
-        """Load the manifest written at initialization (see
-        :func:`read_manifest`)."""
-        return read_manifest(self._dir)
 
     # ------------------------------------------------------------------
     # Checkpointing

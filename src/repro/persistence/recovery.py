@@ -49,7 +49,6 @@ class RecoveredState:
     """What recovery found on disk.
 
     Attributes:
-        manifest: the construction parameters of the durable summarizer.
         state: the newest loadable snapshot, or ``None`` when the process
             crashed before the first checkpoint (replay then starts from
             an empty summarizer).
@@ -58,7 +57,6 @@ class RecoveredState:
             the next appended batch will receive.
     """
 
-    manifest: dict
     state: SummarizerState | None
     tail: tuple[WalRecord, ...]
     last_seq: int
@@ -92,7 +90,6 @@ def recover_state(
 
 
 def _recover_state_inner(manager: CheckpointManager) -> RecoveredState:
-    manifest = manager.read_manifest()
     state = manager.latest_state()
     covered = 0 if state is None else state.batches_applied
     records = manager.wal.replay(min_seq=covered)
@@ -121,12 +118,7 @@ def _recover_state_inner(manager: CheckpointManager) -> RecoveredState:
             )
         expected += 1
 
-    return RecoveredState(
-        manifest=manifest,
-        state=state,
-        tail=tail,
-        last_seq=expected,
-    )
+    return RecoveredState(state=state, tail=tail, last_seq=expected)
 
 
 def recovery_exists(wal_dir: str | pathlib.Path) -> bool:

@@ -38,19 +38,29 @@ one file:
 * version 1 (``b"RPROWAL1"``) has ``.npz`` payloads and no ``chain``
   field (CRC-only integrity).
 
-The CRC's coverage is identical in all versions, so the torn-tail repair
-logic below is version-independent.
+Every read of a log goes through one record reader, :func:`_read_records`:
+one ``read()`` of the file, every record checked (payload bound, CRC,
+chain link), stopping at the clean end, at a torn tail or at the first
+damaged record. :func:`verify_chain` reports the stop; replay, compaction
+and the lazy chain-tip scan repair a torn tail or raise:
 
-Failure semantics on read (:meth:`WriteAheadLog.replay`):
-
-* a **torn final record** — the file ends mid-header or mid-payload, the
-  signature of a crash during an append — is truncated away (with a
-  traced ``wal_torn_tail`` warning) and replay continues with what came
-  before it (the torn batch was never acknowledged as applied, so
-  nothing is lost);
-* a **checksum or header failure on any complete record** raises
+* a **torn final record**, the signature of a crash during an append,
+  ends mid-header, mid-chain or mid-payload, or reaches the end of the
+  file and fails its CRC. It is truncated away with a traced
+  ``wal_torn_tail`` warning: the torn batch was never acknowledged as
+  applied, so nothing is lost;
+* a **header, checksum or chain failure on any other record** raises
   :class:`~repro.exceptions.WalCorruptionError`: previously fsync'd data
   is damaged and silently skipping it would replay a wrong history.
+
+A version-3 final record is torn only if the counts at the start of its
+payload are absent or account for exactly its declared length, as a torn
+append's always do. So a length changed at rest that pushes a durable
+record to the end of the file stops the read as a bad header instead of
+truncating the records from there on. Versions 1 and 2 carry no counts:
+there such a length still reads as torn. A file system that persists a
+file's size without its data could leave a final record whose counts are
+lost; that tail, too, stops recovery instead of being truncated.
 
 Replay verifies every record but decodes only those at or after the
 position it is given: recovery passes the snapshot's ``batches_applied``,
@@ -69,10 +79,10 @@ Failure semantics on write (:meth:`WriteAheadLog.append`):
   it, even when something after the write raises, so the caller can
   tell a batch the log holds from one it never took.
 
-Compaction (:meth:`WriteAheadLog.compact`) reads every record through
-the same CRC and hash-chain checks as replay — so it raises on damaged
-bytes instead of re-chaining them — and copies the kept records'
-headers and payloads verbatim into a temporary file under the same
+Compaction (:meth:`WriteAheadLog.compact`) reads the log through the
+same reader as replay — so it raises on damaged bytes instead of
+re-chaining them — and writes the kept payloads verbatim, through the
+same record framing as an append, into a temporary file under the same
 magic. It never decodes or re-encodes a batch; only the chain digests
 are recomputed, from the genesis link. The file is then ``os.replace``d
 over the log and, when fsync is on, the directory is fsynced so later
@@ -156,6 +166,11 @@ def encode_batch(batch: UpdateBatch) -> bytes:
     )
 
 
+def _counted_size(deletions: int, insertions: int, dim: int) -> int:
+    """The size of the version-3 payload whose counts these are."""
+    return _COUNTS.size + 8 * (deletions + insertions * dim + insertions)
+
+
 def decode_batch(payload: bytes) -> UpdateBatch:
     """Inverse of :func:`encode_batch`.
 
@@ -174,7 +189,7 @@ def decode_batch(payload: bytes) -> UpdateBatch:
             "than its counts"
         )
     deletions, insertions, dim = _COUNTS.unpack_from(payload)
-    expected = _COUNTS.size + 8 * (deletions + insertions * dim + insertions)
+    expected = _counted_size(deletions, insertions, dim)
     if expected != len(payload):
         raise WalCorruptionError(
             f"undecodable WAL payload: counts ({deletions}, {insertions}, "
@@ -237,9 +252,116 @@ def _record_crc(seq: int, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(_SEQ_LEN.pack(seq, len(payload))))
 
 
-def _record_header(seq: int, payload: bytes) -> bytes:
-    """The packed ``(seq, length, crc32)`` header of one record."""
-    return _HEADER.pack(seq, len(payload), _record_crc(seq, payload))
+def _write_record(
+    handle, seq: int, payload: bytes, chain: bytes | None
+) -> bytes | None:
+    """Frame one record into ``handle``: the header, then for chained
+    formats the digest that follows ``chain``, then the payload.
+
+    Returns the new chain head, or ``None`` for the unchained version 1
+    (``chain`` is ``None`` there too).
+    """
+    handle.write(_HEADER.pack(seq, len(payload), _record_crc(seq, payload)))
+    if chain is not None:
+        chain = _next_chain(chain, seq, payload)
+        handle.write(chain)
+    handle.write(payload)
+    return chain
+
+
+#: The ways a log can end in a torn final record (the ``reason`` of the
+#: ``wal_torn_tail`` event).
+_TORN = frozenset(
+    {"mid_header", "mid_chain", "mid_payload", "checksum_at_eof"}
+)
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """What :func:`_read_records` found in one read of a log.
+
+    ``records`` are the intact ``(seq, payload)`` pairs in file order,
+    and ``end`` and ``chain`` the offset and chain head after the last
+    of them. ``stop`` is ``None`` at a clean end, one of :data:`_TORN`,
+    or ``bad_header``, ``crc_mismatch`` or ``chain_mismatch``; then
+    ``seq`` names the damaged record and ``detail`` says what is wrong.
+    """
+
+    records: list[tuple[int, bytes]]
+    end: int
+    chain: bytes
+    stop: str | None = None
+    seq: int | None = None
+    detail: str = ""
+
+    @property
+    def torn(self) -> bool:
+        return self.stop in _TORN
+
+
+def _read_records(data: bytes, version: int) -> _Scan:
+    """Check every record of ``data``, a whole version-``version`` log
+    file, up to its end or the first record that fails.
+
+    A record's header must declare a payload under the bound, its CRC
+    must match and, in chained formats, its digest must extend the chain
+    from the genesis link. A record that fails and reaches the end of
+    the file is a torn tail, unless it is a version-3 record whose
+    counts are present and account for another length than its header
+    declares: that is a bad header.
+    """
+    chain_len = _CHAIN_LEN if version >= 2 else 0
+    chain = hashlib.sha256(data[:_MAGIC_LEN]).digest()
+    records: list[tuple[int, bytes]] = []
+    end = _MAGIC_LEN
+
+    def stop(reason: str, seq: int | None = None, detail: str = "") -> _Scan:
+        return _Scan(records, end, chain, reason, seq, detail)
+
+    while end < len(data):
+        if len(data) - end < _HEADER.size:
+            return stop("mid_header")
+        seq, length, crc = _HEADER.unpack_from(data, end)
+        if length >= _MAX_PAYLOAD:
+            return stop(
+                "bad_header",
+                seq,
+                f"has a bad header: it declares an absurd payload of "
+                f"{length} bytes",
+            )
+        start = end + _HEADER.size + chain_len
+        finish = start + length
+        payload = data[start:finish]
+        if finish > len(data) or crc != _record_crc(seq, payload):
+            if finish < len(data):
+                return stop("crc_mismatch", seq, "fails its checksum")
+            if version == 3 and len(payload) >= _COUNTS.size:
+                counted = _counted_size(*_COUNTS.unpack_from(payload))
+                if counted != length:
+                    return stop(
+                        "bad_header",
+                        seq,
+                        f"has a bad header: it declares {length} payload "
+                        f"bytes, but its counts account for {counted}",
+                    )
+            if start > len(data):
+                return stop("mid_chain")
+            return stop(
+                "mid_payload" if finish > len(data) else "checksum_at_eof"
+            )
+        if chain_len:
+            link = _next_chain(chain, seq, payload)
+            if data[start - chain_len : start] != link:
+                return stop(
+                    "chain_mismatch",
+                    seq,
+                    "shows a hash-chain divergence: the log's history "
+                    "does not match its chained digests",
+                )
+            chain = link
+        records.append((seq, payload))
+        end = finish
+    return _Scan(records, end, chain)
 
 
 @dataclass(frozen=True)
@@ -290,80 +412,31 @@ def verify_chain(path: str | pathlib.Path) -> ChainReport:
     (no chain field) get CRC-only coverage and ``version=1`` in the
     report so callers can tell the weaker guarantee apart.
 
-    Unlike :meth:`WriteAheadLog.replay` this never repairs a torn tail:
-    the file is opened read-only and left byte-identical.
+    It reads the file through the same record reader as
+    :meth:`WriteAheadLog.replay`, so the two agree on every log; unlike
+    replay it never repairs a torn tail: the file is opened read-only
+    and left byte-identical.
     """
     path = pathlib.Path(path)
     with open(path, "rb") as handle:
-        magic = handle.read(_MAGIC_LEN)
-        version = _VERSIONS.get(magic, 0)
-        if not version:
-            return ChainReport(
-                path=str(path),
-                version=0,
-                records=0,
-                ok=False,
-                reason="bad_magic",
-            )
-
-        def torn(records: int) -> ChainReport:
-            return ChainReport(
-                path=str(path),
-                version=version,
-                records=records,
-                ok=True,
-                torn_tail=True,
-            )
-
-        def bad(records: int, seq: int, reason: str) -> ChainReport:
-            return ChainReport(
-                path=str(path),
-                version=version,
-                records=records,
-                ok=False,
-                bad_seq=int(seq),
-                bad_record=records,
-                reason=reason,
-            )
-
-        chained = version >= 2
-        chain = hashlib.sha256(magic).digest()
-        records = 0
-        while True:
-            header_bytes = handle.read(_HEADER.size)
-            if not header_bytes:
-                break
-            if len(header_bytes) < _HEADER.size:
-                return torn(records)
-            seq, length, crc = _HEADER.unpack(header_bytes)
-            if length >= _MAX_PAYLOAD:
-                return bad(records, seq, "bad_header")
-            stored_chain = b""
-            if chained:
-                stored_chain = handle.read(_CHAIN_LEN)
-                if len(stored_chain) < _CHAIN_LEN:
-                    return torn(records)
-            payload = handle.read(length)
-            if len(payload) < length:
-                return torn(records)
-            if crc != _record_crc(seq, payload):
-                if not handle.read(1):
-                    # Final record, short of its advertised bytes on
-                    # disk: a torn write, indistinguishable from (and
-                    # treated as) a crashed append.
-                    return torn(records)
-                return bad(records, seq, "crc_mismatch")
-            if chained:
-                chain = _next_chain(chain, seq, payload)
-                if stored_chain != chain:
-                    # A complete record with a valid CRC can only carry
-                    # a wrong chain digest through at-rest mutation —
-                    # torn writes always leave the record short.
-                    return bad(records, seq, "chain_mismatch")
-            records += 1
+        data = handle.read()
+    version = _VERSIONS.get(data[:_MAGIC_LEN], 0)
+    if not version:
         return ChainReport(
-            path=str(path), version=version, records=records, ok=True
+            path=str(path), version=0, records=0, ok=False, reason="bad_magic"
         )
+    scan = _read_records(data, version)
+    ok = scan.stop is None or scan.torn
+    return ChainReport(
+        path=str(path),
+        version=version,
+        records=len(scan.records),
+        ok=ok,
+        torn_tail=scan.torn,
+        bad_seq=scan.seq,
+        bad_record=None if ok else len(scan.records),
+        reason=None if ok else scan.stop,
+    )
 
 
 class WriteAheadLog:
@@ -477,31 +550,28 @@ class WriteAheadLog:
         """
         seq = int(seq)
         payload = self._encode(batch)
-        header = _record_header(seq, payload)
-        chain = b""
-        if self.chained:
-            chain = _next_chain(self._chain_tip(), seq, payload)
+        previous = self._chain_tip() if self.chained else None
         FAILPOINTS.fire(_FP_APPEND_START)
         self._handle.seek(0, os.SEEK_END)
         start = self._handle.tell()
 
-        def write_record() -> None:
+        def write_record() -> bytes | None:
             self._handle.seek(0, os.SEEK_END)
             handle = maybe_wrap(self._handle, "wal")
-            handle.write(header)
-            if chain:
-                handle.write(chain)
-            handle.write(payload)
+            chain = _write_record(handle, seq, payload, previous)
             handle.flush()
             if self._fsync:
                 faulty_fsync(self._handle.fileno(), "wal")
+            return chain
 
         def roll_back_and_count(attempt: int, exc: BaseException) -> None:
             self._rollback_to(start)
             self._note_retry("wal_append", attempt, exc)
 
         try:
-            self._retry.call(write_record, on_retry=roll_back_and_count)
+            chain = self._retry.call(
+                write_record, on_retry=roll_back_and_count
+            )
         except BaseException:
             # A mid-write failure must not leave the handle position (or
             # a half-written record) behind: seek/truncate back to the
@@ -512,11 +582,11 @@ class WriteAheadLog:
         # Only a durably written record advances the chain head; a
         # rolled-back append leaves both the file and the chain as they
         # were.
-        if chain:
+        if chain is not None:
             self._chain = chain
         self._appended_seq = seq
         FAILPOINTS.fire(_FP_APPEND_FLUSHED)
-        return len(header) + len(chain) + len(payload)
+        return self._handle.tell() - start
 
     def _rollback_to(self, offset: int) -> None:
         """Best-effort restoration of the log to ``offset`` bytes."""
@@ -544,61 +614,44 @@ class WriteAheadLog:
             error=repr(exc),
         )
 
-    def reset(self) -> None:
-        """Drop every record (checkpoint truncation after a snapshot)."""
-        self._handle.seek(_MAGIC_LEN)
-        self._handle.truncate()
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-        # The chain is per-file content: an emptied log restarts it.
-        self._chain = self._genesis
-
     def compact(self, min_seq: int) -> int:
         """Atomically drop records with ``seq < min_seq``.
 
         Checkpoint truncation keeps the tail since the *oldest retained*
         snapshot (not just the newest), so that recovery can fall back to
         an older snapshot — and still replay forward — when the newest is
-        corrupted at rest. Every record is read back through the same
-        CRC and hash-chain checks as :meth:`replay`, so damaged bytes are
-        never re-chained; the kept payloads are then copied verbatim
-        (never decoded or re-encoded) under the file's own magic, and
-        only the chain digests are recomputed, restarting at the genesis
-        link. The rewrite goes through a temporary file and an
-        ``os.replace`` (followed by a directory fsync when fsync is on),
-        so a crash mid-compaction leaves the previous log intact. Returns
-        the number of records dropped.
+        corrupted at rest. The log is read through the same record reader
+        as :meth:`replay`, so damaged bytes are never re-chained; the
+        kept payloads are then copied verbatim (never decoded or
+        re-encoded) under the file's own magic, and only the chain
+        digests are recomputed, restarting at the genesis link. The
+        rewrite goes through a temporary file and an ``os.replace``
+        (followed by a directory fsync when fsync is on), so a crash
+        mid-compaction leaves the previous log intact. Returns the number
+        of records dropped.
         """
         records = self._scan()
         keep = [record for record in records if record[0] >= min_seq]
         tmp = self._path.with_name(self._path.name + ".tmp")
-        rewritten_chain = self._genesis
 
-        def rewrite() -> None:
-            nonlocal rewritten_chain
-            rewritten_chain = self._genesis
+        def rewrite() -> bytes | None:
+            chain = self._genesis if self.chained else None
             with open(tmp, "wb") as raw:
                 handle = maybe_wrap(raw, "wal")
                 handle.write(self._magic)
                 for seq, payload in keep:
-                    handle.write(_record_header(seq, payload))
-                    if self.chained:
-                        rewritten_chain = _next_chain(
-                            rewritten_chain, seq, payload
-                        )
-                        handle.write(rewritten_chain)
-                    handle.write(payload)
+                    chain = _write_record(handle, seq, payload, chain)
                 handle.flush()
                 if self._fsync:
                     faulty_fsync(raw.fileno(), "wal")
+            return chain
 
         def discard_and_count(attempt: int, exc: BaseException) -> None:
             tmp.unlink(missing_ok=True)
             self._note_retry("wal_compact", attempt, exc)
 
         try:
-            self._retry.call(rewrite, on_retry=discard_and_count)
+            chain = self._retry.call(rewrite, on_retry=discard_and_count)
         except BaseException:
             # The original log is untouched; a leftover tmp is swept by
             # the checkpoint manager on the next startup.
@@ -615,7 +668,7 @@ class WriteAheadLog:
         self._handle = open(self._path, "r+b")
         self._handle.seek(0, os.SEEK_END)
         # The rewritten file restarted the chain over the kept records.
-        self._chain = rewritten_chain
+        self._chain = chain
         return len(records) - len(keep)
 
     def close(self) -> None:
@@ -659,82 +712,35 @@ class WriteAheadLog:
     def _scan(self) -> list[tuple[int, bytes]]:
         """Every intact record as ``(seq, payload)``, undecoded.
 
-        The record loop behind :meth:`replay` and :meth:`compact`:
-        checks each record's CRC and (chained formats) hash-chain link,
-        repairs a torn tail in place, leaves the chain head at the last
-        verified record and raises
-        :class:`~repro.exceptions.WalCorruptionError` exactly as
-        documented on :meth:`replay`.
+        The read behind :meth:`replay`, :meth:`compact` and the lazy
+        chain tip: one ``read()`` of the log through
+        :func:`_read_records`. A torn tail is repaired in place, the
+        chain head is left at the last intact record, and damage raises
+        :class:`~repro.exceptions.WalCorruptionError` as documented on
+        :meth:`replay`.
         """
-        self._handle.seek(_MAGIC_LEN)
-        handle = maybe_wrap(self._handle, "wal")
-        records: list[tuple[int, bytes]] = []
-        good_end = _MAGIC_LEN
-        chain = self._genesis
-        while True:
-            header_bytes = handle.read(_HEADER.size)
-            if not header_bytes:
-                break
-            if len(header_bytes) < _HEADER.size:
-                self._repair_torn_tail(good_end, len(records), "mid_header")
-                break
-            seq, length, crc = _HEADER.unpack(header_bytes)
-            if length >= _MAX_PAYLOAD:
-                raise WalCorruptionError(
-                    f"record {len(records)} in {self._path} declares an "
-                    f"absurd payload of {length} bytes"
-                )
-            stored_chain = b""
-            if self.chained:
-                stored_chain = handle.read(_CHAIN_LEN)
-                if len(stored_chain) < _CHAIN_LEN:
-                    self._repair_torn_tail(
-                        good_end, len(records), "mid_chain"
-                    )
-                    break
-            payload = handle.read(length)
-            if len(payload) < length:
-                self._repair_torn_tail(good_end, len(records), "mid_payload")
-                break
-            if crc != _record_crc(seq, payload):
-                if self._at_eof():
-                    # The final record's bytes were only partially persisted
-                    # before the crash: a torn write, not corruption.
-                    self._repair_torn_tail(
-                        good_end, len(records), "checksum_at_eof"
-                    )
-                    break
-                raise WalCorruptionError(
-                    f"checksum mismatch on record {len(records)} of "
-                    f"{self._path} (seq {seq}); the log is corrupt before "
-                    "its tail and cannot be replayed safely"
-                )
-            if self.chained:
-                chain = _next_chain(chain, seq, payload)
-                if stored_chain != chain:
-                    # Torn writes leave the record short, so a complete
-                    # record with a valid CRC but the wrong chain digest
-                    # means the log's history was mutated at rest (or
-                    # diverged from the chain that wrote it).
-                    raise WalCorruptionError(
-                        f"hash-chain divergence on record {len(records)} "
-                        f"of {self._path} (seq {seq}); the log's history "
-                        "does not match its chained digests and cannot "
-                        "be replayed safely"
-                    )
-            records.append((int(seq), payload))
-            good_end = self._handle.tell()
-        self._chain = chain
+        self._handle.seek(0)
+        data = maybe_wrap(self._handle, "wal").read()
+        scan = _read_records(data, self._version)
+        if scan.torn:
+            self._repair_torn_tail(scan, len(data))
+        elif scan.stop is not None:
+            raise WalCorruptionError(
+                f"record {len(scan.records)} of {self._path} (seq "
+                f"{scan.seq}) {scan.detail}; the log is corrupt before its "
+                "tail and cannot be replayed safely"
+            )
+        self._chain = scan.chain
         self._handle.seek(0, os.SEEK_END)
-        return records
+        return scan.records
 
-    def _repair_torn_tail(
-        self, good_end: int, intact_records: int, reason: str
-    ) -> None:
+    def _repair_torn_tail(self, scan: _Scan, size: int) -> None:
         """Truncate a torn final record, tracing the repair as a warning."""
-        self._handle.seek(0, os.SEEK_END)
-        dropped = self._handle.tell() - good_end
-        self._truncate_to(good_end)
+        self._handle.seek(scan.end)
+        self._handle.truncate()
+        self._handle.flush()
+        if self._fsync:
+            os.fsync(self._handle.fileno())
         if self._obs is not None:
             self._obs.metrics.counter(
                 "repro_wal_torn_tails_total",
@@ -742,26 +748,10 @@ class WriteAheadLog:
             ).inc()
             self._obs.emit(
                 "wal_torn_tail",
-                reason=reason,
-                dropped_bytes=int(dropped),
-                intact_records=int(intact_records),
+                reason=scan.stop,
+                dropped_bytes=size - scan.end,
+                intact_records=len(scan.records),
             )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _at_eof(self) -> bool:
-        position = self._handle.tell()
-        at_end = not self._handle.read(1)
-        self._handle.seek(position)
-        return at_end
-
-    def _truncate_to(self, offset: int) -> None:
-        self._handle.seek(offset)
-        self._handle.truncate()
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WriteAheadLog(path={str(self._path)!r})"

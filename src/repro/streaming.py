@@ -290,26 +290,7 @@ class SlidingWindowSummarizer:
             InvalidPointError: the chunk is malformed and the policy is
                 ``strict`` (see the ``on_bad_point`` constructor arg).
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        if points.shape[0] > self._window:
-            raise ValueError(
-                f"chunk of {points.shape[0]} exceeds the window of "
-                f"{self._window}"
-            )
-        if labels is None:
-            label_tuple = tuple([-1] * points.shape[0])
-        else:
-            label_tuple = tuple(int(l) for l in np.asarray(labels))
-        screened = screen_chunk(
-            points, label_tuple, self._store.dim, self._on_bad_point
-        )
-        if screened.num_rejected:
-            self._note_rejected(screened.rejected)
-        points = screened.points
-        label_tuple = screened.labels
-
+        points, label_tuple = self.screen(points, labels)
         overflow = max(0, self._store.size + points.shape[0] - self._window)
         evicted = (
             tuple(int(i) for i in self._store.ids()[:overflow])
@@ -348,6 +329,41 @@ class SlidingWindowSummarizer:
         self._maybe_audit()
         self._tick_timeseries()
         return report
+
+    def screen(
+        self,
+        points: np.ndarray,
+        labels: list[Label] | np.ndarray | None = None,
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Normalize and screen one chunk at the ingestion boundary.
+
+        Returns the chunk's clean ``(m, dim)`` points and their labels
+        (``-1`` each when ``labels`` is ``None``). Rejected points are
+        counted, and kept under the ``quarantine`` policy, here.
+
+        Raises:
+            ValueError: the chunk holds more points than the window.
+            InvalidPointError: the chunk is malformed and the policy is
+                ``strict``.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim == 1:
+            points = points.reshape(1, -1)
+        if points.shape[0] > self._window:
+            raise ValueError(
+                f"chunk of {points.shape[0]} exceeds the window of "
+                f"{self._window}"
+            )
+        if labels is None:
+            label_tuple = tuple([-1] * points.shape[0])
+        else:
+            label_tuple = tuple(int(l) for l in np.asarray(labels))
+        screened = screen_chunk(
+            points, label_tuple, self._store.dim, self._on_bad_point
+        )
+        if screened.num_rejected:
+            self._note_rejected(screened.rejected)
+        return screened.points, screened.labels
 
     def _tick_timeseries(self) -> None:
         """Advance the windowed telemetry by one appended batch."""
@@ -909,32 +925,11 @@ class DurableSummarizer:
         anyway and :attr:`batches_applied` has moved: the log holds it,
         so it is not to be retried.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        if points.shape[0] > self._inner.window_size:
-            raise ValueError(
-                f"chunk of {points.shape[0]} exceeds the window of "
-                f"{self._inner.window_size}"
-            )
-        if labels is None:
-            label_tuple = tuple([-1] * points.shape[0])
-        else:
-            label_tuple = tuple(int(l) for l in np.asarray(labels))
         # Screen up front: a point the in-memory summarizer would reject
         # must not be acknowledged into the log — replay would either
         # re-raise (strict) or have to re-screen (skip/quarantine); only
         # clean history is durable.
-        screened = screen_chunk(
-            points,
-            label_tuple,
-            self._inner.store.dim,
-            self._inner.on_bad_point,
-        )
-        if screened.num_rejected:
-            self._inner._note_rejected(screened.rejected)
-        points = screened.points
-        label_tuple = screened.labels
+        points, label_tuple = self._inner.screen(points, labels)
         batch = UpdateBatch(
             deletions=(),
             insertions=points,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import ReachabilityPlot
 
@@ -76,3 +78,55 @@ class TestExpansion:
         plot = make_plot()
         with pytest.raises(ValueError):
             plot.expand(np.array([1, 1]), np.array([0.1, 0.1]))
+
+
+def expand_by_loop(plot, counts, virtual):
+    """The per-object loop ``expand`` once ran, kept as its reference:
+    a block of ``max(count, 1)`` entries per ordered object, opening at
+    the object's reachability and filled with its virtual one."""
+    reach_blocks, source_blocks = [], []
+    for position, obj in enumerate(plot.ordering):
+        count = max(int(counts[obj]), 1)
+        reach = np.full(count, virtual[obj], dtype=np.float64)
+        reach[0] = plot.reachability[position]
+        reach_blocks.append(reach)
+        source_blocks.append(np.full(count, obj, dtype=np.int64))
+    return np.concatenate(reach_blocks), np.concatenate(source_blocks)
+
+
+@st.composite
+def plots_to_expand(draw):
+    n = draw(st.integers(1, 40))
+    ids = n + draw(st.integers(0, 3))
+    heights = st.one_of(
+        st.floats(0, 1e6, allow_nan=False), st.just(np.inf)
+    )
+    plot = ReachabilityPlot(
+        ordering=np.asarray(draw(st.permutations(range(n))), np.int64),
+        reachability=np.asarray(
+            draw(st.lists(heights, min_size=n, max_size=n)), np.float64
+        ),
+        core_distances=np.zeros(n),
+    )
+    counts = np.asarray(
+        draw(st.lists(st.integers(-3, 6), min_size=ids, max_size=ids)),
+        np.int64,
+    )
+    virtual = np.asarray(
+        draw(st.lists(heights, min_size=ids, max_size=ids)), np.float64
+    )
+    return plot, counts, virtual
+
+
+class TestExpansionMatchesTheLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(case=plots_to_expand())
+    def test_bit_for_bit(self, case):
+        """Zero and negative counts still give one entry per object."""
+        plot, counts, virtual = case
+        expanded = plot.expand(counts, virtual)
+        reach, source = expand_by_loop(plot, counts, virtual)
+        assert expanded.reachability.dtype == reach.dtype
+        assert expanded.source.dtype == source.dtype
+        assert expanded.reachability.tobytes() == reach.tobytes()
+        assert expanded.source.tobytes() == source.tobytes()

@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.persistence import (
     CheckpointManager,
+    read_manifest,
     read_snapshot,
     snapshot_paths,
     write_snapshot,
@@ -626,7 +627,7 @@ class TestCheckpointManager:
     def test_manifest_round_trip(self, tmp_path):
         manager = CheckpointManager(tmp_path, fsync=False)
         manager.write_manifest({"dim": 2, "seed": None})
-        document = manager.read_manifest()
+        document = read_manifest(tmp_path)
         assert document["dim"] == 2
         assert document["seed"] is None
         manager.close()
@@ -634,5 +635,5 @@ class TestCheckpointManager:
     def test_missing_manifest_raises(self, tmp_path):
         manager = CheckpointManager(tmp_path, fsync=False)
         with pytest.raises(PersistenceError):
-            manager.read_manifest()
+            read_manifest(tmp_path)
         manager.close()

@@ -6,9 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from legacy_formats import write_legacy_log
 
 from repro import UpdateBatch, WalCorruptionError
-from repro.persistence import WriteAheadLog, decode_batch, encode_batch
+from repro.persistence import (
+    WriteAheadLog,
+    decode_batch,
+    encode_batch,
+    verify_chain,
+)
 
 
 def make_batch(rng, deletions=(), m=5, d=2):
@@ -66,14 +72,6 @@ class TestAppendReplay:
             assert len(wal.replay()) == 1
             wal.append(1, make_batch(rng))
             assert [r.seq for r in wal.replay()] == [0, 1]
-
-    def test_reset_drops_all_records(self, tmp_path, rng):
-        with WriteAheadLog(tmp_path / "wal.log", fsync=False) as wal:
-            wal.append(0, make_batch(rng))
-            wal.reset()
-            assert wal.replay() == []
-            wal.append(7, make_batch(rng))
-            assert [r.seq for r in wal.replay()] == [7]
 
     def test_empty_log_replays_empty(self, tmp_path):
         with WriteAheadLog(tmp_path / "wal.log", fsync=False) as wal:
@@ -133,8 +131,13 @@ class TestCorruption:
             with pytest.raises(WalCorruptionError):
                 wal.replay()
 
-    def test_absurd_length_fails_loudly(self, tmp_path, rng):
-        path = self._write(tmp_path / "wal.log", rng, count=1)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_absurd_length_fails_loudly(self, tmp_path, rng, version):
+        path = tmp_path / "wal.log"
+        if version == 3:
+            self._write(path, rng, count=1)
+        else:
+            write_legacy_log(path, [make_batch(rng, m=4)], version)
         data = bytearray(path.read_bytes())
         # Overwrite the length field (bytes 8..12 after seq) with 2^31.
         struct.pack_into("<I", data, 8 + 8, 1 << 31)
@@ -142,6 +145,27 @@ class TestCorruption:
         with WriteAheadLog(path, fsync=False) as wal:
             with pytest.raises(WalCorruptionError):
                 wal.replay()
+        report = verify_chain(path)
+        assert not report.ok
+        assert (report.reason, report.bad_seq) == ("bad_header", 0)
+
+    def test_length_pushed_past_the_end_fails_loudly(self, tmp_path, rng):
+        """A v3 length flipped at rest is a bad header, not a torn tail:
+        its payload's counts still give the length it was written with."""
+        path = self._write(tmp_path / "wal.log", rng)
+        data = bytearray(path.read_bytes())
+        _, length = struct.unpack_from("<QI", data, 8)
+        data[8 + 8 + 2] ^= 0x01  # bit 16 of record 0's length
+        path.write_bytes(bytes(data))
+        with WriteAheadLog(path, fsync=False) as wal:
+            with pytest.raises(
+                WalCorruptionError,
+                match=rf"record 0 of .* \(seq 0\) has a bad header: it "
+                rf"declares {length + (1 << 16)} payload bytes, but its "
+                rf"counts account for {length}",
+            ):
+                wal.replay()
+        assert path.read_bytes() == bytes(data)
 
     def test_corrupted_record_not_silently_skipped(self, tmp_path, rng):
         """A bad mid-log record must not yield a partial history."""

@@ -4,10 +4,13 @@ compaction, v1 and v2 backcompat."""
 from __future__ import annotations
 
 import io
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from legacy_formats import MAGIC_V1, MAGIC_V2, write_legacy_log
 
 from repro import UpdateBatch, WalCorruptionError
@@ -153,16 +156,6 @@ class TestV2Format:
         report = verify_chain(path)
         assert report.ok and report.records == 3 and not report.torn_tail
 
-    def test_reset_restarts_the_chain(self, tmp_path, rng):
-        path = tmp_path / "wal.log"
-        with WriteAheadLog(path, fsync=False) as wal:
-            wal.append(0, make_batch(rng))
-            wal.reset()
-            wal.append(5, make_batch(rng))
-            assert [r.seq for r in wal.replay()] == [5]
-        report = verify_chain(path)
-        assert report.ok and report.records == 1
-
     def test_compact_restarts_the_chain(self, tmp_path, rng):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path, fsync=False) as wal:
@@ -258,11 +251,15 @@ class TestVerifyChain:
         assert report.bad_seq is None
 
     def test_single_bit_flip_detected_everywhere(self, tmp_path, rng):
-        """Flip one bit at every byte of the file: never a clean pass."""
+        """Flip one bit at every byte of the file: never a clean pass.
+        Before the final record, never a pass at all: replay raises and
+        leaves the file as it was."""
         path = write_log(tmp_path / "wal.log", rng, count=2)
         original = path.read_bytes()
         clean = verify_chain(path)
         assert clean.ok and clean.records == 2 and not clean.torn_tail
+        _, _, last_payload = split_records(original)[-1]
+        final = len(original) - len(last_payload) - HEADER.size - CHAIN_LEN
         for offset in range(len(original)):
             mutated = bytearray(original)
             mutated[offset] ^= 0x01
@@ -276,6 +273,13 @@ class TestVerifyChain:
                 and not report.torn_tail
                 and report.records == clean.records
             ), f"bit flip at byte {offset} went undetected"
+            if offset >= final:
+                continue
+            assert not report.ok, f"bit flip at byte {offset} passed"
+            with pytest.raises(WalCorruptionError):
+                with WriteAheadLog(path, fsync=False) as wal:
+                    wal.replay()
+            assert path.read_bytes() == bytes(mutated)
         path.write_bytes(original)
         assert verify_chain(path).ok
 
@@ -469,3 +473,69 @@ class TestV2Backcompat:
         ]
         report = verify_chain(path)
         assert report.ok and report.version == 2 and report.records == 2
+
+
+@st.composite
+def damaged_logs(draw):
+    """A v1, v2 or v3 log of 1-5 records, and the same bytes after one
+    truncation or one flipped bit anywhere."""
+    version = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batches = [
+        UpdateBatch(
+            deletions=tuple(range(draw(st.integers(0, 3)))),
+            insertions=rng.normal(size=(rows, 2)),
+            insertion_labels=tuple([-1] * rows),
+        )
+        for rows in draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    ]
+    return version, batches, draw(st.booleans()), draw(st.floats(0, 1))
+
+
+class TestCallersAgree:
+    """verify_chain and replay read a damaged log the same way."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=damaged_logs())
+    def test_verify_chain_and_replay_agree(self, case, tmp_path_factory):
+        version, batches, truncate, where = case
+        directory = tmp_path_factory.mktemp("agree")
+        source = directory / "source.log"
+        if version == 3:
+            with WriteAheadLog(source, fsync=False) as wal:
+                for seq, batch in enumerate(batches):
+                    wal.append(seq, batch)
+        else:
+            write_legacy_log(source, batches, version)
+        data = bytearray(source.read_bytes())
+        if truncate:
+            del data[int(where * (len(data) - 1)) :]
+        else:
+            bit = int(where * (8 * len(data) - 1))
+            data[bit // 8] ^= 1 << (bit % 8)
+        damaged = bytes(data)
+        checked, replayed = directory / "checked.log", directory / "wal.log"
+        checked.write_bytes(damaged)
+        replayed.write_bytes(damaged)
+
+        report = verify_chain(checked)
+        assert checked.read_bytes() == damaged
+        if report.reason == "bad_magic":
+            with pytest.raises(WalCorruptionError):
+                WriteAheadLog(replayed, fsync=False)
+        elif not report.ok:
+            with WriteAheadLog(replayed, fsync=False) as wal:
+                with pytest.raises(
+                    WalCorruptionError,
+                    match=re.escape(f"(seq {report.bad_seq})"),
+                ):
+                    wal.replay()
+        else:
+            with WriteAheadLog(replayed, fsync=False) as wal:
+                assert len(wal.replay()) == report.records
+        if report.torn_tail:
+            again = verify_chain(replayed)
+            assert again.ok and not again.torn_tail
+            assert again.records == report.records
+        else:
+            assert replayed.read_bytes() == damaged
