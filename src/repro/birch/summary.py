@@ -21,7 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..clustering.bubble_optics import optics_over_summaries
+from ..clustering.bubble_optics import (
+    _virtual_reachability,
+    optics_over_summaries,
+)
 from ..clustering.reachability import ExpandedPlot, ReachabilityPlot
 from ..sufficient import extent as stats_extent, nn_dist
 from .cftree import CFTree
@@ -48,9 +51,7 @@ class CFSummaryResult:
         return self.plot.expand(self.counts, self.virtual_reachability)
 
 
-def cluster_cf_tree(
-    tree: CFTree, min_pts: int = 25, eps: float = np.inf
-) -> CFSummaryResult:
+def cluster_cf_tree(tree: CFTree, min_pts: int = 25) -> CFSummaryResult:
     """Order a CF-tree's leaf entries with summary-level OPTICS.
 
     Raises:
@@ -71,11 +72,12 @@ def cluster_cf_tree(
         ]
     )
     plot = optics_over_summaries(
-        reps, extents, counts, internal_core, min_pts=min_pts, eps=eps
+        reps, extents, counts, internal_core, min_pts=min_pts
     )
-    virtual = plot.core_distances.copy()
-    fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-    virtual[fallback] = extents[fallback]
     return CFSummaryResult(
-        plot=plot, counts=counts, virtual_reachability=virtual
+        plot=plot,
+        counts=counts,
+        virtual_reachability=_virtual_reachability(
+            plot.core_distances, extents
+        ),
     )

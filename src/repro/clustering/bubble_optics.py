@@ -56,20 +56,48 @@ __all__ = [
 _MATRIX_BLOCK_ROWS = 256
 
 
+def _clamp_extents(extents: np.ndarray) -> np.ndarray:
+    """Extents with every degenerate one clamped to 0.0.
+
+    A NaN, infinite or negative extent (float cancellation in the
+    variance term of ``extent``, e.g. from duplicate points) would leak
+    NaN into every distance involving the summary and from there into the
+    whole reachability plot. The paper's formula gives 0 for a
+    zero-spread summary, so those clamp to 0.0.
+    """
+    return np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
+
+
+def _clamp_internal_cores(values: np.ndarray) -> np.ndarray:
+    """Internal core estimates with NaN and negative ones clamped to 0.0.
+
+    A NaN comes from the same variance cancellation as a degenerate
+    extent. A ``+inf`` is meaningful (never core within itself) and kept.
+    """
+    return np.where(np.isnan(values) | (values < 0.0), 0.0, values)
+
+
+def _virtual_reachability(
+    cores: np.ndarray, extents: np.ndarray
+) -> np.ndarray:
+    """Per summary, the reachability of its interior points.
+
+    Interior points reach each other at roughly the summary's core
+    distance; where that is undefined or degenerate (not finite, or not
+    positive), at its extent instead.
+    """
+    virtual = cores.copy()
+    fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
+    virtual[fallback] = extents[fallback]
+    return virtual
+
+
 def _nn_dist_arrays(
     counts: np.ndarray, extents: np.ndarray, dim: int, k: int
 ) -> np.ndarray:
     """Vectorised ``nnDist(k, B)`` for every bubble; the extent where
-    ``n <= k``.
-
-    Degenerate summaries are sanitized rather than propagated: a NaN or
-    negative extent (float cancellation in the variance term of
-    ``extent``, e.g. from duplicate points) would otherwise leak NaN into
-    every distance involving the bubble and from there into the whole
-    reachability plot. The paper's formula gives 0 for a zero-spread
-    bubble, so non-finite and negative inputs clamp to 0.0.
+    ``n <= k``. ``extents`` are clamped ones (:func:`_clamp_extents`).
     """
-    extents = np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
     result = extents.copy()
     mask = counts > k
     result[mask] = (k / counts[mask]) ** (1.0 / dim) * extents[mask]
@@ -150,7 +178,6 @@ def optics_over_summaries(
     counts: np.ndarray,
     internal_core: np.ndarray,
     min_pts: int,
-    eps: float = np.inf,
 ) -> ReachabilityPlot:
     """OPTICS over arbitrary summaries described by rep/extent/count.
 
@@ -166,7 +193,9 @@ def optics_over_summaries(
         internal_core: per-summary internal core-distance estimate, used
             when the summary alone holds ``min_pts`` points.
         min_pts: MinPts in points.
-        eps: generating distance.
+
+    The ordering is the complete one (generating distance ``inf``), the
+    one the evaluation extracts its clusters from.
     """
     reps = np.ascontiguousarray(reps, dtype=np.float64)
     extents = np.asarray(extents, dtype=np.float64)
@@ -183,15 +212,9 @@ def optics_over_summaries(
             reachability=empty,
             core_distances=empty,
         )
-    dim = reps.shape[1]
-    # Degenerate summaries (duplicate points → zero/NaN extent, NaN
-    # internal core from variance cancellation) must not leak NaN into
-    # the plot; clamp to the paper's zero-spread semantics. A +inf
-    # internal core is meaningful (never core within itself) and kept.
-    extents = np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
-    internal_core = np.where(np.isnan(internal_core), 0.0, internal_core)
-    internal_core = np.where(internal_core < 0.0, 0.0, internal_core)
-    nn1 = _nn_dist_arrays(counts, extents, dim, k=1)
+    extents = _clamp_extents(extents)
+    internal_core = _clamp_internal_cores(internal_core)
+    nn1 = _nn_dist_arrays(counts, extents, reps.shape[1], k=1)
     dist_matrix = bubble_distance_matrix(reps, extents, nn1)
 
     def distances_from(obj: int) -> np.ndarray:
@@ -200,15 +223,14 @@ def optics_over_summaries(
     def core_distance(obj: int, dists: np.ndarray) -> float:
         if counts[obj] >= min_pts:
             return float(internal_core[obj])
-        within = dists <= eps
-        order = np.argsort(dists[within], kind="stable")
-        cumulative = np.cumsum(counts[within][order])
+        order = np.argsort(dists, kind="stable")
+        cumulative = np.cumsum(counts[order])
         reached = np.flatnonzero(cumulative >= min_pts)
         if reached.size == 0:
             return np.inf
-        return float(dists[within][order][reached[0]])
+        return float(dists[order[reached[0]]])
 
-    return run_optics(num, distances_from, core_distance, eps=eps)
+    return run_optics(num, distances_from, core_distance)
 
 
 @dataclass(frozen=True)
@@ -247,10 +269,11 @@ class BubbleOpticsResult:
 class BubbleOptics:
     """OPTICS configured for :class:`~repro.core.bubble_set.BubbleSet`.
 
+    Orders the bubbles completely (generating distance ``inf``, the
+    evaluation's setting).
+
     Args:
         min_pts: MinPts in *points* (summed over bubbles).
-        eps: generating distance over bubble distances; ``inf`` for the
-            complete ordering (the evaluation's setting).
 
     Example:
         >>> # bubbles: a BubbleSet from BubbleBuilder
@@ -258,13 +281,10 @@ class BubbleOptics:
         >>> expanded = result.expanded()                    # doctest: +SKIP
     """
 
-    def __init__(self, min_pts: int = 25, eps: float = np.inf) -> None:
+    def __init__(self, min_pts: int = 25) -> None:
         if min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
         self._min_pts = int(min_pts)
-        self._eps = float(eps)
 
     @property
     def min_pts(self) -> int:
@@ -288,25 +308,15 @@ class BubbleOptics:
             bubble_ids, self._min_pts
         )
         plot = optics_over_summaries(
-            reps,
-            extents,
-            counts,
-            internal_core,
-            min_pts=self._min_pts,
-            eps=self._eps,
+            reps, extents, counts, internal_core, min_pts=self._min_pts
         )
-
-        # Interior points of a bubble reach each other at roughly the
-        # bubble's core distance; fall back to the extent when the core
-        # distance is undefined or degenerate.
-        virtual = plot.core_distances.copy()
-        fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-        virtual[fallback] = extents[fallback]
         return BubbleOpticsResult(
             plot=plot,
             bubble_ids=bubble_ids,
             counts=counts,
-            virtual_reachability=virtual,
+            virtual_reachability=_virtual_reachability(
+                plot.core_distances, extents
+            ),
         )
 
     @staticmethod

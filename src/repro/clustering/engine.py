@@ -14,9 +14,10 @@ core distance — is identical, so it lives here once, in :func:`_order`.
 
 The walk reads one *reach row* per placed object: ``max(dist, core)`` to
 every object, and ``inf`` wherever the object pushes nothing (it is not
-core, or the neighbour lies beyond ``eps``). :class:`OpticsWalk` takes a
-whole distance matrix and its core vector and computes every reach row
-at once; :func:`run_optics` builds each row on demand from per-object
+core, or, for :func:`run_optics` with a finite ``eps``, the neighbour
+lies beyond it). :class:`OpticsWalk` takes a whole distance matrix and
+its core vector and computes every reach row at once, for the complete
+ordering; :func:`run_optics` builds each row on demand from per-object
 callbacks.
 
 The classical realisation of OPTICS' "OrderSeeds" structure is a
@@ -118,6 +119,7 @@ def _plot(
 class OpticsWalk:
     """One OPTICS walk over a distance matrix and its core distances.
 
+    The walk is the complete ordering (generating distance ``inf``).
     :meth:`run` computes every reach row at once — one extra ``K × K``
     float64 matrix while it walks — so a step reads its row instead of
     recomputing it.
@@ -127,30 +129,22 @@ class OpticsWalk:
             distance to every object.
         cores: the ``K`` core distances; a non-finite core (``inf``,
             ``nan`` or ``-inf``) marks an object that pushes nothing.
-        eps: generating distance; neighbours farther than this never have
-            their reachability updated.
     """
 
-    def __init__(
-        self, dist: np.ndarray, cores: np.ndarray, eps: float = np.inf
-    ) -> None:
+    def __init__(self, dist: np.ndarray, cores: np.ndarray) -> None:
         if len(cores) == 0:
             raise ValueError("cannot order zero objects")
         self._dist = dist
         self._cores = cores
-        self._eps = float(eps)
 
     def run(self) -> ReachabilityPlot:
         """Walk to completion and return the finished plot.
 
         The plot's ``core_distances`` is its own copy of the cores.
         """
-        dist = self._dist
         cores = np.array(self._cores, dtype=np.float64)
-        reach = np.maximum(dist, cores[:, None])
+        reach = np.maximum(self._dist, cores[:, None])
         reach[~np.isfinite(cores)] = np.inf
-        if self._eps != np.inf:
-            reach[~(dist <= self._eps)] = np.inf
         return _plot(*_order(len(cores), reach.__getitem__), cores)
 
 

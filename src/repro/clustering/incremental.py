@@ -11,15 +11,13 @@ A row whose bubble was clustered before and not touched since
 (absorb/release/reseed/split/merge — all surfaced by
 :meth:`BubbleSet.touched_since
 <repro.core.bubble_set.BubbleSet.touched_since>`) is *kept*: its
-features, its distances to the other kept rows
-and, under the core tie rule, its core distance carry over. Every other
-row — touched, or new to the id set — is *fresh*: its distance row is
-bit-identical to a cold build (see
-:func:`~repro.clustering.bubble_optics.bubble_distance_rows`), its core
-equals the from-scratch weighted computation float for float, and one
-walk of the updated matrix equals a from-scratch
-:func:`~repro.clustering.engine.run_optics` **exactly** — same ordering,
-same reachability floats, same cores.
+features and its distances to the other kept rows carry over. Every
+other row — touched, or new to the id set — is *fresh*: its distance row
+is bit-identical to a cold build (see
+:func:`~repro.clustering.bubble_optics.bubble_distance_rows`). Every
+core is derived as a cold fit derives it, and one walk of the updated
+matrix equals a from-scratch :func:`~repro.clustering.engine.run_optics`
+**exactly** — same ordering, same reachability floats, same cores.
 
 **Anytime mode** — ``fit(deadline_seconds=...)`` clusters nested subsets
 of the bubbles (largest point counts first), yielding a valid — coarse —
@@ -49,7 +47,10 @@ from ..geometry.counting import DistanceCounter
 from ..observability.spans import maybe_span
 from .bubble_optics import (
     _MATRIX_BLOCK_ROWS,
+    _clamp_extents,
+    _clamp_internal_cores,
     _nn_dist_arrays,
+    _virtual_reachability,
     bubble_distance_rows,
 )
 from .cluster_tree import ClusterNode, ClusterTree
@@ -67,38 +68,30 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Weighted core distances, many rows at once (satellite: hoist the
-# per-object sort work into the version-keyed cache's vectorised kernel)
+# Weighted core distances, many rows at once
 # ----------------------------------------------------------------------
 def _weighted_cores(
-    rows: np.ndarray, counts: np.ndarray, min_pts: int, eps: float
+    rows: np.ndarray, counts: np.ndarray, min_pts: int
 ) -> np.ndarray:
-    """Weighted core distances for a batch of distance rows.
+    """Weighted core distances for a ``(m, K)`` batch of distance rows.
 
     Float-for-float equal to the per-object computation in
     :func:`~repro.clustering.bubble_optics.optics_over_summaries`: the
     core distance is the row value at which the cumulative point count
-    (ascending by distance) first reaches ``min_pts``. That *value* is
-    invariant to how equal distances are ordered — the cumulative count
-    crossing lands inside an equal-value block wherever its members sit —
-    so an ``argpartition`` head (grown geometrically for rows whose head
-    does not yet hold ``min_pts`` points) computes the same float as the
-    reference's full stable argsort. Beyond-``eps`` entries are masked to
-    ``inf``: they sort last, and a crossing that lands on one reproduces
-    the reference's "never reached within eps → inf".
+    (ascending by distance) first reaches ``min_pts``, and ``inf`` for a
+    row that never reaches it. That *value* is invariant to how equal
+    distances are ordered — the cumulative count crossing lands inside
+    an equal-value block wherever its members sit — so an
+    ``argpartition`` head (grown geometrically for rows whose head does
+    not yet hold ``min_pts`` points) computes the same float as the
+    reference's full stable argsort.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
     num_rows, num_cols = rows.shape
     result = np.full(num_rows, np.inf)
-    if num_rows == 0 or num_cols == 0:
-        return result
-    vals = rows if np.isinf(eps) else np.where(rows <= eps, rows, np.inf)
     pending = np.arange(num_rows)
     head = min(32, num_cols)
+    sub = rows
     while True:
-        sub = vals[pending]
         if head < num_cols:
             part = np.argpartition(sub, head - 1, axis=1)[:, :head]
             head_vals = np.take_along_axis(sub, part, axis=1)
@@ -115,22 +108,11 @@ def _weighted_cores(
         if done.size:
             first = np.argmax(crossed[done], axis=1)
             result[pending[done]] = svals[done, first]
-        if head >= num_cols:
-            return result  # rows that never cross stay inf
         pending = pending[~has]
-        if pending.size == 0:
-            return result
+        if head >= num_cols or not pending.size:
+            return result  # rows that never cross stay inf
         head = min(head * 4, num_cols)
-
-
-def _sanitize_extents(extents: np.ndarray) -> np.ndarray:
-    """Clamp degenerate extents exactly like ``optics_over_summaries``."""
-    return np.where(np.isfinite(extents) & (extents > 0.0), extents, 0.0)
-
-
-def _sanitize_internal_cores(values: np.ndarray) -> np.ndarray:
-    """NaN/negative internal cores clamp to 0; ``inf`` stays meaningful."""
-    return np.where(np.isnan(values) | (values < 0.0), 0.0, values)
+        sub = rows[pending]
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +137,7 @@ class _CacheState:
     )
 
     #: The per-row arrays a kept row carries over to a new state.
-    ROWS = ("reps", "extents", "counts", "internal_core", "nn1", "cores")
+    ROWS = ("reps", "extents", "counts", "internal_core", "nn1")
 
     def __init__(self) -> None:
         self.version: int = -1
@@ -191,16 +173,15 @@ class ClusterCache:
     * no prior state → **cold**: every row is computed.
 
     Repairs, rebuilds and cold fits are one update (:meth:`_update`): a
-    bubble clustered before and not touched since keeps its features,
-    its distances to the other such bubbles and, under the core tie
-    rule, its core distance; everything else is recomputed, and one walk
-    orders the result. Every outcome yields state *exactly* equal to a
-    cold fit of the current bubbles; the cache only changes how much
-    work that takes.
+    bubble clustered before and not touched since keeps its features
+    and its distances to the other such bubbles; the other distances
+    and every core are recomputed, and one walk orders the result (the
+    complete ordering, generating distance ``inf``). Every outcome
+    yields state *exactly* equal to a cold fit of the current bubbles;
+    the cache only changes how much work that takes.
 
     Args:
         min_pts: MinPts in points (summed over bubbles).
-        eps: generating distance over bubble distances.
         counter: optional :class:`~repro.geometry.counting.DistanceCounter`
             that receives the honest matrix-level accounting (computed
             entries per refresh, reused entries as pruned).
@@ -209,15 +190,11 @@ class ClusterCache:
     def __init__(
         self,
         min_pts: int = 25,
-        eps: float = np.inf,
         counter: DistanceCounter | None = None,
     ) -> None:
         if min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
         self._min_pts = int(min_pts)
-        self._eps = float(eps)
         self._counter = counter if counter is not None else DistanceCounter()
         self._state: _CacheState | None = None
         self.hits = 0
@@ -228,10 +205,6 @@ class ClusterCache:
     @property
     def min_pts(self) -> int:
         return self._min_pts
-
-    @property
-    def eps(self) -> float:
-        return self._eps
 
     @property
     def state(self) -> _CacheState | None:
@@ -302,12 +275,12 @@ class ClusterCache:
         """Derive the state of ``ids`` (sorted bubble ids) from ``old``.
 
         A row is *kept* when its bubble is in both id sets and not in
-        ``touched``: it keeps ``old``'s features, its distances to the
-        other kept rows and, under the tie rule below, its core. Every
-        other row is *fresh* and recomputed. The state is ``old`` itself
-        when the id set is unchanged (``"repair"``), a new one otherwise
-        (``"rebuild"``, or ``"cold"`` without ``old``). Unless no row is
-        fresh, it ends with the one walk a cold fit ends with.
+        ``touched``: it keeps ``old``'s features and its distances to the
+        other kept rows. Every other row is *fresh* and recomputed. The
+        state is ``old`` itself when the id set is unchanged
+        (``"repair"``), a new one otherwise (``"rebuild"``, or ``"cold"``
+        without ``old``). Unless no row is fresh, every core is derived
+        anew and the update ends with the one walk a cold fit ends with.
         """
         num = int(ids.shape[0])
         kept = np.zeros(num, dtype=bool)
@@ -341,8 +314,8 @@ class ClusterCache:
             state.bubble_ids = ids
             state.reps = np.empty((num, bubbles.dim))
             state.counts = np.empty(num, dtype=np.int64)
-            state.extents, state.internal_core, state.nn1, state.cores = (
-                np.empty(num) for _ in range(4)
+            state.extents, state.internal_core, state.nn1 = (
+                np.empty(num) for _ in range(3)
             )
             state.dist = np.empty((num, num))
             if keep.size:
@@ -351,21 +324,6 @@ class ClusterCache:
                     getattr(state, name)[keep] = getattr(old, name)[src]
                 state.dist[np.ix_(keep, keep)] = old.dist[np.ix_(src, src)]
             source = "cold" if old is None else "rebuild"
-
-        # A kept small row's changed values are its old distances to
-        # every old row that is not kept (touched or departed), read
-        # before any fresh row is written, and its new distances to
-        # every fresh row (touched or entered).
-        cand = keep[state.counts[keep] < self._min_pts]
-        if cand.size:
-            # The old rows not kept: with the id set unchanged, these
-            # are the fresh rows themselves.
-            gone = fresh
-            if not same:
-                gone = np.ones(old.num, dtype=bool)
-                gone[where[keep]] = False
-                gone = gone.nonzero()[0]
-            left = old.dist[np.ix_(where[cand], gone)]
 
         if fresh.size:
             self._refresh_features(state, bubbles, fresh)
@@ -377,44 +335,16 @@ class ClusterCache:
             state.dist[block, :] = rows
             state.dist[:, block] = rows.T
 
-        # Fresh rows: a bubble holding MinPts points is core within
-        # itself; a small one goes to the weighted kernel. Kept small
-        # rows: every entry at or below the old core sits in a kept
-        # column, whose distance and count did not move. If every
-        # changed value lies strictly above the old core, the core
-        # stands. If the lowest ties it, the mass strictly below is
-        # unchanged (and short of MinPts), so the core stands while the
-        # new mass at or below it still reaches MinPts — with
-        # overlapping bubbles many distances tie at the core, so this
-        # spares most recomputations. Otherwise it is recomputed.
-        small = state.counts[fresh] < self._min_pts
-        big = fresh[~small]
-        state.cores[big] = state.internal_core[big]
-        redo = fresh[small]
-        if cand.size:
-            core = state.cores[cand]
-            entered = state.dist[np.ix_(cand, fresh)]
-            if left.shape == entered.shape:
-                # The min over an elementwise min is the min over both.
-                lowest = np.minimum(left, entered)
-                lowest = lowest.min(axis=1, initial=np.inf)
-            else:
-                lowest = np.minimum(
-                    left.min(axis=1, initial=np.inf),
-                    entered.min(axis=1, initial=np.inf),
-                )
-            stands = lowest > core
-            at = np.flatnonzero(lowest == core)
-            if at.size:
-                within = state.dist[cand[at]] <= core[at, None]
-                stands[at] = within @ state.counts >= self._min_pts
-            redo = np.concatenate((redo, cand[~stands]))
-        if redo.size:
-            state.cores[redo] = _weighted_cores(
-                state.dist[redo], state.counts, self._min_pts, self._eps
-            )
+        # One core rule, as a cold fit applies it: a bubble holding
+        # MinPts points is core within itself, and every other bubble's
+        # core is the weighted crossing of its distance row.
+        small = (state.counts < self._min_pts).nonzero()[0]
+        state.cores = state.internal_core.copy()
+        state.cores[small] = _weighted_cores(
+            state.dist[small], state.counts, self._min_pts
+        )
         state.plot = self._walk(state)
-        state.virtual = self._virtual(state)
+        state.virtual = _virtual_reachability(state.cores, state.extents)
         state.tree = None
         return state, source
 
@@ -426,9 +356,9 @@ class ClusterCache:
             state.bubble_ids[compact], self._min_pts
         )
         state.reps[compact] = reps
-        state.extents[compact] = _sanitize_extents(extents)
+        state.extents[compact] = _clamp_extents(extents)
         state.counts[compact] = counts
-        state.internal_core[compact] = _sanitize_internal_cores(core)
+        state.internal_core[compact] = _clamp_internal_cores(core)
         state.nn1[compact] = _nn_dist_arrays(
             state.counts[compact],
             state.extents[compact],
@@ -445,14 +375,7 @@ class ClusterCache:
                 reachability=np.empty(0),
                 core_distances=np.empty(0),
             )
-        return OpticsWalk(state.dist, state.cores, eps=self._eps).run()
-
-    def _virtual(self, state: _CacheState) -> np.ndarray:
-        """Virtual reachability per compact index (expansion estimate)."""
-        virtual = state.cores.copy()
-        fallback = ~np.isfinite(virtual) | (virtual <= 0.0)
-        virtual[fallback] = state.extents[fallback]
-        return virtual
+        return OpticsWalk(state.dist, state.cores).run()
 
 
 # ----------------------------------------------------------------------
@@ -691,7 +614,6 @@ class IncrementalClusterer:
 
     Args:
         min_pts: MinPts in points.
-        eps: generating distance over bubble distances.
         min_size: smallest admissible cluster, in *bubbles*, for tree
             extraction (bubbles stand for many points, so 2 is already
             selective).
@@ -710,7 +632,6 @@ class IncrementalClusterer:
     def __init__(
         self,
         min_pts: int = 25,
-        eps: float = np.inf,
         min_size: int = 2,
         significance: float = 0.75,
         counter: DistanceCounter | None = None,
@@ -719,9 +640,7 @@ class IncrementalClusterer:
     ) -> None:
         if min_size < 1:
             raise ValueError(f"min_size must be >= 1, got {min_size}")
-        self._cache = ClusterCache(
-            min_pts=min_pts, eps=eps, counter=counter
-        )
+        self._cache = ClusterCache(min_pts=min_pts, counter=counter)
         self._min_size = int(min_size)
         self._significance = float(significance)
         self._obs = obs
@@ -765,6 +684,16 @@ class IncrementalClusterer:
         self._g_leaves = m.gauge(
             "repro_cluster_leaves",
             help="Leaf clusters in the most recent full-quality tree.",
+        )
+        self._m_distance_computed = m.counter(
+            "repro_distance_computed_total",
+            help="Distance computations executed (DistanceCounter; "
+            "Figures 10-11).",
+        )
+        self._m_distance_pruned = m.counter(
+            "repro_distance_pruned_total",
+            help="Distance computations avoided via Lemma 1 "
+            "(DistanceCounter; Figures 10-11).",
         )
 
     # ------------------------------------------------------------------
@@ -843,6 +772,8 @@ class IncrementalClusterer:
             every summarized point.
         """
         started = self._clock()
+        if self._obs is not None:
+            before = self._cache._counter.snapshot()
         with maybe_span(
             self._obs,
             "cluster_fit",
@@ -854,6 +785,11 @@ class IncrementalClusterer:
         fit = replace(fit, elapsed_seconds=elapsed)
         self.last_fit = fit
         if self._obs is not None:
+            # The fit's counter delta feeds the registry, as a batch's
+            # does, so the registry stays in lockstep with the counter.
+            delta = self._cache._counter.snapshot() - before
+            self._m_distance_computed.inc(delta.computed)
+            self._m_distance_pruned.inc(delta.pruned)
             self._m_fits.inc()
             if fit.source == "hit":
                 self._m_hits.inc()

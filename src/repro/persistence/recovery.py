@@ -31,11 +31,7 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass
 
-from ..exceptions import (
-    CorruptStateError,
-    PersistenceError,
-    WalCorruptionError,
-)
+from ..exceptions import CorruptStateError, PersistenceError
 from ..observability.spans import maybe_span
 from .checkpoint import CheckpointManager
 from .state import SummarizerState

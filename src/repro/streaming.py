@@ -144,6 +144,10 @@ class SlidingWindowSummarizer:
         self._counter = DistanceCounter()
         self._maintainer: AdaptiveMaintainer | None = None
         self._obs = obs
+        # Whether an append ends its batch in the time series. A durable
+        # wrapper clears it and ticks after the batch's scheduled
+        # checkpoint, so that checkpoint counts in its batch's window.
+        self._ticks_on_append = True
         if obs is not None:
             m = obs.metrics
             self._m_chunks = m.counter(
@@ -308,9 +312,7 @@ class SlidingWindowSummarizer:
                     self._store.delete(np.asarray(evicted, dtype=np.int64))
                 self._store.insert(points, label_tuple)
                 self._maybe_bootstrap()
-            self._record_append(points.shape[0], len(evicted))
-            self._maybe_audit()
-            self._tick_timeseries()
+            self._finish_append(points.shape[0], len(evicted))
             return None
 
         batch = UpdateBatch(
@@ -325,10 +327,14 @@ class SlidingWindowSummarizer:
             evicted=len(evicted),
         ):
             report = self._maintainer.apply_batch(batch)
-        self._record_append(points.shape[0], len(evicted))
-        self._maybe_audit()
-        self._tick_timeseries()
+        self._finish_append(points.shape[0], len(evicted))
         return report
+
+    def _finish_append(self, points: int, evicted: int) -> None:
+        self._record_append(points, evicted)
+        self._maybe_audit()
+        if self._ticks_on_append:
+            self._tick_timeseries()
 
     def screen(
         self,
@@ -743,6 +749,7 @@ class DurableSummarizer:
                 "on_bad_point": inner.on_bad_point,
             }
         )
+        inner._ticks_on_append = False
         self._inner = inner
         self._manager = manager
         self._seq = 0
@@ -877,6 +884,7 @@ class DurableSummarizer:
                     audit_every=audit_every,
                 )
                 stream._seq = 0
+            stream._inner._ticks_on_append = False
 
             if recovered.tail:
                 stream._replaying = True
@@ -1096,10 +1104,14 @@ class DurableSummarizer:
         self, points: np.ndarray, labels: list[Label]
     ) -> BatchReport | None:
         """Apply one logged batch in memory, then keep the checkpoint
-        schedule — the one step live appends and WAL replay share."""
+        schedule — the one step live appends and WAL replay share. The
+        batch ends in the time series after its checkpoint."""
         self._seq += 1
         report = self._inner.append(points, labels)
-        self._maybe_checkpoint()
+        try:
+            self._maybe_checkpoint()
+        finally:
+            self._inner._tick_timeseries()
         return report
 
     def _maybe_checkpoint(self) -> None:

@@ -222,6 +222,43 @@ class TestObservabilityOutputs:
         # 8 batches in windows of 3: two full windows + a flushed partial.
         assert [w["end_batch"] for w in windows] == [3, 6, 8]
 
+    def test_scheduled_checkpoint_counts_in_its_batch_window(
+        self, tmp_path
+    ):
+        ts_path, metrics_path = tmp_path / "ts.jsonl", tmp_path / "m.json"
+        code = main(
+            [
+                "summarize",
+                "--wal-dir", str(tmp_path / "state"),
+                "--chunks", "12",
+                "--chunk-size", "200",
+                "--checkpoint-every", "4",
+                "--no-fsync",
+                "--timeseries-out", str(ts_path),
+                "--metrics-out", str(metrics_path),
+            ]
+        )
+        assert code == 0
+        windows = [
+            json.loads(line) for line in ts_path.read_text().splitlines()
+        ]
+        totals = {
+            sample["name"]: sample["value"]
+            for sample in json.loads(metrics_path.read_text())["metrics"]
+            if "value" in sample and "labels" not in sample
+        }
+        writes = [
+            w["counters"]["repro_snapshot_writes_total"] for w in windows
+        ]
+        assert writes == [0, 0, 0, 1] * 3
+        # The goodbye checkpoint of close belongs to no batch.
+        assert totals["repro_snapshot_writes_total"] == sum(writes) + 1
+        for name in windows[0]["counters"]:
+            if name != "repro_snapshot_writes_total":
+                assert sum(w["counters"][name] for w in windows) == (
+                    totals.get(name, 0)
+                ), name
+
     def test_health_out_writes_report(self, tmp_path, capsys):
         health_path = tmp_path / "health.json"
         code = self._summarize(

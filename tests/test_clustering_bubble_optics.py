@@ -169,5 +169,3 @@ class TestCoreDistanceSemantics:
     def test_validation(self):
         with pytest.raises(ValueError):
             BubbleOptics(min_pts=0)
-        with pytest.raises(ValueError):
-            BubbleOptics(eps=-1.0)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.clustering.bubble_optics import (
     BubbleOptics,
@@ -26,6 +27,7 @@ from repro.clustering.incremental import (
     ClusterLineage,
     IncrementalClusterer,
     LineageEvent,
+    _weighted_cores,
 )
 from repro.clustering.reachability import ReachabilityPlot
 from repro.core.builder import BubbleBuilder, BubbleConfig
@@ -166,27 +168,21 @@ class TestCacheSources:
         with pytest.raises(ValueError):
             ClusterCache(min_pts=0)
         with pytest.raises(ValueError):
-            ClusterCache(eps=0.0)
-        with pytest.raises(ValueError):
             IncrementalClusterer(min_size=0)
 
 
 class TestRepairEquivalence:
     """repair/rebuild ≡ cold, bitwise, across mutation schedules."""
 
-    def run_schedule(
-        self, make_bubbles, schedule, rng, min_pts=MIN_PTS, eps=np.inf
-    ):
+    def run_schedule(self, make_bubbles, schedule, rng, min_pts=MIN_PTS):
         bubbles = make_bubbles()
-        cache = ClusterCache(min_pts=min_pts, eps=eps)
+        cache = ClusterCache(min_pts=min_pts)
         cache.refresh(bubbles)
         for moves in schedule:
             for bid, move in moves:
                 apply_move(bubbles, bid % len(bubbles), move, rng)
             state, _ = cache.refresh(bubbles)
-            fresh_state, _ = ClusterCache(min_pts=min_pts, eps=eps).refresh(
-                bubbles
-            )
+            fresh_state, _ = ClusterCache(min_pts=min_pts).refresh(bubbles)
             assert_states_equal(state, fresh_state)
             assert np.array_equal(state.bubble_ids, fresh_state.bubble_ids)
         return cache
@@ -276,16 +272,57 @@ class TestRepairEquivalence:
             max_size=4,
         ),
         min_pts=st.sampled_from([5, 12, 40, 120]),
-        eps=st.sampled_from([np.inf, 2.0, 5.0]),
     )
-    def test_random_chained_schedules(self, data_seed, schedule, min_pts, eps):
+    def test_random_chained_schedules(self, data_seed, schedule, min_pts):
         self.run_schedule(
             lambda: build_bubbles(24, 3, 800, data_seed=data_seed),
             schedule,
             np.random.default_rng(data_seed),
             min_pts=min_pts,
-            eps=eps,
         )
+
+
+def reference_cores(rows, counts, min_pts):
+    """Per row, the value where the cumulative count, in stable-argsort
+    order, first reaches ``min_pts``; ``inf`` where it never does."""
+    cores = []
+    for row in rows:
+        order = np.argsort(row, kind="stable")
+        reached = np.flatnonzero(np.cumsum(counts[order]) >= min_pts)
+        cores.append(row[order[reached[0]]] if reached.size else np.inf)
+    return np.asarray(cores, dtype=np.float64)
+
+
+@st.composite
+def weighted_core_instances(draw):
+    """Integer-grid rows with ``inf`` entries, so distances tie in
+    blocks, and counts small enough that crossings land past the first
+    32-entry head or never happen."""
+    num_cols = draw(st.integers(1, 300))
+    num_rows = draw(st.integers(1, 6))
+    rows = draw(
+        hnp.arrays(
+            np.float64,
+            (num_rows, num_cols),
+            elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, np.inf]),
+        )
+    )
+    min_pts = draw(st.integers(1, 320))
+    cap = min(min_pts, draw(st.sampled_from([1, 2, 3, 8, min_pts])))
+    counts = draw(
+        hnp.arrays(np.int64, num_cols, elements=st.integers(1, cap))
+    )
+    return rows, counts, min_pts
+
+
+class TestWeightedCores:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_core_instances())
+    def test_matches_stable_argsort_reference_bitwise(self, instance):
+        rows, counts, min_pts = instance
+        got = _weighted_cores(rows, counts, min_pts)
+        want = reference_cores(rows, counts, min_pts)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDegenerates:

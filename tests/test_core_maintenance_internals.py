@@ -9,7 +9,6 @@ rounds re-classify between passes.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import (
     BubbleBuilder,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import BubbleBuilder, BubbleConfig, PointStore
+from repro import BubbleBuilder, BubbleConfig
 from repro.evaluation import (
     adjusted_rand_index,
     bubble_compactness,

@@ -11,7 +11,6 @@ invariant-preserving behaviour (not necessarily good clusters).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import (
     BubbleBuilder,

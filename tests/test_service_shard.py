@@ -10,7 +10,7 @@ import pytest
 
 from repro.exceptions import InvalidConfigError, ServiceError
 from repro.observability import bucket_quantile, render_text
-from repro.service import Shard
+from repro.service import FleetConfig, FleetManager, PointEvent, Shard
 from repro.streaming import DurableSummarizer
 
 
@@ -332,6 +332,43 @@ class TestClusterNow:
         assert row["last_source"] == "cold"
         assert row["last_leaves"] >= 1
         shard.close()
+
+    def test_fit_distances_reach_the_registry(self, tmp_path):
+        """Every fit adds its distances to the shard registry, which
+        then equals the DistanceCounter the summarizer shares."""
+        config = FleetConfig(
+            window_size=1600, points_per_bubble=20, fsync=False,
+            workers=0, batch_points=16,
+        )
+        rng = np.random.default_rng(0)
+        with FleetManager(tmp_path / "fleet", config) as fleet:
+
+            def feed(points):
+                for x, y in points:
+                    fleet.submit(PointEvent("t0", (float(x), float(y))))
+
+            feed(rng.normal((0.0, 0.0), 0.7, size=(900, 2)))
+            feed(rng.normal((6.0, 6.0), 0.7, size=(900, 2)))
+            shard = fleet.shard("t0")
+            counter = shard.summarizer.counter
+
+            def fit_source(**kwargs):
+                source = shard.cluster_now(min_pts=10, **kwargs).source
+                snap = shard.obs.metrics.snapshot()
+                assert snap.value("repro_distance_computed_total") == (
+                    counter.computed
+                )
+                assert snap.value("repro_distance_pruned_total") == (
+                    counter.pruned
+                )
+                return source
+
+            sources = [fit_source(), fit_source()]
+            feed(rng.normal((6.0, 6.0), 0.7, size=(16, 2)))
+            sources.append(fit_source())
+            shard.clusterer().cache.invalidate()
+            sources.append(fit_source(deadline_seconds=60.0))
+            assert sources == ["cold", "hit", "repair", "anytime"]
 
     def test_cluster_metrics_land_in_shard_registry(self, tmp_path):
         shard = make_shard(tmp_path)
